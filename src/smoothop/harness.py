@@ -148,6 +148,8 @@ def verify_lemma1(
         raise ValueError(f"n_max must be <= 20, got {n_max}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if grid < 2:
+        raise ValueError(f"grid must be >= 2 (the rank-1 check needs two y values), got {grid}")
     tol = dict(_DEFAULT_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
@@ -240,6 +242,10 @@ def converse_table(
 
     ratio = omega(f, 1/n) * n^2 / sum_{nu=1..n} nu * E_nu.  The converse
     inequality bounds the ratio by a constant independent of f and n.
+
+    Raises ValueError, before any omega is computed, when some E_nu is not a
+    usable best approximation: its solver flags `reference_collapse`, or
+    `exceeds_zero_polynomial` (E_nu above ||f|| on the solver's own grid).
     """
     verdict = validate_params(space)
     if not verdict:
@@ -251,6 +257,12 @@ def converse_table(
         raise ValueError("n_list must be strictly ascending")
     fn = as_sampled(f)
     seq = best_approx_sequence(fn, max(n_list), space)
+    for r in seq:
+        if {"reference_collapse", "exceeds_zero_polynomial"} & set(r.flags):
+            raise ValueError(
+                f"best approximation at nu = {r.n} is unusable: E_nu = {r.value:.3e}, "
+                f"solver flags {r.flags}"
+            )
     e = np.array([r.value for r in seq])
     nu = np.arange(1, len(e) + 1)
     # Noise floor for the degenerate case (f itself a polynomial): both sides

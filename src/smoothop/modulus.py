@@ -11,6 +11,7 @@ trigonometric form of the operator is used throughout.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,8 @@ def _check_args(space: WeightedSpace, delta: float, t_grid: int) -> None:
     verdict = validate_params(space)
     if not verdict:
         raise ValueError(f"space parameters outside the admissible region: {verdict.clause}")
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    if not 0 <= delta < math.inf:  # NaN fails the comparison too
+        raise ValueError(f"delta must be finite and >= 0, got delta = {delta}")
     if t_grid < 3 or t_grid % 2 == 0:
         raise ValueError(f"t_grid must be odd and >= 3, got {t_grid}")
 

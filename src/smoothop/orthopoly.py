@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -147,6 +148,7 @@ def _legendre_pair(M: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, p_prev
 
 
+@lru_cache(maxsize=64)
 def gauss_legendre(M: int) -> QuadratureRule:
     """Gauss-Legendre rule with M nodes, by Newton iteration on the recurrence.
 
@@ -154,6 +156,7 @@ def gauss_legendre(M: int) -> QuadratureRule:
     function value itself bottoms out at the recurrence's roundoff floor,
     about M * eps, so the update is the meaningful per-root residual).
     Raises RuntimeError if any root fails to converge within 100 iterations.
+    Rules are cached per M and shared, so their arrays are read-only.
     """
     if M < 1:
         raise ValueError(f"need at least one node, got M = {M}")
@@ -176,6 +179,8 @@ def gauss_legendre(M: int) -> QuadratureRule:
     p, p_prev = _legendre_pair(M, x)
     dp = M * (x * p - p_prev) / (x * x - 1.0)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.flags.writeable = False  # shared through the cache
+    w.flags.writeable = False
     return QuadratureRule("legendre", x, w)
 
 

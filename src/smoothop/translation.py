@@ -17,6 +17,7 @@ evaluations stay inside the band |x| <= 1 - EDGE_EPS.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -101,13 +102,13 @@ def _default_quad_size(f) -> int:
 def _check_translate_args(x: np.ndarray, y: float, M: int) -> None:
     if M < 1:
         raise ValueError(f"quadrature size must be positive, got M = {M}")
-    if abs(y) > 1 + _DOMAIN_SLACK:
+    if not abs(y) <= 1 + _DOMAIN_SLACK:  # NaN fails the comparison too
         raise ValueError(f"translation parameter outside [-1, 1]: y = {y}")
-    if x.size and (np.abs(x) > 1 - EDGE_EPS).any():
-        bad = x[np.abs(x) > 1 - EDGE_EPS].flat[0]
+    inside = np.abs(x) <= 1 - EDGE_EPS  # NaN is never inside
+    if not inside.all():
         raise ValueError(
-            f"evaluation point too close to the singular endpoints: x = {bad} "
-            f"(need |x| <= 1 - {EDGE_EPS})"
+            f"evaluation point not finite or too close to the singular endpoints: "
+            f"x = {x[~inside].flat[0]} (need |x| <= 1 - {EDGE_EPS})"
         )
 
 
@@ -162,6 +163,8 @@ def translate_trig(f, t: float, x, M: int | None = None):
     if M is None:
         M = _default_quad_size(f)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if not math.isfinite(t):
+        raise ValueError(f"translation angle must be finite, got t = {t}")
     y = float(np.cos(t))
     _check_translate_args(xs, y, M)
     j = np.arange(1, M + 1)

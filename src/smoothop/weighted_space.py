@@ -130,11 +130,6 @@ def as_sampled(f, name: str = "f", degree: int | None = None) -> SampledFunction
     return SampledFunction(f, name=name, degree=degree)
 
 
-@lru_cache(maxsize=32)
-def _legendre_rule(M: int):
-    return gauss_legendre(M)
-
-
 @lru_cache(maxsize=8)
 def sup_grid(resolution: int = 4097) -> np.ndarray:
     """Chebyshev-extrema-distributed grid, scaled into |x| <= 1 - EDGE_EPS.
@@ -176,7 +171,7 @@ def weighted_norm(f, space: WeightedSpace, resolution: int | None = None) -> flo
     res = 256 if resolution is None else resolution
     if res < 16:
         raise ValueError(f"resolution must be at least 16, got {res}")
-    rule = _legendre_rule(res)
+    rule = gauss_legendre(res)
     xs = rule.nodes
     vals = fn(xs)
     _check_finite(vals, xs)

@@ -6,7 +6,13 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
-from smoothop.approx import best_approx, best_approx_sequence, sequence_to_csv
+from smoothop import approx
+from smoothop.approx import (
+    _weighted_least_squares,
+    best_approx,
+    best_approx_sequence,
+    sequence_to_csv,
+)
 from smoothop.orthopoly import gauss_legendre
 from smoothop.weighted_space import WeightedSpace, sup_grid, weighted_norm
 
@@ -70,6 +76,30 @@ class TestProjection:
             assert r.value <= 1e-10
 
 
+class TestWeightedLeastSquares:
+    def test_matches_svd_solve_on_ill_conditioned_irls_design(self):
+        # An IRLS step at p = 1: weights 1/|e| with |e| floored, on the
+        # 1025-node grid at Chebyshev degree 31.  The L2 residual is zeroed at
+        # 16 of its sign changes, as a converged p = 1 residual vanishes at
+        # interpolation nodes, so the floor drives cond(A) past 1e6.
+        rule = gauss_legendre(1025)
+        xs, qw = rule.nodes, rule.weights
+        wgt = 1 - xs**2
+        fx = np.abs(xs - 0.1)
+        V = np.polynomial.chebyshev.chebvander(xs, 31)
+        s0 = np.sqrt(qw) * wgt
+        c0, *_ = np.linalg.lstsq(V * s0[:, None], fx * s0, rcond=None)
+        e = wgt * (fx - V @ c0)
+        sign_changes = np.flatnonzero(np.sign(e[1:]) != np.sign(e[:-1]))
+        e[sign_changes[::2]] = 0.0
+        s = np.sqrt(qw / np.maximum(np.abs(e), 1e-12)) * wgt
+        A = V * s[:, None]
+        assert np.linalg.cond(A) >= 1e6
+        ref, *_ = np.linalg.lstsq(A, fx * s, rcond=None)
+        coef, *_ = _weighted_least_squares(V, s, fx)
+        assert np.linalg.norm(coef - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
 class TestExchange:
     def test_matches_linear_program(self):
         # same grid, same discrete problem, independent solver
@@ -118,6 +148,35 @@ class TestIRLS:
         assert r.solver == "irls"
         assert 0 < r.value < weighted_norm(np.abs, sp)
 
+    def test_every_step_matches_svd_solve_at_degree_64(self, monkeypatch):
+        # p = 1, alpha = 1 at the CLI's default n = 64: the IRLS weights drive cond(A)
+        # to about 5e5.  Each step is checked against an SVD-based solve of
+        # the same design, and the run driven by that solve gives the same E.
+        deviations = []
+
+        def svd_driven(V, s, f):
+            A, b = V * s[:, None], f * s
+            ref, *_ = np.linalg.lstsq(A, b, rcond=None)
+            coef, *_ = _weighted_least_squares(V, s, f)
+            deviations.append(np.linalg.norm(coef - ref) / np.linalg.norm(ref))
+            return ref, A, b
+
+        sp = WeightedSpace(1.0, 1.0)
+        expected = best_approx(np.abs, 64, sp)
+        monkeypatch.setattr(approx, "_weighted_least_squares", svd_driven)
+        r = best_approx(np.abs, 64, sp)
+        assert len(deviations) == r.iterations + 1
+        assert max(deviations) <= 1e-10
+        assert_allclose(expected.value, r.value, rtol=1e-10)
+
+    def test_singular_normal_equations_flagged_not_raised(self):
+        # at p = 6 the weights |e|^(p-2) span too many orders of magnitude
+        # for Cholesky; the solver keeps its last iterate and says so
+        sp = WeightedSpace(6.0, 1.0)
+        r = best_approx(np.abs, 16, sp)
+        assert r.flags == ("singular_normal_equations",)
+        assert 0 < r.value < weighted_norm(np.abs, sp, 1025)
+
 
 class TestSequences:
     def test_zero_function(self):
@@ -159,3 +218,13 @@ class TestSequences:
             best_approx(np.abs, 2, WeightedSpace(2.0, 0.3))
         with pytest.raises(ValueError):
             best_approx_sequence(np.abs, 0, SP2)
+
+
+@pytest.mark.parametrize(
+    "space, n", [(SP2, 65), (SP2, 300), (WeightedSpace(3.0, 1.0), 257), (SPINF, 1025)]
+)
+def test_degree_beyond_a_quarter_of_the_grid_rejected(space, n):
+    with pytest.raises(ValueError, match=f"n = {n} exceeds"):
+        best_approx(np.abs, n, space)
+    with pytest.raises(ValueError, match=f"n = {n} exceeds"):
+        best_approx_sequence(np.abs, n, space)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from smoothop import harness
 from smoothop.cli import main
 from smoothop.harness import (
     TEST_FUNCTION_NAMES,
@@ -74,6 +75,11 @@ class TestVerifyLemma1:
         with pytest.raises(ValueError):
             verify_lemma1(n_max=21)
 
+    @pytest.mark.parametrize("grid", [1, 0, -3])
+    def test_degenerate_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="grid"):
+            verify_lemma1(n_max=0, grid=grid)
+
     def test_trivial_degree_zero_run(self):
         report = verify_lemma1(n_max=0, grid=12)
         by_name = {c.name: c for c in report.checks}
@@ -107,6 +113,23 @@ class TestConverseTable:
             converse_table(np.abs, [], SP2)
         with pytest.raises(ValueError, match="admissible"):
             converse_table(np.abs, [2, 4], WeightedSpace(1.0, 0.4))
+
+    def test_collapsed_sup_solver_rejected_before_any_omega(self, monkeypatch):
+        # the exchange solver collapses from nu = 115 on for |x| (E_115 ~ 1.5e10
+        # against ||f|| ~ 0.385); the table must refuse, not sum it
+        def no_omega(*args, **kwargs):
+            raise AssertionError("omega computed for a table that must be refused")
+
+        monkeypatch.setattr(harness, "modulus_omega", no_omega)
+        with pytest.raises(ValueError, match="nu = 115"):
+            converse_table(np.abs, [16, 32, 64, 128], SPINF)
+
+    def test_norm_grid_does_not_refuse_a_valid_table(self):
+        # E_1 of an odd f equals ||f|| on the 4097-point solver grid, which
+        # exceeds ||f|| on the coarser 1025-point norm grid
+        f = get_test_function("signabs32")
+        rows = converse_table(f, [2, 4], SPINF, t_grid=5, norm_resolution=1025)
+        assert len(rows) == 2
 
     def test_csv_columns(self):
         rows = converse_table(get_test_function("x"), [2, 4], SP2, t_grid=5)

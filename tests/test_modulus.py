@@ -95,3 +95,9 @@ class TestModulusCurve:
         lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "δ,ω,argmax_t"
         assert len(lines) == 3
+
+
+@pytest.mark.parametrize("delta", [math.inf, math.nan])
+def test_non_finite_delta_rejected(delta):
+    with pytest.raises(ValueError, match="delta = "):
+        modulus_omega(np.abs, delta, SP2)

@@ -153,6 +153,14 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             gauss_legendre(0)
 
+    def test_legendre_rule_cached_and_read_only(self):
+        rule = gauss_legendre(64)
+        assert gauss_legendre(64) is rule
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
+
 
 class TestFourierJacobi:
     def test_constant_against_weight_mass(self):

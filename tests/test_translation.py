@@ -182,3 +182,20 @@ class TestMultiplier:
         assert set(back["residual_table"]) == {
             "(0,0)+(2,2)", "(1,1)+(2,2)", "(2,2)+(2,2)", "(3,1)+(2,2)",
         }
+
+
+@pytest.mark.parametrize(
+    "kernel, param, x, name",
+    [
+        (translate, math.nan, 0.5, "y"),
+        (translate, 0.5, math.nan, "x"),
+        (translate, 0.5, np.array([0.1, math.nan]), "x"),
+        (translate_trig, math.nan, 0.5, "t"),
+        (translate_trig, math.inf, 0.5, "t"),
+        (translate_trig, -math.inf, 0.5, "t"),
+        (translate_trig, 0.3, math.nan, "x"),
+    ],
+)
+def test_non_finite_arguments_rejected(kernel, param, x, name):
+    with pytest.raises(ValueError, match=f"{name} = "):
+        kernel(np.abs, param, x)
