@@ -3,8 +3,9 @@
     omega(f, delta) = sup over |t| <= delta of || T_{cos t} f - f ||
 
 The sup over the continuum is approximated by a uniform grid of t values on
-[-delta, delta]; the operator is asymmetric, so negative t must be scanned
-even though the grid is symmetric.  delta is an angle in radians and the
+[-delta, delta].  The operator is asymmetric in x and y, not in t: it sees t
+only through cos t and |sin t|, so T_{cos t} f = T_{cos(-t)} f and only the
+t <= 0 half of the grid is evaluated.  delta is an angle in radians and the
 trigonometric form of the operator is used throughout.
 """
 
@@ -18,11 +19,11 @@ import numpy as np
 
 from .translation import translate_trig
 from .weighted_space import (
-    SampledFunction,
     WeightedSpace,
+    _norm_nodes,
+    _sampled_norm,
     as_sampled,
     validate_params,
-    weighted_norm,
 )
 
 __all__ = ["ModulusReport", "modulus_omega", "modulus_curve", "curve_to_csv"]
@@ -60,6 +61,11 @@ def modulus_omega(
 ) -> ModulusReport:
     """Grid maximum of || T_{cos t} f - f || over t in [-delta, delta].
 
+    The grid is np.linspace(-delta, delta, t_grid); since the translate at t
+    equals the one at -t, only its first t_grid // 2 + 1 points (t <= 0) are
+    evaluated.  f is sampled once on the norm's grid.  Ties go to the first
+    (most negative) t, so `argmax_t` <= 0.
+
     Parameters
     ----------
     f : SampledFunction or callable
@@ -72,20 +78,19 @@ def modulus_omega(
     M : int, optional
         Quadrature size handed to the translation operator.
     norm_resolution : int, optional
-        Grid size of the norm (defaults of :func:`weighted_norm`).
+        Grid size of the norm (defaults of :func:`~smoothop.weighted_norm`).
     """
     fn = as_sampled(f)
     _check_args(space, delta, t_grid)
-    res = norm_resolution if norm_resolution is not None else (4097 if space.is_sup else 256)
+    xs, weights = _norm_nodes(space, norm_resolution)
+    res = xs.size
     if delta == 0:
         return ModulusReport(0.0, 0.0, 0.0, t_grid, res)
+    fx = fn(xs)
     best = -1.0
     best_t = 0.0
-    for t in np.linspace(-delta, delta, t_grid):
-        def diff(xs, _t=float(t)):
-            return translate_trig(fn, _t, xs, M=M) - fn(xs)
-
-        val = weighted_norm(SampledFunction(diff), space, res)
+    for t in np.linspace(-delta, delta, t_grid)[: t_grid // 2 + 1]:
+        val = _sampled_norm(translate_trig(fn, float(t), xs, M=M) - fx, space, xs, weights)
         if val > best:
             best, best_t = val, float(t)
     return ModulusReport(float(delta), best, best_t, t_grid, res)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -64,20 +64,23 @@ def _check_domain(x: np.ndarray) -> None:
         raise ValueError(f"argument outside [-1, 1]: x = {bad}")
 
 
-def _jacobi_standard(basis: JacobiBasis, n: int, x: np.ndarray) -> np.ndarray:
-    """Standard-normalization Jacobi values via the three-term recurrence."""
+def _jacobi_standard(basis: JacobiBasis, n: int, x: np.ndarray) -> Iterator[np.ndarray]:
+    """Standard-normalization Jacobi values of degrees 0..n, yielded in turn
+    by the three-term recurrence."""
     a, b = basis.alpha_idx, basis.beta_idx
-    if n == 0:
-        return np.ones_like(x)
     p_prev = np.ones_like(x)
+    yield p_prev
+    if n == 0:
+        return
     p_curr = 0.5 * (a - b + (a + b + 2) * x)
+    yield p_curr
     for m in range(2, n + 1):
         c1 = 2 * m * (m + a + b) * (2 * m + a + b - 2)
         c2 = (2 * m + a + b - 1) * (a * a - b * b)
         c3 = (2 * m + a + b - 2) * (2 * m + a + b - 1) * (2 * m + a + b)
         c4 = 2 * (m + a - 1) * (m + b - 1) * (2 * m + a + b)
         p_prev, p_curr = p_curr, ((c2 + c3 * x) * p_curr - c4 * p_prev) / c1
-    return p_curr
+        yield p_curr
 
 
 def jacobi_eval(basis: JacobiBasis, n: int, x):
@@ -99,7 +102,9 @@ def jacobi_eval(basis: JacobiBasis, n: int, x):
         raise ValueError(f"degree must be nonnegative, got {n}")
     xs = np.asarray(x, dtype=float)
     _check_domain(xs)
-    vals = _jacobi_standard(basis, n, xs) / basis.endpoint_value(n)
+    for vals in _jacobi_standard(basis, n, xs):
+        pass
+    vals = vals / basis.endpoint_value(n)
     if np.ndim(x) == 0:
         return float(vals)
     return vals
@@ -125,17 +130,21 @@ class QuadratureRule:
         return float(self.weights @ np.asarray(fn(self.nodes), dtype=float))
 
 
+@lru_cache(maxsize=64)
 def gauss_chebyshev(M: int) -> QuadratureRule:
     """Gauss-Chebyshev rule (first kind) with M nodes.
 
     Integrates g(z) / sqrt(1 - z^2) exactly for polynomials g of degree
     <= 2M - 1.  Nodes are cos((2j - 1) pi / (2M)), all weights pi / M.
+    Rules are cached per M and shared, so their arrays are read-only.
     """
     if M < 1:
         raise ValueError(f"need at least one node, got M = {M}")
     j = np.arange(1, M + 1)
     nodes = np.cos((2 * j - 1) * np.pi / (2 * M))[::-1].copy()
     weights = np.full(M, np.pi / M)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return QuadratureRule("chebyshev-first-kind", nodes, weights)
 
 
@@ -236,6 +245,6 @@ def fourier_jacobi_series(f, k_max: int, M: int | None = None) -> CoefficientSeq
     fx = np.asarray(f(x), dtype=float)
     base = rule.weights * fx * s2
     coeffs = np.empty(k_max + 1)
-    for k in range(k_max + 1):
-        coeffs[k] = base @ jacobi_eval(JACOBI_22, k, x)
+    for k, pk in enumerate(_jacobi_standard(JACOBI_22, k_max, x)):
+        coeffs[k] = base @ (pk / JACOBI_22.endpoint_value(k))
     return CoefficientSequence(coeffs)

@@ -112,6 +112,54 @@ def _check_translate_args(x: np.ndarray, y: float, M: int) -> None:
         )
 
 
+# Elements of the (x, z) grid computed per pass: one pass's temporaries stay
+# in cache, and a small call is a single pass.
+_CHUNK = 16384
+
+
+def _translate(f, y: float, sy_root: float, x, M: int | None):
+    """(T_y f)(x) with sy_root = sqrt(1 - y^2) given by the caller.
+
+    The core of :func:`translate` and :func:`translate_trig`: checks x, y and
+    M, then evaluates the (x, z) grid in passes of whole rows, in place.
+    """
+    if M is None:
+        M = _default_quad_size(f)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    _check_translate_args(xs, y, M)
+    rule = gauss_chebyshev(M)
+    z = rule.nodes
+    sy = sy_root * sy_root
+    sz = 1.0 - z * z
+    zs = z * sy_root
+    # K = 1 - R^2 - 2 sy sz + 4 sx sy sz^2 = a_z - R^2 + sx c_z
+    a = 1.0 - 2.0 * sy * sz
+    c = 4.0 * sy * sz * sz
+    sx = 1.0 - xs * xs
+    rx = np.sqrt(sx)
+    xy = xs * y
+
+    def rows(lo, hi):
+        r = np.multiply.outer(rx[lo:hi], zs)
+        np.subtract(xy[lo:hi, None], r, out=r)
+        np.clip(r, -1.0, 1.0, out=r)
+        k = np.multiply.outer(sx[lo:hi], c)
+        k += a
+        k -= r * r
+        k *= np.asarray(f(r.ravel()), dtype=float).reshape(r.shape)
+        return k @ rule.weights
+
+    step = max(1, _CHUNK // M)
+    if xs.size <= step:
+        vals = rows(0, xs.size)
+    else:
+        vals = np.concatenate([rows(lo, lo + step) for lo in range(0, xs.size, step)])
+    vals /= np.pi * sx
+    if np.ndim(x) == 0:
+        return float(vals[0])
+    return vals
+
+
 def translate(f, y: float, x, M: int | None = None):
     """Evaluate (T_y f)(x) by Gauss-Chebyshev quadrature in z.
 
@@ -132,57 +180,22 @@ def translate(f, y: float, x, M: int | None = None):
     -------
     float or ndarray, matching the shape of `x`.
     """
-    if M is None:
-        M = _default_quad_size(f)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_translate_args(xs, float(y), M)
-    rule = gauss_chebyshev(M)
-    z = rule.nodes  # (M,)
-    sx = 1.0 - xs * xs
-    sy = 1.0 - y * y
-    sz = 1.0 - z * z
-    # R and K on the (len(x), M) product grid
-    cross = np.sqrt(sx)[:, None] * (z * np.sqrt(sy))[None, :]
-    r = xs[:, None] * y - cross
-    np.clip(r, -1.0, 1.0, out=r)
-    k = 1.0 - r * r - 2.0 * sy * sz + 4.0 * sx[:, None] * (sy * sz * sz)
-    fr = np.asarray(f(r.ravel()), dtype=float).reshape(r.shape)
-    vals = (k * fr) @ rule.weights / (np.pi * sx)
-    if np.ndim(x) == 0:
-        return float(vals[0])
-    return vals
+    y = float(y)
+    # max() keeps sqrt real for |y| within the domain slack beyond 1
+    return _translate(f, y, math.sqrt(max(0.0, 1.0 - y * y)), x, M)
 
 
 def translate_trig(f, t: float, x, M: int | None = None):
-    """Evaluate T_{cos t} f at x through the substitution y = cos t, z = cos phi.
+    """Evaluate T_{cos t} f at x through the substitution y = cos t.
 
-    The phi-integral over [0, pi] is evaluated on the uniform midpoint grid
-    phi_j = (2j - 1) pi / (2M), which reproduces the Gauss-Chebyshev rule of
-    :func:`translate` node for node.
+    The operator sees t only through cos t and |sin t|, so the result is the
+    same for t and -t, bit for bit.  Using sin t itself (not sqrt(1 - cos^2 t))
+    keeps the small-t translate accurate.  The z-quadrature is the
+    Gauss-Chebyshev rule of :func:`translate`, node for node.
     """
-    if M is None:
-        M = _default_quad_size(f)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
     if not math.isfinite(t):
         raise ValueError(f"translation angle must be finite, got t = {t}")
-    y = float(np.cos(t))
-    _check_translate_args(xs, y, M)
-    j = np.arange(1, M + 1)
-    phi = (2 * j - 1) * np.pi / (2 * M)
-    z = np.cos(phi)
-    sx = 1.0 - xs * xs
-    st = abs(np.sin(t))
-    sphi = np.sin(phi)
-    r = xs[:, None] * y - np.sqrt(sx)[:, None] * (z * st)
-    np.clip(r, -1.0, 1.0, out=r)
-    sy = st * st
-    sz = sphi * sphi
-    k = 1.0 - r * r - 2.0 * sy * sz + 4.0 * sx[:, None] * (sy * sz * sz)
-    fr = np.asarray(f(r.ravel()), dtype=float).reshape(r.shape)
-    vals = (k * fr).sum(axis=1) / (M * sx)
-    if np.ndim(x) == 0:
-        return float(vals[0])
-    return vals
+    return _translate(f, math.cos(t), abs(math.sin(t)), x, M)
 
 
 @dataclass

@@ -14,7 +14,7 @@ The left boundary for 1 < p < inf is accepted (alpha = 1 - 1/(2p) is valid).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -97,7 +97,7 @@ def validate_params(space: WeightedSpace, lam: float | None = None) -> ParamVerd
 
 @dataclass
 class SampledFunction:
-    """A real function on [-1, 1] plus an optional per-grid sample cache.
+    """A real function on [-1, 1], vectorized over its argument.
 
     `degree` marks exact polynomials (it tightens quadrature defaults in the
     translation module); leave it None for black-box functions.
@@ -106,7 +106,6 @@ class SampledFunction:
     evaluator: Callable[[np.ndarray], np.ndarray]
     name: str = "f"
     degree: int | None = None
-    cache: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
@@ -115,12 +114,6 @@ class SampledFunction:
         if np.ndim(x) == 0:
             return float(vals)
         return vals
-
-    def sample(self, grid_id: str, xs: np.ndarray) -> np.ndarray:
-        """Values on a named grid, computed once and cached."""
-        if grid_id not in self.cache:
-            self.cache[grid_id] = self(np.asarray(xs, dtype=float))
-        return self.cache[grid_id]
 
 
 def as_sampled(f, name: str = "f", degree: int | None = None) -> SampledFunction:
@@ -148,10 +141,33 @@ def sup_grid(resolution: int = 4097) -> np.ndarray:
     return grid
 
 
-def _check_finite(vals: np.ndarray, xs: np.ndarray) -> None:
+def _norm_nodes(space: WeightedSpace, resolution: int | None = None):
+    """The points the norm of `space` samples a function on, and their weights.
+
+    For p < inf these are a Gauss-Legendre rule (default 256 nodes); for
+    p = inf the points of :func:`sup_grid` (default 4097) and weights None.
+    """
+    if space.is_sup:
+        return sup_grid(4097 if resolution is None else resolution), None
+    res = 256 if resolution is None else resolution
+    if res < 16:
+        raise ValueError(f"resolution must be at least 16, got {res}")
+    rule = gauss_legendre(res)
+    return rule.nodes, rule.weights
+
+
+def _sampled_norm(vals: np.ndarray, space: WeightedSpace, xs: np.ndarray, weights) -> float:
+    """The norm of `space` from samples `vals` at the points of :func:`_norm_nodes`.
+
+    Raises ValueError naming the first x with a non-finite sample.
+    """
     if not np.all(np.isfinite(vals)):
         bad = int(np.flatnonzero(~np.isfinite(vals))[0])
         raise ValueError(f"non-finite sample value {vals[bad]} at x = {xs[bad]}")
+    core = np.abs(vals) * (1.0 - xs * xs) ** space.alpha
+    if weights is None:
+        return float(np.max(core))
+    return float(np.sum(weights * core**space.p) ** (1.0 / space.p))
 
 
 def weighted_norm(f, space: WeightedSpace, resolution: int | None = None) -> float:
@@ -161,19 +177,5 @@ def weighted_norm(f, space: WeightedSpace, resolution: int | None = None) -> flo
     with the weight folded into the integrand; for p = inf the essential sup
     is approximated by the max over :func:`sup_grid` (default 4097 points).
     """
-    fn = as_sampled(f)
-    if space.is_sup:
-        res = 4097 if resolution is None else resolution
-        xs = sup_grid(res)
-        vals = fn(xs)
-        _check_finite(vals, xs)
-        return float(np.max(np.abs(vals) * (1.0 - xs * xs) ** space.alpha))
-    res = 256 if resolution is None else resolution
-    if res < 16:
-        raise ValueError(f"resolution must be at least 16, got {res}")
-    rule = gauss_legendre(res)
-    xs = rule.nodes
-    vals = fn(xs)
-    _check_finite(vals, xs)
-    core = np.abs(vals) * (1.0 - xs * xs) ** space.alpha
-    return float(np.sum(rule.weights * core**space.p) ** (1.0 / space.p))
+    xs, weights = _norm_nodes(space, resolution)
+    return _sampled_norm(as_sampled(f)(xs), space, xs, weights)

@@ -6,7 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from smoothop.modulus import curve_to_csv, modulus_curve, modulus_omega
-from smoothop.weighted_space import WeightedSpace
+from smoothop.translation import translate_trig
+from smoothop.weighted_space import WeightedSpace, weighted_norm
 
 SP2 = WeightedSpace(2.0, 1.0)
 SPINF = WeightedSpace(math.inf, 1.0)
@@ -95,6 +96,40 @@ class TestModulusCurve:
         lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "δ,ω,argmax_t"
         assert len(lines) == 3
+
+
+def _full_grid_omega(f, delta, space, t_grid):
+    """omega by a scan of every t in [-delta, delta], first maximum kept."""
+    best, best_t = -1.0, 0.0
+    for t in np.linspace(-delta, delta, t_grid):
+        val = weighted_norm(lambda x, t=float(t): translate_trig(f, t, x) - f(x), space)
+        if val > best:
+            best, best_t = val, float(t)
+    return best, best_t
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5, math.inf])
+@pytest.mark.parametrize("t_grid", [3, 9, 33])
+def test_half_scan_matches_full_grid_scan(p, t_grid):
+    space = WeightedSpace(p, 1.0)
+    for f in (np.abs, lambda x: np.abs(x - 0.25) - 0.5 * x):
+        for delta in (0.05, 0.4):
+            rep = modulus_omega(f, delta, space, t_grid=t_grid)
+            value, argmax_t = _full_grid_omega(f, delta, space, t_grid)
+            assert rep.value == pytest.approx(value, rel=1e-14)
+            assert abs(rep.argmax_t) == abs(argmax_t)
+            assert rep.argmax_t <= 0
+
+
+def test_non_finite_input_named_by_x():
+    def bad(x):
+        out = np.abs(x)
+        out[np.abs(x - 0.5) < 0.01] = np.nan
+        return out
+
+    for space in (SP2, SPINF):
+        with pytest.raises(ValueError, match="x = "):
+            modulus_omega(bad, 0.1, space)
 
 
 @pytest.mark.parametrize("delta", [math.inf, math.nan])

@@ -161,6 +161,14 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             rule.weights[0] = 0.0
 
+    def test_chebyshev_rule_cached_and_read_only(self):
+        rule = gauss_chebyshev(128)
+        assert gauss_chebyshev(128) is rule
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
+
 
 class TestFourierJacobi:
     def test_constant_against_weight_mass(self):
@@ -201,6 +209,15 @@ class TestFourierJacobi:
         assert len(series) == 6
         for k in range(6):
             assert_allclose(series[k], fourier_jacobi_coeff(f, k), atol=1e-14)
+
+    def test_series_bit_identical_to_per_degree_recurrence(self):
+        f = lambda x: np.abs(x - 0.3) + np.cos(4 * x)
+        k_max = 40
+        rule = gauss_legendre(2 * (k_max + 8))
+        x = rule.nodes
+        base = rule.weights * f(x) * (1.0 - x * x) ** 2
+        reference = [base @ jacobi_eval(JACOBI_22, k, x) for k in range(k_max + 1)]
+        assert np.array_equal(fourier_jacobi_series(f, k_max).values, reference)
 
     def test_coefficient_sequence_rejects_nonfinite(self):
         with pytest.raises(ValueError):

@@ -103,6 +103,11 @@ class TestTranslate:
     def test_scalar_output(self):
         assert isinstance(translate(np.abs, 0.5, 0.25), float)
 
+    def test_y_within_the_domain_slack_beyond_one(self):
+        # T_1 f = f and T_{-1} f = f(-x), so both give |x| here
+        for y in (1 + 1e-13, -1 - 1e-13):
+            assert_allclose(translate(np.abs, y, XGRID, M=16), np.abs(XGRID), atol=1e-10)
+
 
 class TestTranslateTrig:
     def test_matches_algebraic_form(self):
@@ -120,6 +125,25 @@ class TestTranslateTrig:
     def test_constant_preserved(self):
         vals = translate_trig(lambda x: np.ones_like(x), math.pi / 3, XGRID, M=32)
         assert np.max(np.abs(vals - 1.0)) < 1e-12
+
+    def test_even_in_the_angle_bit_for_bit(self):
+        fs = [np.abs, lambda x: x**3 - x, lambda x: np.exp(x) * np.sin(5 * x)]
+        for f in fs:
+            for t in (1e-9, 0.015625, 0.3, 1.2, 2.5, math.pi):
+                assert np.array_equal(translate_trig(f, t, XGRID), translate_trig(f, -t, XGRID))
+
+
+def test_multi_pass_call_matches_single_point_calls():
+    # 4097 x 128 grid points span several passes of the translation core
+    x = np.linspace(-0.999, 0.999, 4097)
+    f = lambda v: np.abs(v - 0.1) ** 1.5
+    for translated in (
+        lambda pts: translate_trig(f, 0.2, pts, M=128),
+        lambda pts: translate(f, -0.4, pts, M=128),
+    ):
+        whole = translated(x)
+        single = np.array([translated(float(xi)) for xi in x])
+        assert np.max(np.abs(whole - single)) <= 1e-14 * np.max(np.abs(single))
 
 
 class TestMultiplier:

@@ -131,21 +131,6 @@ class TestWeightedNorm:
 
 
 class TestSampledFunction:
-    def test_cache_agrees_with_evaluator(self):
-        calls = {"n": 0}
-
-        def f(x):
-            calls["n"] += 1
-            return x**2
-
-        fn = SampledFunction(f, name="sq", degree=2)
-        xs = np.linspace(-1, 1, 9)
-        first = fn.sample("grid-a", xs)
-        second = fn.sample("grid-a", xs)
-        assert calls["n"] == 1
-        assert_allclose(first, fn(xs))
-        assert second is first
-
     def test_scalar_round_trip(self):
         fn = as_sampled(lambda x: 3.0 * x)
         assert isinstance(fn(0.5), float)
