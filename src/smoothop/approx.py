@@ -8,26 +8,35 @@ each solver reports its optimality gap rather than hiding it.
 Solvers by exponent:
 
 * p = 2: weighted least-squares projection on a 256-point Gauss-Legendre
-  grid, one weighted least-squares solve.
+  grid.  Every degree shares one weight vector, so a whole sequence costs
+  one factorization, made at its top degree.
 * p = inf: Remez-style exchange iteration on the weighted error over the
   4097-point sup grid, with an equioscillation certificate.  Each step
   solves the square (n + 1)-point reference system by LU, with a
   least-squares fallback for a singular reference.
 * p = 1 and general p: iteratively reweighted least squares (IRLS) on a
-  1025-point Gauss-Legendre grid, one weighted least-squares solve for the
-  warm start and one per iteration.
+  1025-point Gauss-Legendre grid.  The degrees of a sequence run as lanes in
+  lockstep: one shared warm start, then one stacked weighted least-squares
+  solve per iteration for the lanes still active.  A lane leaves the stack
+  when it converges, at the iteration limit, or when its normal equations
+  are singular.  `best_approx(f, n)` is a sequence of one lane.
 
-Every weighted least-squares solve goes through the normal equations:
-G = V^T diag(s^2) V is factored once by Cholesky, and the solution is
-refined twice on its residual (fixed-precision iterative refinement).  n may
+Every weighted least-squares solve goes through the normal equations.  The
+Gram matrix V^T diag(w) V comes from the weighted Chebyshev moments
+m_k = sum_x w(x) T_k(x), since T_i T_j = (T_{i+j} + T_{|i-j|}) / 2; it is
+factored by Cholesky, and the solution is refined three times on its
+residual V^T (w (f - V c)) (fixed-precision iterative refinement).  n may
 not exceed a quarter of the solver's grid, so that V itself has full rank.
-G can still be numerically singular when the weights s span too many orders
-of magnitude, as IRLS weights do for p >= 6; Cholesky then fails, and IRLS
-stops with the flag `singular_normal_equations` and keeps its last iterate.
+The Gram matrix can still be numerically singular when the weights span too
+many orders of magnitude, as IRLS weights do for p >= 6; Cholesky then
+fails, and the IRLS lane stops with the flag `singular_normal_equations`
+and keeps its last iterate.
 
 A result whose value exceeds the error of the zero polynomial on the same
-grid (up to roundoff) is no best approximation; it is flagged
-`exceeds_zero_polynomial`.
+grid (up to roundoff) is no best approximation.  It is flagged
+`exceeds_zero_polynomial`, keeps its other flags, and returns the zero
+polynomial instead, with its error as both value and gap: zero
+coefficients are always feasible.
 
 Polynomial unknowns always live in the Chebyshev basis, which keeps the
 design matrices well conditioned up to degree 64 and beyond.
@@ -64,7 +73,8 @@ _GRID_SUP = 4097
 _IRLS_MAX_ITER = 200
 _IRLS_RESIDUAL_FLOOR = 1e-10
 _EXCHANGE_MAX_ITER = 60
-_REFINE_STEPS = 2
+_REFINE_STEPS = 3
+_LANE_BUDGET = 1 << 18  # entries of one IRLS Gram stack, lanes x N x N (2 MB)
 _ROUNDOFF = 1e-9  # relative slack for comparisons between computed norms
 
 
@@ -118,11 +128,15 @@ def _require_resolvable(n: int, space: WeightedSpace) -> None:
 
 
 class _Workspace:
-    """Grid data shared by every degree of one (f, space) problem."""
+    """Grid data shared by every degree of one (f, space) problem.
+
+    For finite p it also keeps the Chebyshev products matrix
+    T_0 .. T_{2N-2} on the grid and the index arrays i + j and |i - j|
+    (i, j < N), from which :func:`_gram` builds Gram matrices.
+    """
 
     def __init__(self, f: SampledFunction, space: WeightedSpace, n_top: int):
         self.space = space
-        self.n_top = n_top
         if space.is_sup:
             self.xs = sup_grid(_GRID_SUP)
             self.qw = None
@@ -135,79 +149,175 @@ class _Workspace:
         if not np.all(np.isfinite(self.fx)):
             bad = int(np.flatnonzero(~np.isfinite(self.fx))[0])
             raise ValueError(f"non-finite sample value {self.fx[bad]} at x = {self.xs[bad]}")
-        self.vander = C.chebvander(self.xs, n_top - 1) if n_top >= 1 else None
+        if space.is_sup:
+            self.vander = C.chebvander(self.xs, n_top - 1)
+        else:
+            self.products = C.chebvander(self.xs, 2 * n_top - 2)
+            self.vander = self.products[:, :n_top]
+            i, j = np.indices((n_top, n_top))
+            self.sum_idx, self.diff_idx = i + j, np.abs(i - j)
         # E_0, the error of the zero polynomial: an upper bound on every E_n
         e0 = self.wgt * self.fx
-        self.zero_error = float(np.max(np.abs(e0))) if space.is_sup else _irls_norm(self, e0)
-
-    def design(self, n: int) -> np.ndarray:
-        return self.vander[:, :n]
+        self.zero_error = float(np.max(np.abs(e0))) if space.is_sup else float(_irls_norm(self, e0))
 
 
-def _weighted_least_squares(V: np.ndarray, s: np.ndarray, f: np.ndarray):
-    """Minimize ||s (f - V c)||_2 by the normal equations with refinement.
+def _lane_mask(ns) -> np.ndarray:
+    """Row k marks the first ns[k] of N = max(ns) Chebyshev coefficients."""
+    ns = np.asarray(ns)
+    return np.arange(ns.max()) < ns[:, None]
 
-    G = A^T A with A = diag(s) V is factored as L L^T, and G^{-1} is applied
-    as L^{-T} L^{-1}.  Each refinement step solves G d = A^T r for the
-    current residual r and adds d to c.  Unrefined, the error grows with
-    cond(A)^2.  Against an SVD-based solve of the same IRLS steps (p = 1,
-    1.5, 3; n <= 256) the refined c deviates by at most 1e-10 relative up to
-    cond(A) = 2e6 and by 1.4e-6 at cond(A) = 1e7, while the resulting E_n
-    agree to 8e-11.  Raises LinAlgError when G is not numerically positive
-    definite.  Returns (c, A, b) with b = s f.
+
+def _gram(ws: _Workspace, w: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Stacked Gram matrices V^T diag(w_k) V from Chebyshev product moments.
+
+    T_i T_j = (T_{i+j} + T_{|i-j|}) / 2, so with the moments
+    m_k = sum_x w_k(x) T_k(x), k <= 2N - 2, entry (i, j) is
+    (m_{i+j} + m_{|i-j|}) / 2: one (rows x grid) by (grid x 2N-1) product
+    instead of one (grid x N) design per row.  Row k's matrix is cut to the
+    coefficients mask[k] marks and padded with an identity block.
     """
-    A = V * s[:, None]
-    b = f * s
-    L_inv = np.linalg.inv(np.linalg.cholesky(A.T @ A))
-    coef = L_inv.T @ (L_inv @ (A.T @ b))
-    for _ in range(_REFINE_STEPS):
-        coef = coef + L_inv.T @ (L_inv @ (A.T @ (b - A @ coef)))
-    return coef, A, b
+    N = mask.shape[1]
+    m = w @ ws.products[:, : 2 * N - 1]
+    G = m[:, ws.sum_idx[:N, :N]]
+    G += m[:, ws.diff_idx[:N, :N]]
+    G *= 0.5
+    G *= mask[:, :, None] & mask[:, None, :]
+    diag = np.arange(N)
+    G[:, diag, diag] += ~mask
+    return G
 
 
-def _solve_projection(ws: _Workspace, n: int) -> BestApproxResult:
-    """Exact weighted least squares: the discrete p=2 problem has a closed solution."""
-    coef, A, b = _weighted_least_squares(ws.design(n), np.sqrt(ws.qw) * ws.wgt, ws.fx)
-    r = b - A @ coef
-    value = float(np.linalg.norm(r))
-    gap = float(np.max(np.abs(A.T @ r))) if n >= 1 else 0.0
-    return BestApproxResult(n, value, coef, "projection", 1, gap)
+def _weighted_least_squares(ws: _Workspace, w: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Minimize sum_x w_k(x) (f(x) - (V c_k)(x))^2 for every lane k at once.
+
+    Lane k fits the first n_k Chebyshev coefficients that row k of `mask`
+    marks (see :func:`_lane_mask`); the returned (lanes x N) coefficients
+    are zero beyond n_k.  `w` holds one weight row per lane, or a single
+    row that all lanes share.
+
+    Each weight row's Gram matrix comes from :func:`_gram` and is factored
+    as L L^T in one stacked Cholesky; G^{-1} is applied as L^{-T} L^{-1}.
+    A shared row is factored once, at the top degree N: the leading n x n
+    blocks of L and L^{-1} are the factor and its inverse for degree n, so
+    lane n cuts L^{-1} r to its first n entries between the two triangular
+    products.  Each of _REFINE_STEPS refinement steps solves G d = V^T
+    (w (f - V c)) for the current residual and adds d to c; A = diag(sqrt w) V
+    is never formed.  The moment Gram is less exact than A^T A, so three
+    steps are taken: on a p = 1 IRLS design with cond(A) >= 1e6 the refined
+    c is within 3.5e-13 relative of an SVD-based solve, and two steps leave
+    2.2e-10.  Raises LinAlgError when some Gram matrix is not numerically
+    positive definite.
+    """
+    N = mask.shape[1]
+    V = ws.vander[:, :N]
+    factor_mask = mask if len(w) == len(mask) else mask.any(axis=0, keepdims=True)
+    # inv leaves roundoff above the diagonal, which would mix the padding into lane n
+    L_inv = np.tril(np.linalg.inv(np.linalg.cholesky(_gram(ws, w, factor_mask))))
+    L_inv_T = L_inv.transpose(0, 2, 1)
+
+    def apply(rhs: np.ndarray) -> np.ndarray:
+        y = (L_inv @ rhs[:, :, None])[:, :, 0] * mask
+        return (L_inv_T @ y[:, :, None])[:, :, 0]
+
+    coef = np.zeros(mask.shape)
+    r = np.empty((len(mask), ws.fx.size))
+    for _ in range(_REFINE_STEPS + 1):  # from c = 0, the first step is the plain solve
+        np.matmul(coef, V.T, out=r)
+        np.subtract(ws.fx, r, out=r)
+        r *= w
+        coef += apply(r @ V)
+    return coef
 
 
-def _irls_norm(ws: _Workspace, e: np.ndarray) -> float:
+def _solve_projection(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
+    """Exact weighted least squares: the discrete p=2 problem has a closed
+    solution.  All degrees share one weight vector, so one factorization at
+    the top degree serves every n."""
+    mask = _lane_mask(ns)
+    V = ws.vander[:, : mask.shape[1]]
+    w = ws.qw * ws.wgt**2
+    coef = _weighted_least_squares(ws, w[None], mask)
+    r = coef @ V.T
+    np.subtract(ws.fx, r, out=r)
+    value = np.sqrt((r * r) @ w)
+    r *= w
+    gap = np.max(np.abs(r @ V) * mask, axis=1)  # lane n's A^T r has n entries
+    return [
+        BestApproxResult(n, float(value[k]), coef[k, :n].copy(), "projection", 1, float(gap[k]))
+        for k, n in enumerate(ns)
+    ]
+
+
+def _irls_norm(ws: _Workspace, e: np.ndarray) -> np.ndarray:
+    """The discrete weighted L^p norm of each row of e."""
     p = ws.space.p
-    return float(np.sum(ws.qw * np.abs(e) ** p) ** (1.0 / p))
+    a = np.abs(e)
+    a **= p
+    return (a @ ws.qw) ** (1.0 / p)
 
 
-def _solve_irls(ws: _Workspace, n: int) -> BestApproxResult:
-    """Iteratively reweighted least squares for p = 1 and general p."""
+def _solve_irls(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
+    """Iteratively reweighted least squares for p = 1 and general p.
+
+    The degrees ns run as lanes in lockstep: each iteration makes one
+    stacked weighted least-squares solve for the lanes still active.  A
+    lane leaves the stack when its value settles, at _IRLS_MAX_ITER, or
+    when Cholesky rejects its normal equations; it then keeps its last
+    iterate and is flagged `singular_normal_equations`.
+    """
     p = ws.space.p
-    V = ws.design(n)
-    # weighted L2 warm start
-    coef, *_ = _weighted_least_squares(V, np.sqrt(ws.qw) * ws.wgt, ws.fx)
-    e = ws.wgt * (ws.fx - V @ coef)
+    lanes = _lane_mask(ns)
+    V = ws.vander[:, : lanes.shape[1]]
+    base = ws.qw * ws.wgt**2
+    results: list[BestApproxResult] = [None] * len(ns)  # type: ignore[list-item]
+
+    def finish(k: int, it: int, flags: tuple[str, ...] = ()) -> None:
+        """Record lane k of the current stack."""
+        n = ns[lane[k]]
+        results[lane[k]] = BestApproxResult(
+            n, float(value[k]), coef[k, :n].copy(), "irls", it, float(gap[k]), flags=flags
+        )
+
+    lane = np.arange(len(ns))  # the active lanes, in stack order
+    # weighted L2 warm start: one weight vector, one factorization
+    coef = _weighted_least_squares(ws, base[None], lanes)
+    e = ws.wgt * (ws.fx - coef @ V.T)
     value = _irls_norm(ws, e)
-    flags: tuple[str, ...] = ()
-    gap = math.inf
-    iters = 0
-    for iters in range(1, _IRLS_MAX_ITER + 1):
-        # residual magnitudes floored so the p-2 power cannot blow up near zeros
-        mag = np.maximum(np.abs(e), _IRLS_RESIDUAL_FLOOR)
-        omega = ws.qw * mag ** (p - 2.0)
+    gap = np.full(len(ns), math.inf)
+    for it in range(1, _IRLS_MAX_ITER + 1):
+        # residual magnitudes floored so the p-2 power cannot blow up near zeros;
+        # e is recomputed below, so w takes its buffer
+        w = np.abs(e, out=e)
+        np.maximum(w, _IRLS_RESIDUAL_FLOOR, out=w)
+        w **= p - 2.0
+        w *= base
         try:
-            coef, *_ = _weighted_least_squares(V, np.sqrt(omega) * ws.wgt, ws.fx)
-        except np.linalg.LinAlgError:  # keep the last iterate
-            flags = ("singular_normal_equations",)
-            break
-        e = ws.wgt * (ws.fx - V @ coef)
+            new = _weighted_least_squares(ws, w, lanes[lane])
+        except np.linalg.LinAlgError:  # find the singular lanes one by one
+            new, keep = coef.copy(), np.ones(len(lane), dtype=bool)
+            for k in range(len(lane)):
+                try:
+                    new[k] = _weighted_least_squares(ws, w[k, None], lanes[lane[k], None])[0]
+                except np.linalg.LinAlgError:
+                    keep[k] = False
+                    finish(k, it, ("singular_normal_equations",))
+            lane, coef, value, gap, new = lane[keep], coef[keep], value[keep], gap[keep], new[keep]
+        coef = new
+        e = coef @ V.T
+        np.subtract(ws.fx, e, out=e)
+        e *= ws.wgt
         new_value = _irls_norm(ws, e)
-        gap = abs(new_value - value)
+        gap = np.abs(new_value - value)
         value = new_value
-        if gap <= 1e-14 + 1e-13 * value:
+        done = gap <= 1e-14 + 1e-13 * value
+        for k in np.flatnonzero(done):
+            finish(k, it)
+        lane, coef, e, value, gap = lane[~done], coef[~done], e[~done], value[~done], gap[~done]
+        if not lane.size:
             break
-    else:
-        flags = ("max_iterations",)
-    return BestApproxResult(n, value, coef, "irls", iters, gap, flags=flags)
+    for k in range(len(lane)):
+        finish(k, _IRLS_MAX_ITER, ("max_iterations",))
+    return results
 
 
 def _initial_reference(ws: _Workspace, n: int) -> np.ndarray:
@@ -326,16 +436,22 @@ def _solve_exchange(ws: _Workspace, n: int) -> BestApproxResult:
     )
 
 
-def _solve(ws: _Workspace, n: int) -> BestApproxResult:
+def _solve(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
     if ws.space.is_sup:
-        result = _solve_exchange(ws, n)
+        results = [_solve_exchange(ws, n) for n in ns]
     elif ws.space.p == 2:
-        result = _solve_projection(ws, n)
+        results = _solve_projection(ws, ns)
     else:
-        result = _solve_irls(ws, n)
-    if result.value > ws.zero_error * (1 + _ROUNDOFF):
-        result.flags = result.flags + ("exceeds_zero_polynomial",)
-    return result
+        step = max(1, _LANE_BUDGET // max(ns) ** 2)  # lanes per stack
+        results = [r for i in range(0, len(ns), step) for r in _solve_irls(ws, ns[i : i + step])]
+    for r in results:
+        # the zero polynomial is always feasible: return it, with the flags;
+        # its gap is its value, as E_n >= 0 is the only lower bound left
+        if r.value > ws.zero_error * (1 + _ROUNDOFF):
+            r.flags = r.flags + ("exceeds_zero_polynomial",)
+            r.value = r.residual_norm_gap = ws.zero_error
+            r.coefficients = np.zeros(r.n)
+    return results
 
 
 def best_approx(f, n: int, space: WeightedSpace) -> BestApproxResult:
@@ -351,7 +467,7 @@ def best_approx(f, n: int, space: WeightedSpace) -> BestApproxResult:
     _require_valid(space)
     _require_resolvable(n, space)
     ws = _Workspace(as_sampled(f), space, n)
-    return _solve(ws, n)
+    return _solve(ws, [n])[0]
 
 
 def best_approx_sequence(f, n_max: int, space: WeightedSpace) -> list[BestApproxResult]:
@@ -367,7 +483,7 @@ def best_approx_sequence(f, n_max: int, space: WeightedSpace) -> list[BestApprox
     _require_valid(space)
     _require_resolvable(n_max, space)
     ws = _Workspace(as_sampled(f), space, n_max)
-    results = [_solve(ws, n) for n in range(1, n_max + 1)]
+    results = _solve(ws, list(range(1, n_max + 1)))
     for i in range(1, len(results)):
         if results[i].value > results[i - 1].value + 1e-9:
             results[i].flags = results[i].flags + ("monotonicity_violation",)

@@ -6,15 +6,17 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
-from smoothop import approx
+from smoothop import approx, get_test_function
 from smoothop.approx import (
+    _lane_mask,
     _weighted_least_squares,
+    _Workspace,
     best_approx,
     best_approx_sequence,
     sequence_to_csv,
 )
 from smoothop.orthopoly import gauss_legendre
-from smoothop.weighted_space import WeightedSpace, sup_grid, weighted_norm
+from smoothop.weighted_space import WeightedSpace, as_sampled, sup_grid, weighted_norm
 
 INF = math.inf
 SP2 = WeightedSpace(2.0, 1.0)
@@ -96,7 +98,8 @@ class TestWeightedLeastSquares:
         A = V * s[:, None]
         assert np.linalg.cond(A) >= 1e6
         ref, *_ = np.linalg.lstsq(A, fx * s, rcond=None)
-        coef, *_ = _weighted_least_squares(V, s, fx)
+        ws = _Workspace(as_sampled(lambda x: np.abs(x - 0.1)), WeightedSpace(1.0, 1.0), 32)
+        coef = _weighted_least_squares(ws, (s * s)[None], _lane_mask([32]))[0]
         assert np.linalg.norm(coef - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
@@ -154,12 +157,15 @@ class TestIRLS:
         # the same design, and the run driven by that solve gives the same E.
         deviations = []
 
-        def svd_driven(V, s, f):
-            A, b = V * s[:, None], f * s
-            ref, *_ = np.linalg.lstsq(A, b, rcond=None)
-            coef, *_ = _weighted_least_squares(V, s, f)
-            deviations.append(np.linalg.norm(coef - ref) / np.linalg.norm(ref))
-            return ref, A, b
+        def svd_driven(ws, w, mask):
+            coef = _weighted_least_squares(ws, w, mask)
+            ref = np.zeros_like(coef)
+            for k, lane in enumerate(mask):
+                n, s = int(lane.sum()), np.sqrt(w[min(k, len(w) - 1)])
+                A = ws.vander[:, :n] * s[:, None]
+                ref[k, :n], *_ = np.linalg.lstsq(A, ws.fx * s, rcond=None)
+                deviations.append(np.linalg.norm(coef[k] - ref[k]) / np.linalg.norm(ref[k]))
+            return ref
 
         sp = WeightedSpace(1.0, 1.0)
         expected = best_approx(np.abs, 64, sp)
@@ -176,6 +182,67 @@ class TestIRLS:
         r = best_approx(np.abs, 16, sp)
         assert r.flags == ("singular_normal_equations",)
         assert 0 < r.value < weighted_norm(np.abs, sp, 1025)
+
+
+KINKS = {
+    "abs": np.abs,
+    "absshift": lambda x: np.abs(x - 0.25),
+    "signabs32": lambda x: np.sign(x) * np.abs(x) ** 1.5,
+}
+
+
+class TestLockstep:
+    """best_approx_sequence solves all degrees together; each must equal
+    the one-degree solve best_approx(f, n)."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("name", sorted(KINKS))
+    def test_irls_lanes_match_one_degree_solves(self, name, p):
+        f, sp = KINKS[name], WeightedSpace(p, 1.0)
+        for r in best_approx_sequence(f, 16, sp):
+            single = best_approx(f, r.n, sp)
+            assert_allclose(r.value, single.value, rtol=1e-10, err_msg=f"n={r.n}")
+            # monotonicity_violation is a flag of the sequence, not of the solve
+            flags = tuple(flag for flag in r.flags if flag != "monotonicity_violation")
+            assert flags == single.flags, f"n={r.n}"
+
+    @pytest.mark.parametrize("name", sorted(KINKS))
+    def test_projection_shared_factor_matches_fresh_factorization(self, name):
+        f = KINKS[name]
+        for r in best_approx_sequence(f, 64, SP2):
+            single = best_approx(f, r.n, SP2)
+            # 3e-14 measured; lane n reading past its n x n block of L^{-1} gives 3e-12
+            assert_allclose(r.value, single.value, rtol=1e-12, err_msg=f"n={r.n}")
+            assert_allclose(r.coefficients, single.coefficients, rtol=1e-8, atol=1e-12)
+
+    def test_lanes_stop_on_their_own_at_p6(self):
+        # the weights |e|^4 make some lanes' normal equations singular
+        seq = best_approx_sequence(np.abs, 16, WeightedSpace(6.0, 1.0))
+        stops = {"max_iterations", "singular_normal_equations"}
+        for r in seq:
+            stop = stops & set(r.flags)
+            assert len(stop) <= 1, r.flags
+            if "max_iterations" in stop:
+                assert r.iterations == approx._IRLS_MAX_ITER
+            else:  # converged or singular: stopped before the limit
+                assert 1 <= r.iterations < approx._IRLS_MAX_ITER, (r.n, r.iterations)
+        assert any("singular_normal_equations" in r.flags for r in seq)
+        assert len({r.iterations for r in seq}) > 1
+
+
+@pytest.mark.parametrize("name", ["randpoly", "one", "x"])
+def test_no_value_above_the_zero_polynomial(name):
+    # the exchange solver collapses on these inputs from nu ~ 30-40 on
+    f = get_test_function(name)
+    xs = sup_grid(4097)
+    zero_error = float(np.max(np.abs((1 - xs**2) * f(xs))))
+    seq = best_approx_sequence(f, 64, SPINF)
+    for r in seq:
+        assert r.value <= zero_error * (1 + 1e-9), (r.n, r.value, r.flags)
+        if "exceeds_zero_polynomial" in r.flags:
+            assert r.value == r.residual_norm_gap == zero_error
+            assert not np.any(r.coefficients) and r.coefficients.size == r.n
+    assert any("exceeds_zero_polynomial" in r.flags for r in seq)
 
 
 class TestSequences:
