@@ -25,7 +25,6 @@ from .translation import (
     multiplier_eval,
     translate,
     translate_trig,
-    weight_S,
 )
 from .weighted_space import (
     ParamVerdict,

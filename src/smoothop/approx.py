@@ -44,7 +44,6 @@ design matrices well conditioned up to degree 64 and beyond.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -54,17 +53,15 @@ from numpy.polynomial import chebyshev as C
 from .weighted_space import (
     SampledFunction,
     WeightedSpace,
+    _norm_nodes,
+    _sampled_norm,
     as_sampled,
-    sup_grid,
-    validate_params,
 )
-from .orthopoly import gauss_legendre
 
 __all__ = [
     "BestApproxResult",
     "best_approx",
     "best_approx_sequence",
-    "sequence_to_csv",
 ]
 
 _GRID_P2 = 256
@@ -105,12 +102,6 @@ class BestApproxResult:
         return C.Chebyshev(self.coefficients)
 
 
-def _require_valid(space: WeightedSpace) -> None:
-    verdict = validate_params(space)
-    if not verdict:
-        raise ValueError(f"space parameters outside the admissible region: {verdict.clause}")
-
-
 def _grid_size(space: WeightedSpace) -> int:
     if space.is_sup:
         return _GRID_SUP
@@ -137,18 +128,12 @@ class _Workspace:
 
     def __init__(self, f: SampledFunction, space: WeightedSpace, n_top: int):
         self.space = space
-        if space.is_sup:
-            self.xs = sup_grid(_GRID_SUP)
-            self.qw = None
-        else:
-            rule = gauss_legendre(_grid_size(space))
-            self.xs = rule.nodes
-            self.qw = rule.weights
+        self.xs, self.qw = _norm_nodes(space, _grid_size(space))
         self.wgt = (1.0 - self.xs**2) ** space.alpha
         self.fx = f(self.xs)
-        if not np.all(np.isfinite(self.fx)):
-            bad = int(np.flatnonzero(~np.isfinite(self.fx))[0])
-            raise ValueError(f"non-finite sample value {self.fx[bad]} at x = {self.xs[bad]}")
+        # E_0, the error of the zero polynomial: an upper bound on every E_n
+        # (_sampled_norm also rejects non-finite samples)
+        self.zero_error = _sampled_norm(self.fx, space, self.xs, self.qw)
         if space.is_sup:
             self.vander = C.chebvander(self.xs, n_top - 1)
         else:
@@ -156,9 +141,6 @@ class _Workspace:
             self.vander = self.products[:, :n_top]
             i, j = np.indices((n_top, n_top))
             self.sum_idx, self.diff_idx = i + j, np.abs(i - j)
-        # E_0, the error of the zero polynomial: an upper bound on every E_n
-        e0 = self.wgt * self.fx
-        self.zero_error = float(np.max(np.abs(e0))) if space.is_sup else float(_irls_norm(self, e0))
 
 
 def _lane_mask(ns) -> np.ndarray:
@@ -464,7 +446,7 @@ def best_approx(f, n: int, space: WeightedSpace) -> BestApproxResult:
     """
     if n < 1:
         raise ValueError(f"degree bound must satisfy n >= 1, got {n}")
-    _require_valid(space)
+    space.require_admissible()
     _require_resolvable(n, space)
     ws = _Workspace(as_sampled(f), space, n)
     return _solve(ws, [n])[0]
@@ -480,7 +462,7 @@ def best_approx_sequence(f, n_max: int, space: WeightedSpace) -> list[BestApprox
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    _require_valid(space)
+    space.require_admissible()
     _require_resolvable(n_max, space)
     ws = _Workspace(as_sampled(f), space, n_max)
     results = _solve(ws, list(range(1, n_max + 1)))
@@ -488,16 +470,3 @@ def best_approx_sequence(f, n_max: int, space: WeightedSpace) -> list[BestApprox
         if results[i].value > results[i - 1].value + 1e-9:
             results[i].flags = results[i].flags + ("monotonicity_violation",)
     return results
-
-
-def sequence_to_csv(results: list[BestApproxResult], buf) -> None:
-    """Write a sequence as CSV with columns ν, E_ν, solver, iterations, gap."""
-    buf.write("ν,E_ν,solver,iterations,gap\n")
-    for r in results:
-        buf.write(f"{r.n},{r.value:.16e},{r.solver},{r.iterations},{r.residual_norm_gap:.3e}\n")
-
-
-def sequence_csv(results: list[BestApproxResult]) -> str:
-    out = io.StringIO()
-    sequence_to_csv(results, out)
-    return out.getvalue()

@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from . import harness
-from .approx import best_approx_sequence, sequence_csv
-from .modulus import curve_csv, modulus_curve
+from .approx import best_approx_sequence
+from .modulus import modulus_curve
 from .translation import calibrate_multiplier, calibration_report
 from .weighted_space import WeightedSpace
 
@@ -47,20 +47,29 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(args, name: str, csv_text: str, payload) -> None:
-    """Print the table and, with --out, write <name>.csv or <name>.json."""
+def _csv(header: str, rows, spec) -> str:
+    """CSV text: the header line, then each row with field i as format(field, spec[i])."""
+    lines = [header] + [",".join(map(format, row, spec)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _emit(args, name: str, table, payload) -> None:
+    """Print the table and, with --out, write <name>.csv or <name>.json.
+
+    `table` is (header, rows, spec) for :func:`_csv`, or None for JSON only.
+    """
     if args.format == "json":
-        text = json.dumps(_jsonable(payload), indent=2)
+        text = json.dumps(_jsonable(payload), indent=2) + "\n"
         ext = "json"
     else:
-        text = csv_text
+        text = _csv(*table)
         ext = "csv"
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    sys.stdout.write(text)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"{name}.{ext}")
         with open(path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
         print(f"wrote {path}")
 
 
@@ -68,21 +77,29 @@ def _space(args) -> WeightedSpace:
     return WeightedSpace(args.p, args.alpha)
 
 
-def _add_common(sub, function=False):
-    sub.add_argument("--p", type=_parse_p, default=2.0, help="integrability exponent (or 'inf')")
-    sub.add_argument("--alpha", type=float, default=1.0, help="weight exponent")
-    if function:
-        sub.add_argument(
-            "--function",
-            required=True,
-            help=f"test function name ({', '.join(harness.TEST_FUNCTION_NAMES)}) "
-            f"or comma-separated Chebyshev coefficients",
-        )
-    sub.add_argument("--t-grid", type=int, default=33, help="t samples for the modulus")
-    sub.add_argument("--quad-size", type=int, default=None, help="translation quadrature size")
-    sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--seed", type=int, default=0)
+_OPTIONS = {
+    "p": dict(type=_parse_p, default=2.0, help="integrability exponent (or 'inf')"),
+    "alpha": dict(type=float, default=1.0, help="weight exponent"),
+    "function": dict(
+        required=True,
+        help=f"test function name ({', '.join(harness.TEST_FUNCTION_NAMES)}) "
+        f"or comma-separated Chebyshev coefficients",
+    ),
+    "t-grid": dict(type=int, default=33, help="t samples for the modulus"),
+    "quad-size": dict(type=int, default=None, help="translation quadrature size"),
+    "out": dict(default=None, help="output directory"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "seed": dict(type=int, default=0),
+}
+_FUNCTION = ("p", "alpha", "function", "seed")  # the seed picks randpoly's coefficients
+_MODULUS = ("t-grid", "quad-size")
+_OUTPUT = ("out", "format")
+
+
+def _add_options(sub, *names: str):
+    """Register the shared options `names` (keys of _OPTIONS) on a subcommand."""
+    for name in names:
+        sub.add_argument(f"--{name}", **_OPTIONS[name])
     return sub
 
 
@@ -93,32 +110,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="cmd", required=True)
 
-    s = _add_common(subs.add_parser("verify-lemma1", help="operator property suite"))
+    s = _add_options(subs.add_parser("verify-lemma1", help="operator property suite"),
+                     *_OUTPUT, "seed")
     s.add_argument("--n-max", type=int, default=20)
     s.add_argument("--grid", type=int, default=24)
     s.add_argument("--prefactor-scale", type=float, default=1.0,
                    help="fault-injection diagnostic; 1.0 is the true operator")
 
-    s = _add_common(subs.add_parser("calibrate-multiplier", help="match multiplier closed forms"))
+    s = _add_options(subs.add_parser("calibrate-multiplier", help="match multiplier closed forms"),
+                     "out")
     s.add_argument("--n-max", type=int, default=8)
     s.add_argument("--y-grid-size", type=int, default=17)
+    s.set_defaults(format="json")  # calibration is inherently structured
 
-    s = _add_common(subs.add_parser("best-approx", help="best-approximation sequence"),
-                    function=True)
+    s = _add_options(subs.add_parser("best-approx", help="best-approximation sequence"),
+                     *_FUNCTION, *_OUTPUT)
     s.add_argument("--n-max", type=int, default=32)
 
-    s = _add_common(subs.add_parser("modulus", help="modulus-of-smoothness curve"),
-                    function=True)
+    s = _add_options(subs.add_parser("modulus", help="modulus-of-smoothness curve"),
+                     *_FUNCTION, *_MODULUS, *_OUTPUT)
     s.add_argument("--deltas", default="0.1,0.2,0.4", help="ascending positive deltas")
 
-    s = _add_common(subs.add_parser("converse-table", help="converse-inequality ratios"),
-                    function=True)
+    s = _add_options(subs.add_parser("converse-table", help="converse-inequality ratios"),
+                     *_FUNCTION, *_MODULUS, *_OUTPUT)
     s.add_argument("--n-list", default="4,8,16,32,64", help="ascending n values")
 
-    s = _add_common(subs.add_parser("dyadic", help="dyadic proof mechanics"), function=True)
+    s = _add_options(subs.add_parser("dyadic", help="dyadic proof mechanics"),
+                     *_FUNCTION, *_OUTPUT)
     s.add_argument("--n", type=int, required=True)
 
-    s = _add_common(subs.add_parser("class-fit", help="smoothness exponent fit"), function=True)
+    s = _add_options(subs.add_parser("class-fit", help="smoothness exponent fit"),
+                     *_FUNCTION, *_MODULUS, *_OUTPUT)
     s.add_argument("--n-max", type=int, default=64)
     s.add_argument("--lam", type=float, default=None, help="smoothness hypothesis in (0, 2)")
 
@@ -132,15 +154,13 @@ def _cmd_verify_lemma1(args) -> int:
         prefactor_scale=args.prefactor_scale,
         seed=args.seed,
     )
-    lines = []
-    for c in report.checks:
-        status = "PASS" if c.passed else "FAIL"
-        lines.append(f"{c.name},{c.max_residual:.3e},{c.tolerance:.1e},{status}")
-        print(f"property {c.name}: {status} (max residual {c.max_residual:.3e}, "
-              f"tolerance {c.tolerance:.1e})")
-    csv_text = "property,max_residual,tolerance,status\n" + "\n".join(lines) + "\n"
+    rows = [(c.name, c.max_residual, c.tolerance, "PASS" if c.passed else "FAIL")
+            for c in report.checks]
+    for name, resid, tol, status in rows:
+        print(f"property {name}: {status} (max residual {resid:.3e}, tolerance {tol:.1e})")
     if args.out or args.format == "json":
-        _emit(args, "verify-lemma1", csv_text, report)
+        table = ("property,max_residual,tolerance,status", rows, ("", ".3e", ".1e", ""))
+        _emit(args, "verify-lemma1", table, report)
     return 0 if report.all_passed else 1
 
 
@@ -153,15 +173,16 @@ def _cmd_calibrate(args) -> int:
     status = "validated" if mult.validated else "NOT validated"
     print(f"chosen {report['first_term_basis']} + {report['second_term_basis']} "
           f"(degree shift {report['degree_shift']}): {status}")
-    args.format = "json"  # calibration is inherently structured
-    _emit(args, "calibration", "", report)
+    _emit(args, "calibration", None, report)
     return 0 if mult.validated else 1
 
 
 def _cmd_best_approx(args) -> int:
     f = harness.get_test_function(args.function, seed=args.seed)
     results = best_approx_sequence(f, args.n_max, _space(args))
-    _emit(args, "best-approx", sequence_csv(results), results)
+    rows = [(r.n, r.value, r.solver, r.iterations, r.residual_norm_gap) for r in results]
+    table = ("ν,E_ν,solver,iterations,gap", rows, ("", ".16e", "", "", ".3e"))
+    _emit(args, "best-approx", table, results)
     flagged = [r for r in results if r.flags]
     for r in flagged:
         print(f"nu={r.n}: flags {r.flags}", file=sys.stderr)
@@ -172,7 +193,8 @@ def _cmd_modulus(args) -> int:
     f = harness.get_test_function(args.function, seed=args.seed)
     deltas = _parse_list(args.deltas, float)
     reports = modulus_curve(f, deltas, _space(args), t_grid=args.t_grid, M=args.quad_size)
-    _emit(args, "modulus", curve_csv(reports), reports)
+    rows = [(r.delta, r.value, r.argmax_t) for r in reports]
+    _emit(args, "modulus", ("δ,ω,argmax_t", rows, (".16e",) * 3), reports)
     flagged = [r for r in reports if r.flags]
     for r in flagged:
         print(f"delta={r.delta}: flags {r.flags}", file=sys.stderr)
@@ -185,7 +207,9 @@ def _cmd_converse(args) -> int:
         f, _parse_list(args.n_list, int), _space(args),
         t_grid=args.t_grid, M=args.quad_size,
     )
-    _emit(args, "converse-table", harness.converse_csv(rows), rows)
+    table = ("n,omega,rhs_sum,ratio", [(r.n, r.omega, r.rhs_sum, r.ratio) for r in rows],
+             ("", ".16e", ".16e", ".16e"))
+    _emit(args, "converse-table", table, rows)
     ratios = [r.ratio for r in rows if r.ratio > 0]
     if ratios:
         spread = max(ratios) / float(np.median(ratios))
@@ -206,10 +230,7 @@ def _cmd_dyadic(args) -> int:
         status = "PASS" if c.passed else "FAIL"
         print(f"check {c.name}: {status} (max violation {c.max_residual:.3e})")
     if args.out or args.format == "json":
-        csv_text = "k,block_norm\n" + "\n".join(
-            f"{k},{q:.16e}" for k, q in enumerate(dec.blocks)
-        ) + "\n"
-        _emit(args, "dyadic", csv_text, dec)
+        _emit(args, "dyadic", ("k,block_norm", enumerate(dec.blocks), ("", ".16e")), dec)
     return 0 if dec.all_passed else 1
 
 
@@ -226,11 +247,9 @@ def _cmd_class_fit(args) -> int:
         print(f"exponent from modulus:            {res.lambda_modulus:.4f}")
         print(f"difference:                       {res.difference:.4f}")
     if args.out or args.format == "json":
-        csv_text = (
-            "lambda_best_approx,lambda_modulus,difference,degenerate\n"
-            f"{res.lambda_best_approx},{res.lambda_modulus},{res.difference},{res.degenerate}\n"
-        )
-        _emit(args, "class-fit", csv_text, res)
+        row = (res.lambda_best_approx, res.lambda_modulus, res.difference, res.degenerate)
+        table = ("lambda_best_approx,lambda_modulus,difference,degenerate", [row], ("",) * 4)
+        _emit(args, "class-fit", table, res)
     return 0
 
 

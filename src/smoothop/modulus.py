@@ -11,7 +11,6 @@ trigonometric form of the operator is used throughout.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -23,10 +22,9 @@ from .weighted_space import (
     _norm_nodes,
     _sampled_norm,
     as_sampled,
-    validate_params,
 )
 
-__all__ = ["ModulusReport", "modulus_omega", "modulus_curve", "curve_to_csv"]
+__all__ = ["ModulusReport", "modulus_omega", "modulus_curve"]
 
 
 @dataclass
@@ -42,9 +40,7 @@ class ModulusReport:
 
 
 def _check_args(space: WeightedSpace, delta: float, t_grid: int) -> None:
-    verdict = validate_params(space)
-    if not verdict:
-        raise ValueError(f"space parameters outside the admissible region: {verdict.clause}")
+    space.require_admissible()
     if not 0 <= delta < math.inf:  # NaN fails the comparison too
         raise ValueError(f"delta must be finite and >= 0, got delta = {delta}")
     if t_grid < 3 or t_grid % 2 == 0:
@@ -124,16 +120,3 @@ def modulus_curve(
             rep.flags = rep.flags + ("monotonicity_violation",)
         reports.append(rep)
     return reports
-
-
-def curve_to_csv(reports: list[ModulusReport], buf) -> None:
-    """Write a curve as CSV with columns δ, ω, argmax_t."""
-    buf.write("δ,ω,argmax_t\n")
-    for r in reports:
-        buf.write(f"{r.delta:.16e},{r.value:.16e},{r.argmax_t:.16e}\n")
-
-
-def curve_csv(reports: list[ModulusReport]) -> str:
-    out = io.StringIO()
-    curve_to_csv(reports, out)
-    return out.getvalue()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -58,10 +58,14 @@ JACOBI_22 = JacobiBasis(2.0, 2.0)
 LEGENDRE = JacobiBasis(0.0, 0.0)
 
 
-def _check_domain(x: np.ndarray) -> None:
-    if x.size and (np.abs(x) > 1 + _DOMAIN_SLACK).any():
-        bad = x[np.abs(x) > 1 + _DOMAIN_SLACK].flat[0]
-        raise ValueError(f"argument outside [-1, 1]: x = {bad}")
+def _check_domain(v, name: str, what: str = "argument") -> None:
+    """Raise ValueError naming `name` unless every entry of v lies in [-1, 1].
+
+    A slack of _DOMAIN_SLACK beyond the endpoints is tolerated; NaN is rejected.
+    """
+    inside = np.abs(v) <= 1 + _DOMAIN_SLACK  # NaN is never inside
+    if not inside.all():
+        raise ValueError(f"{what} outside [-1, 1]: {name} = {np.asarray(v)[~inside].flat[0]}")
 
 
 def _jacobi_standard(basis: JacobiBasis, n: int, x: np.ndarray) -> Iterator[np.ndarray]:
@@ -101,7 +105,7 @@ def jacobi_eval(basis: JacobiBasis, n: int, x):
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     xs = np.asarray(x, dtype=float)
-    _check_domain(xs)
+    _check_domain(xs, "x")
     for vals in _jacobi_standard(basis, n, xs):
         pass
     vals = vals / basis.endpoint_value(n)
@@ -114,20 +118,12 @@ def jacobi_eval(basis: JacobiBasis, n: int, x):
 class QuadratureRule:
     """Nodes and weights of a Gaussian rule on [-1, 1]."""
 
-    kind: str
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self) -> None:
         if self.nodes.shape != self.weights.shape or self.nodes.ndim != 1:
             raise ValueError("nodes and weights must be matching 1-d arrays")
-
-    @property
-    def size(self) -> int:
-        return self.nodes.size
-
-    def integrate(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
-        return float(self.weights @ np.asarray(fn(self.nodes), dtype=float))
 
 
 @lru_cache(maxsize=64)
@@ -145,7 +141,7 @@ def gauss_chebyshev(M: int) -> QuadratureRule:
     weights = np.full(M, np.pi / M)
     nodes.flags.writeable = False
     weights.flags.writeable = False
-    return QuadratureRule("chebyshev-first-kind", nodes, weights)
+    return QuadratureRule(nodes, weights)
 
 
 def _legendre_pair(M: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +186,7 @@ def gauss_legendre(M: int) -> QuadratureRule:
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     x.flags.writeable = False  # shared through the cache
     w.flags.writeable = False
-    return QuadratureRule("legendre", x, w)
+    return QuadratureRule(x, w)
 
 
 @dataclass

@@ -16,7 +16,6 @@ evaluations stay inside the band |x| <= 1 - EDGE_EPS.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -26,6 +25,7 @@ import numpy as np
 from .orthopoly import (
     JACOBI_22,
     JacobiBasis,
+    _check_domain,
     fourier_jacobi_coeff,
     gauss_chebyshev,
     gauss_legendre,
@@ -35,7 +35,6 @@ from .orthopoly import (
 __all__ = [
     "EDGE_EPS",
     "COMPANION_DEGREE_SHIFT",
-    "weight_S",
     "kernel_eval",
     "translate",
     "translate_trig",
@@ -57,21 +56,12 @@ EDGE_EPS = 1e-6
 # degree-n (2, 2) polynomial.
 COMPANION_DEGREE_SHIFT = 2
 
-_DOMAIN_SLACK = 1e-12
-
 DEFAULT_CANDIDATES: list[tuple[tuple[float, float], tuple[float, float]]] = [
     ((0.0, 0.0), (2.0, 2.0)),
     ((1.0, 1.0), (2.0, 2.0)),
     ((2.0, 2.0), (2.0, 2.0)),
     ((3.0, 1.0), (2.0, 2.0)),
 ]
-
-
-def weight_S(x):
-    """The factor S(x) = 1 - x^2 appearing in kernel, prefactor, and weights."""
-    x = np.asarray(x, dtype=float)
-    out = 1.0 - x * x
-    return float(out) if out.ndim == 0 else out
 
 
 def kernel_eval(x, y, z):
@@ -81,9 +71,7 @@ def kernel_eval(x, y, z):
     """
     xa, ya, za = (np.asarray(v, dtype=float) for v in (x, y, z))
     for name, v in (("x", xa), ("y", ya), ("z", za)):
-        if v.size and (np.abs(v) > 1 + _DOMAIN_SLACK).any():
-            bad = v[np.abs(v) > 1 + _DOMAIN_SLACK].flat[0]
-            raise ValueError(f"kernel argument outside [-1, 1]: {name} = {bad}")
+        _check_domain(v, name, "kernel argument")
     sx = 1.0 - xa * xa
     sy = 1.0 - ya * ya
     sz = 1.0 - za * za
@@ -92,18 +80,20 @@ def kernel_eval(x, y, z):
     return float(out) if out.ndim == 0 else out
 
 
+def _exact_quad_size(deg: int) -> int:
+    """Chebyshev nodes that translate a polynomial of degree `deg` exactly."""
+    return max(16, (deg + 6) // 2)
+
+
 def _default_quad_size(f) -> int:
     deg = getattr(f, "degree", None)
-    if deg is not None:
-        return max(16, (int(deg) + 5 + 1) // 2)
-    return 128
+    return 128 if deg is None else _exact_quad_size(int(deg))
 
 
 def _check_translate_args(x: np.ndarray, y: float, M: int) -> None:
     if M < 1:
         raise ValueError(f"quadrature size must be positive, got M = {M}")
-    if not abs(y) <= 1 + _DOMAIN_SLACK:  # NaN fails the comparison too
-        raise ValueError(f"translation parameter outside [-1, 1]: y = {y}")
+    _check_domain(y, "y", "translation parameter")
     inside = np.abs(x) <= 1 - EDGE_EPS  # NaN is never inside
     if not inside.all():
         raise ValueError(
@@ -229,6 +219,7 @@ def multiplier_eval(mult: Multiplier, n: int, y):
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     ya = np.asarray(y, dtype=float)
+    _check_domain(ya, "y")
     first = jacobi_eval(mult.first_term_basis, n + COMPANION_DEGREE_SHIFT, ya)
     second = jacobi_eval(mult.second_term_basis, n, ya)
     out = first + 1.5 * (1.0 - ya * ya) * second
@@ -245,7 +236,7 @@ def fit_multiplier(n: int, y: float, M: int | None = None) -> float:
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     if M is None:
-        M = max(16, (n + 5 + 1) // 2)
+        M = _exact_quad_size(n)
 
     def pn(x):
         return jacobi_eval(JACOBI_22, n, x)
@@ -270,7 +261,6 @@ def calibrate_multiplier(
     candidates: list[tuple[tuple[float, float], tuple[float, float]]] | None = None,
     n_max: int = 8,
     y_grid: np.ndarray | None = None,
-    tol: float = 1e-8,
 ) -> Multiplier:
     """Match closed-form candidates against the operator-measured multiplier.
 
@@ -278,7 +268,7 @@ def calibrate_multiplier(
     family).  A candidate validates when
 
         max over n <= n_max, y in y_grid of
-            |candidate R_n(y) - fit_multiplier(n, y)| <= tol.
+            |candidate R_n(y) - fit_multiplier(n, y)| <= 1e-8.
 
     Returns the winning candidate as a validated Multiplier; if none (or
     several) validate, returns the best-scoring candidate with
@@ -311,7 +301,7 @@ def calibrate_multiplier(
         table[_candidate_key(cand)] = resid
         results.append((resid, cand))
 
-    winners = [rc for rc in results if rc[0] <= tol]
+    winners = [rc for rc in results if rc[0] <= 1e-8]
     best_resid, best_cand = min(results, key=lambda rc: rc[0])
     chosen = winners[0] if len(winners) == 1 else (best_resid, best_cand)
     (a1, b1), (a2, b2) = chosen[1]
@@ -348,7 +338,3 @@ def calibration_report(mult: Multiplier) -> dict:
         "max_residual": mult.max_residual,
         "residual_table": dict(mult.residual_table),
     }
-
-
-def calibration_json(mult: Multiplier) -> str:
-    return json.dumps(calibration_report(mult), indent=2)

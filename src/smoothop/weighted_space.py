@@ -51,6 +51,13 @@ class WeightedSpace:
     def is_sup(self) -> bool:
         return math.isinf(self.p)
 
+    def require_admissible(self, lam: float | None = None) -> None:
+        """Raise ValueError with the violated clause when :func:`validate_params`
+        rejects (p, alpha), or lambda if given."""
+        verdict = validate_params(self, lam)
+        if not verdict:
+            raise ValueError(f"parameters outside the admissible region: {verdict.clause}")
+
 
 @dataclass(frozen=True)
 class ParamVerdict:

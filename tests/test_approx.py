@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -13,8 +12,8 @@ from smoothop.approx import (
     _Workspace,
     best_approx,
     best_approx_sequence,
-    sequence_to_csv,
 )
+from smoothop.cli import main
 from smoothop.orthopoly import gauss_legendre
 from smoothop.weighted_space import WeightedSpace, as_sampled, sup_grid, weighted_norm
 
@@ -269,11 +268,9 @@ class TestSequences:
             scaled = best_approx(lambda x: c * np.abs(x), 3, sp).value
             assert_allclose(scaled, abs(c) * base, rtol=1e-9)
 
-    def test_csv_export_columns(self):
-        seq = best_approx_sequence(np.abs, 3, SP2)
-        buf = io.StringIO()
-        sequence_to_csv(seq, buf)
-        lines = buf.getvalue().strip().split("\n")
+    def test_csv_export_columns(self, capsys):
+        assert main(["best-approx", "--function", "abs", "--p", "2", "--n-max", "3"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "ν,E_ν,solver,iterations,gap"
         assert len(lines) == 4
         assert lines[1].split(",")[2] == "projection"

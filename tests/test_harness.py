@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from smoothop.harness import (
     TEST_FUNCTION_NAMES,
     choose_block_level,
     class_fit,
-    converse_csv,
     converse_table,
     dyadic_bound,
     get_test_function,
@@ -131,11 +131,12 @@ class TestConverseTable:
         rows = converse_table(f, [2, 4], SPINF, t_grid=5, norm_resolution=1025)
         assert len(rows) == 2
 
-    def test_csv_columns(self):
-        rows = converse_table(get_test_function("x"), [2, 4], SP2, t_grid=5)
-        lines = converse_csv(rows).strip().split("\n")
+    def test_csv_columns(self, capsys):
+        assert main(["converse-table", "--function", "x", "--p", "2", "--n-list", "2,4",
+                     "--t-grid", "5"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "n,omega,rhs_sum,ratio"
-        assert len(lines) == 3
+        assert [line.split(",")[0] for line in lines[1:3]] == ["2", "4"]
 
 
 class TestDyadic:
@@ -246,6 +247,28 @@ class TestCLI:
                      "--alpha", "9", "--n-max", "2"]) == 2
         assert main(["no-such-command"]) == 2
         assert main(["modulus", "--function", "nope", "--p", "2", "--alpha", "1"]) == 2
+
+    def test_unread_option_is_a_usage_error(self, capsys):
+        assert main(["calibrate-multiplier", "--p", "0.1"]) == 2
+        assert main(["verify-lemma1", "--quad-size", "-5"]) == 2
+
+    def test_csv_fields_formatted(self, capsys):
+        e16 = r"-?\d\.\d{16}e[+-]\d{2}"
+        e3 = r"-?\d\.\d{3}e[+-]\d{2}"
+        cases = [
+            (["converse-table", "--function", "abs", "--n-list", "2,4", "--t-grid", "5"],
+             2, [r"\d+", e16, e16, e16]),
+            (["best-approx", "--function", "abs", "--n-max", "4"],
+             4, [r"\d+", e16, "projection", r"\d+", e3]),
+            (["modulus", "--function", "abs", "--deltas", "0.1,0.2", "--t-grid", "5"],
+             2, [e16] * 3),
+        ]
+        for argv, n_rows, fields in cases:
+            assert main(argv) == 0
+            rows = capsys.readouterr().out.splitlines()[1 : 1 + n_rows]
+            assert len(rows) == n_rows
+            for row in rows:
+                assert re.fullmatch(",".join(fields), row), (argv[0], row)
 
     def test_class_fit_reports(self, capsys):
         code = main(["class-fit", "--function", "x2", "--p", "2", "--alpha", "1",

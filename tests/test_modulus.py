@@ -1,11 +1,11 @@
-import io
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from smoothop.modulus import curve_to_csv, modulus_curve, modulus_omega
+from smoothop.cli import main
+from smoothop.modulus import modulus_curve, modulus_omega
 from smoothop.translation import translate_trig
 from smoothop.weighted_space import WeightedSpace, weighted_norm
 
@@ -89,11 +89,10 @@ class TestModulusCurve:
         with pytest.raises(ValueError):
             modulus_curve(np.abs, [0.2, 0.1], SP2)
 
-    def test_csv_export_columns(self):
-        reps = modulus_curve(np.abs, [0.1, 0.2], SP2, t_grid=5)
-        buf = io.StringIO()
-        curve_to_csv(reps, buf)
-        lines = buf.getvalue().strip().split("\n")
+    def test_csv_export_columns(self, capsys):
+        assert main(["modulus", "--function", "abs", "--p", "2", "--deltas", "0.1,0.2",
+                     "--t-grid", "5"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "δ,ω,argmax_t"
         assert len(lines) == 3
 

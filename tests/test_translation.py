@@ -19,7 +19,6 @@ from smoothop.translation import (
     multiplier_eval,
     translate,
     translate_trig,
-    weight_S,
 )
 
 XGRID = np.linspace(-0.95, 0.95, 21)
@@ -46,10 +45,6 @@ class TestKernel:
     def test_domain_error(self):
         with pytest.raises(ValueError, match="z ="):
             kernel_eval(0.1, 0.1, 1.2)
-
-    def test_weight_factor(self):
-        assert weight_S(0.5) == 0.75
-        assert_allclose(weight_S(np.array([0.0, 1.0])), [1.0, 0.0])
 
 
 class TestTranslate:
@@ -218,6 +213,14 @@ class TestMultiplier:
         (translate_trig, math.inf, 0.5, "t"),
         (translate_trig, -math.inf, 0.5, "t"),
         (translate_trig, 0.3, math.nan, "x"),
+        pytest.param(lambda _, n, x: jacobi_eval(JACOBI_22, n, x), 3, math.nan, "x",
+                     id="jacobi_eval-x"),
+        pytest.param(lambda _, y, z: kernel_eval(math.nan, y, z), 0.1, 0.2, "x",
+                     id="kernel_eval-x"),
+        pytest.param(lambda _, x, y: kernel_eval(x, y, math.nan), 0.1, 0.1, "z",
+                     id="kernel_eval-z"),
+        pytest.param(lambda _, n, y: multiplier_eval(default_multiplier(), n, y), 3, math.nan,
+                     "y", id="multiplier_eval-y"),
     ],
 )
 def test_non_finite_arguments_rejected(kernel, param, x, name):
