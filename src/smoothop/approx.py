@@ -24,9 +24,11 @@ Solvers by exponent:
 Every weighted least-squares solve goes through the normal equations.  The
 Gram matrix V^T diag(w) V comes from the weighted Chebyshev moments
 m_k = sum_x w(x) T_k(x), since T_i T_j = (T_{i+j} + T_{|i-j|}) / 2; it is
-factored by Cholesky, and the solution is refined three times on its
-residual V^T (w (f - V c)) (fixed-precision iterative refinement).  n may
-not exceed a quarter of the solver's grid, so that V itself has full rank.
+factored by Cholesky, the whole stack of factors is inverted by 2 x 2 block
+recursion in batched matmuls (no LU), and the solution is refined three
+times on its residual V^T (w (f - V c)) (fixed-precision iterative
+refinement).  n may not exceed a quarter of the solver's grid, so that V
+itself has full rank.
 The Gram matrix can still be numerically singular when the weights span too
 many orders of magnitude, as IRLS weights do for p >= 6; Cholesky then
 fails, and the IRLS lane stops with the flag `singular_normal_equations`
@@ -163,10 +165,48 @@ def _gram(ws: _Workspace, w: np.ndarray, mask: np.ndarray) -> np.ndarray:
     G = m[:, ws.sum_idx[:N, :N]]
     G += m[:, ws.diff_idx[:N, :N]]
     G *= 0.5
-    G *= mask[:, :, None] & mask[:, None, :]
+    np.copyto(G, 0.0, where=~(mask[:, :, None] & mask[:, None, :]))
     diag = np.arange(N)
     G[:, diag, diag] += ~mask
     return G
+
+
+def _tril_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of lower-triangular matrices, by 2 x 2 block recursion.
+
+    For L = [[L11, 0], [L21, L22]] the inverse is [[X11, 0], [X21, X22]] with
+    X11 = L11^{-1}, X22 = L22^{-1} and X21 = -X22 L21 X11.  The stack is
+    padded with an identity block to a power of two, P.  Starting from the
+    reciprocal diagonal, each of the log2 P levels doubles the block size b
+    and fills the X21 blocks of the diagonal 2b x 2b blocks of every matrix
+    with two batched matmuls on strided views; blocks wholly inside the
+    padding are skipped, as their X21 is zero.  Nothing above the diagonal
+    is written, so the upper triangle is exactly zero.
+    """
+    K, N, _ = L.shape
+    P = 1 << (N - 1).bit_length()
+    if P > N:
+        padded = np.zeros((K, P, P))
+        padded[:, :N, :N] = L
+        padded.reshape(K, P * P)[:, N * (P + 1) :: P + 1] = 1.0
+        L = padded
+    L = np.ascontiguousarray(L)  # its block views take the strides of X
+    X = np.zeros((K, P, P))
+    X.reshape(K, P * P)[:, :: P + 1] = 1.0 / np.diagonal(L, axis1=1, axis2=2)
+    s0, s1, s2 = X.strides
+
+    def diagonal_blocks(A: np.ndarray, size: int) -> np.ndarray:
+        """Writable view of the size x size diagonal blocks of each matrix
+        of A that reach into its first N rows."""
+        shape = (K, -(-N // size), size, size)
+        return np.ndarray(shape, A.dtype, A, 0, (s0, size * (s1 + s2), s1, s2))
+
+    b = 1
+    while b < P:
+        Xb, Lb = diagonal_blocks(X, 2 * b), diagonal_blocks(L, 2 * b)
+        Xb[..., b:, :b] = -(Xb[..., b:, b:] @ (Lb[..., b:, :b] @ Xb[..., :b, :b]))
+        b *= 2
+    return X[:, :N, :N]
 
 
 def _weighted_least_squares(ws: _Workspace, w: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -178,7 +218,8 @@ def _weighted_least_squares(ws: _Workspace, w: np.ndarray, mask: np.ndarray) -> 
     row that all lanes share.
 
     Each weight row's Gram matrix comes from :func:`_gram` and is factored
-    as L L^T in one stacked Cholesky; G^{-1} is applied as L^{-T} L^{-1}.
+    as L L^T in one stacked Cholesky; G^{-1} is applied as L^{-T} L^{-1},
+    with L^{-1} from :func:`_tril_inverse`.
     A shared row is factored once, at the top degree N: the leading n x n
     blocks of L and L^{-1} are the factor and its inverse for degree n, so
     lane n cuts L^{-1} r to its first n entries between the two triangular
@@ -193,17 +234,16 @@ def _weighted_least_squares(ws: _Workspace, w: np.ndarray, mask: np.ndarray) -> 
     N = mask.shape[1]
     V = ws.vander[:, :N]
     factor_mask = mask if len(w) == len(mask) else mask.any(axis=0, keepdims=True)
-    # inv leaves roundoff above the diagonal, which would mix the padding into lane n
-    L_inv = np.tril(np.linalg.inv(np.linalg.cholesky(_gram(ws, w, factor_mask))))
+    L_inv = _tril_inverse(np.linalg.cholesky(_gram(ws, w, factor_mask)))
     L_inv_T = L_inv.transpose(0, 2, 1)
 
     def apply(rhs: np.ndarray) -> np.ndarray:
         y = (L_inv @ rhs[:, :, None])[:, :, 0] * mask
         return (L_inv_T @ y[:, :, None])[:, :, 0]
 
-    coef = np.zeros(mask.shape)
+    coef = apply((w * ws.fx) @ V)  # the plain solve: from c = 0 the residual is f
     r = np.empty((len(mask), ws.fx.size))
-    for _ in range(_REFINE_STEPS + 1):  # from c = 0, the first step is the plain solve
+    for _ in range(_REFINE_STEPS):
         np.matmul(coef, V.T, out=r)
         np.subtract(ws.fx, r, out=r)
         r *= w
@@ -292,9 +332,10 @@ def _solve_irls(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
         gap = np.abs(new_value - value)
         value = new_value
         done = gap <= 1e-14 + 1e-13 * value
-        for k in np.flatnonzero(done):
-            finish(k, it)
-        lane, coef, e, value, gap = lane[~done], coef[~done], e[~done], value[~done], gap[~done]
+        if done.any():
+            for k in np.flatnonzero(done):
+                finish(k, it)
+            lane, coef, e, value, gap = lane[~done], coef[~done], e[~done], value[~done], gap[~done]
         if not lane.size:
             break
     for k in range(len(lane)):

@@ -272,15 +272,21 @@ def calibrate_multiplier(
 
     Returns the winning candidate as a validated Multiplier; if none (or
     several) validate, returns the best-scoring candidate with
-    validated=False and the full residual table attached.
+    validated=False and the full residual table attached.  Raises
+    ValueError for n_max < 0 or an empty y_grid, which would leave nothing
+    to measure.
     """
     if candidates is None:
         candidates = DEFAULT_CANDIDATES
     if not candidates:
         raise ValueError("need at least one candidate")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     if y_grid is None:
         y_grid = np.linspace(-0.9, 0.9, 7)
     y_grid = np.asarray(y_grid, dtype=float)
+    if not y_grid.size:
+        raise ValueError("y_grid must be non-empty")
 
     measured = np.empty((n_max + 1, y_grid.size))
     for n in range(n_max + 1):

@@ -7,7 +7,9 @@ from scipy.optimize import linprog
 
 from smoothop import approx, get_test_function
 from smoothop.approx import (
+    _gram,
     _lane_mask,
+    _tril_inverse,
     _weighted_least_squares,
     _Workspace,
     best_approx,
@@ -77,6 +79,63 @@ class TestProjection:
             assert r.value <= 1e-10
 
 
+def p1_irls_weights(n):
+    """Weights of a p = 1 IRLS step for |x - 0.1| at n Chebyshev coefficients
+    on the 1025-node grid, built as in
+    test_matches_svd_solve_on_ill_conditioned_irls_design: the L2 residual,
+    zeroed at every other sign change, drives cond(A) past 1e6 from n = 32 on."""
+    rule = gauss_legendre(1025)
+    xs, qw = rule.nodes, rule.weights
+    wgt = 1 - xs**2
+    fx = np.abs(xs - 0.1)
+    V = np.polynomial.chebyshev.chebvander(xs, n - 1)
+    s0 = np.sqrt(qw) * wgt
+    c0, *_ = np.linalg.lstsq(V * s0[:, None], fx * s0, rcond=None)
+    e = wgt * (fx - V @ c0)
+    e[np.flatnonzero(np.sign(e[1:]) != np.sign(e[:-1]))[::2]] = 0.0
+    return qw / np.maximum(np.abs(e), 1e-12) * wgt**2
+
+
+def shifted_abs_workspace(n_top):
+    return _Workspace(as_sampled(lambda x: np.abs(x - 0.1)), WeightedSpace(1.0, 1.0), n_top)
+
+
+class TestTrilInverse:
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 16, 17, 32, 33, 64])
+    def test_inverts_a_stack_of_factors(self, N):
+        # three random Cholesky factors and that of a p = 1 IRLS Gram matrix,
+        # in one stack; N that is no power of two is padded inside
+        A = np.random.default_rng(N).standard_normal((3, N, 2 * N))
+        irls = _gram(shifted_abs_workspace(N), p1_irls_weights(N)[None], _lane_mask([N]))
+        L = np.linalg.cholesky(np.concatenate([A @ A.transpose(0, 2, 1), irls]))
+        X = _tril_inverse(L)
+        cond = np.linalg.cond(L)  # cond(L) = cond(A) for G = A^T A = L L^T
+        if N >= 32:
+            assert cond[-1] >= 1e6
+        assert np.all(np.triu(X, 1) == 0.0)
+        residual = np.linalg.norm(X @ L - np.eye(N), 2, axis=(1, 2))
+        assert np.all(residual <= 1e-13 * cond), residual / cond
+        ref = np.linalg.inv(L)
+        deviation = np.linalg.norm(X - ref, 2, axis=(1, 2)) / np.linalg.norm(ref, 2, axis=(1, 2))
+        assert np.all(deviation <= 1e-12), deviation  # 3.6e-14 measured at N = 64
+
+
+def assert_lanes_match_svd_solve(ns, w):
+    """Each lane of the stacked solve against an SVD-based solve of its own
+    design diag(sqrt w_k) V[:, :n_k]; returns the largest cond of those."""
+    ws = shifted_abs_workspace(max(ns))
+    coef = _weighted_least_squares(ws, w, _lane_mask(ns))
+    conds = []
+    for k, n in enumerate(ns):
+        s = np.sqrt(w[min(k, len(w) - 1)])
+        A = ws.vander[:, :n] * s[:, None]
+        ref, *_ = np.linalg.lstsq(A, ws.fx * s, rcond=None)
+        assert np.linalg.norm(coef[k, :n] - ref) <= 1e-10 * np.linalg.norm(ref), n
+        assert not np.any(coef[k, n:]), n
+        conds.append(np.linalg.cond(A))
+    return max(conds)
+
+
 class TestWeightedLeastSquares:
     def test_matches_svd_solve_on_ill_conditioned_irls_design(self):
         # An IRLS step at p = 1: weights 1/|e| with |e| floored, on the
@@ -100,6 +159,21 @@ class TestWeightedLeastSquares:
         ws = _Workspace(as_sampled(lambda x: np.abs(x - 0.1)), WeightedSpace(1.0, 1.0), 32)
         coef = _weighted_least_squares(ws, (s * s)[None], _lane_mask([32]))[0]
         assert np.linalg.norm(coef - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("N", [17, 32])
+    def test_lanes_match_svd_solve(self, N):
+        # the IRLS path: lanes n = 1..N, each with its own p = 1 weight row;
+        # N = 17 pads the factor stack to 32
+        ns = list(range(1, N + 1))
+        cond = assert_lanes_match_svd_solve(ns, np.array([p1_irls_weights(n) for n in ns]))
+        assert cond >= 1e5
+
+    def test_shared_weight_row_matches_svd_solve(self):
+        # the projection and warm-start path: one factor, made at N = 64,
+        # serves lanes n = 1..64 through its leading blocks
+        rule = gauss_legendre(1025)
+        w = rule.weights * (1 - rule.nodes**2) ** 2
+        assert_lanes_match_svd_solve(list(range(1, 65)), w[None])
 
 
 class TestExchange:

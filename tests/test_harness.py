@@ -213,6 +213,12 @@ class TestCLI:
         assert data["validated"] is True
         assert data["first_term_basis"] == [0.0, 0.0]
 
+    def test_calibrate_sizes_are_usage_errors(self, capsys):
+        assert main(["calibrate-multiplier", "--n-max", "-1"]) == 2
+        assert "n_max must be >= 0" in capsys.readouterr().err
+        assert main(["calibrate-multiplier", "--y-grid-size", "0"]) == 2
+        assert "y_grid must be non-empty" in capsys.readouterr().err
+
     def test_best_approx_csv_file(self, tmp_path, capsys):
         code = main(["best-approx", "--function", "x2", "--p", "2", "--alpha", "1",
                      "--n-max", "4", "--out", str(tmp_path)])

@@ -180,6 +180,13 @@ class TestMultiplier:
         assert not m.validated
         assert all(v >= 1e-4 for v in m.residual_table.values())
 
+    def test_calibration_sizes_checked(self):
+        # an empty table would score every candidate a residual of 0.0
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            calibrate_multiplier(n_max=-1)
+        with pytest.raises(ValueError, match="y_grid must be non-empty"):
+            calibrate_multiplier(y_grid=np.empty(0))
+
     def test_calibrated_form_tracks_fit_off_grid(self):
         m = default_multiplier()
         for n in (0, 2, 5, 9):
