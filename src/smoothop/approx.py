@@ -52,13 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
-from .weighted_space import (
-    SampledFunction,
-    WeightedSpace,
-    _norm_nodes,
-    _sampled_norm,
-    as_sampled,
-)
+from .weighted_space import SampledFunction, WeightedSpace, as_sampled
 
 __all__ = [
     "BestApproxResult",
@@ -121,7 +115,8 @@ def _require_resolvable(n: int, space: WeightedSpace) -> None:
 
 
 class _Workspace:
-    """Grid data shared by every degree of one (f, space) problem.
+    """Grid data shared by every degree of one (f, space) problem: the
+    space's norm grid and f sampled on it.
 
     For finite p it also keeps the Chebyshev products matrix
     T_0 .. T_{2N-2} on the grid and the index arrays i + j and |i - j|
@@ -130,16 +125,15 @@ class _Workspace:
 
     def __init__(self, f: SampledFunction, space: WeightedSpace, n_top: int):
         self.space = space
-        self.xs, self.qw = _norm_nodes(space, _grid_size(space))
-        self.wgt = (1.0 - self.xs**2) ** space.alpha
-        self.fx = f(self.xs)
+        self.grid = grid = space._grid(_grid_size(space))
+        self.fx = f(grid.x)
         # E_0, the error of the zero polynomial: an upper bound on every E_n
-        # (_sampled_norm also rejects non-finite samples)
-        self.zero_error = _sampled_norm(self.fx, space, self.xs, self.qw)
+        # (the norm also rejects non-finite samples)
+        self.zero_error = float(grid.norm(grid.wgt * self.fx))
         if space.is_sup:
-            self.vander = C.chebvander(self.xs, n_top - 1)
+            self.vander = C.chebvander(grid.x, n_top - 1)
         else:
-            self.products = C.chebvander(self.xs, 2 * n_top - 2)
+            self.products = C.chebvander(grid.x, 2 * n_top - 2)
             self.vander = self.products[:, :n_top]
             i, j = np.indices((n_top, n_top))
             self.sum_idx, self.diff_idx = i + j, np.abs(i - j)
@@ -257,25 +251,18 @@ def _solve_projection(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
     the top degree serves every n."""
     mask = _lane_mask(ns)
     V = ws.vander[:, : mask.shape[1]]
-    w = ws.qw * ws.wgt**2
+    w = ws.grid.qw * ws.grid.wgt**2
     coef = _weighted_least_squares(ws, w[None], mask)
     r = coef @ V.T
     np.subtract(ws.fx, r, out=r)
-    value = np.sqrt((r * r) @ w)
-    r *= w
+    r *= ws.grid.wgt  # weighted in place: no third lanes x grid array is live
+    value = ws.grid.norm(r)
+    r *= ws.grid.qw * ws.grid.wgt  # now r w
     gap = np.max(np.abs(r @ V) * mask, axis=1)  # lane n's A^T r has n entries
     return [
         BestApproxResult(n, float(value[k]), coef[k, :n].copy(), "projection", 1, float(gap[k]))
         for k, n in enumerate(ns)
     ]
-
-
-def _irls_norm(ws: _Workspace, e: np.ndarray) -> np.ndarray:
-    """The discrete weighted L^p norm of each row of e."""
-    p = ws.space.p
-    a = np.abs(e)
-    a **= p
-    return (a @ ws.qw) ** (1.0 / p)
 
 
 def _solve_irls(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
@@ -290,7 +277,8 @@ def _solve_irls(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
     p = ws.space.p
     lanes = _lane_mask(ns)
     V = ws.vander[:, : lanes.shape[1]]
-    base = ws.qw * ws.wgt**2
+    grid = ws.grid
+    base = grid.qw * grid.wgt**2
     results: list[BestApproxResult] = [None] * len(ns)  # type: ignore[list-item]
 
     def finish(k: int, it: int, flags: tuple[str, ...] = ()) -> None:
@@ -303,8 +291,8 @@ def _solve_irls(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
     lane = np.arange(len(ns))  # the active lanes, in stack order
     # weighted L2 warm start: one weight vector, one factorization
     coef = _weighted_least_squares(ws, base[None], lanes)
-    e = ws.wgt * (ws.fx - coef @ V.T)
-    value = _irls_norm(ws, e)
+    e = grid.wgt * (ws.fx - coef @ V.T)
+    value = grid.norm(e)
     gap = np.full(len(ns), math.inf)
     for it in range(1, _IRLS_MAX_ITER + 1):
         # residual magnitudes floored so the p-2 power cannot blow up near zeros;
@@ -327,8 +315,8 @@ def _solve_irls(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
         coef = new
         e = coef @ V.T
         np.subtract(ws.fx, e, out=e)
-        e *= ws.wgt
-        new_value = _irls_norm(ws, e)
+        e *= grid.wgt
+        new_value = grid.norm(e)
         gap = np.abs(new_value - value)
         value = new_value
         done = gap <= 1e-14 + 1e-13 * value
@@ -346,8 +334,8 @@ def _solve_irls(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
 def _initial_reference(ws: _Workspace, n: int) -> np.ndarray:
     """Indices of n + 1 interior alternation points to seed the exchange."""
     targets = 0.95 * np.cos(np.pi * np.arange(n, -1, -1) / n) if n >= 1 else np.array([0.0])
-    idx = np.searchsorted(ws.xs, targets)
-    idx = np.clip(idx, 0, ws.xs.size - 1)
+    idx = np.searchsorted(ws.grid.x, targets)
+    idx = np.clip(idx, 0, ws.grid.x.size - 1)
     idx = np.unique(idx)
     k = 0
     while idx.size < n + 1:  # top up after collisions (coarse grids only)
@@ -391,25 +379,19 @@ def _select_window(cand: np.ndarray, e: np.ndarray, n: int) -> np.ndarray:
     g = int(np.argmax(mag))
     lo = max(0, g - n)
     hi = min(g, cand.size - n - 1)
-    best, best_score = lo, -1.0
-    for start in range(lo, hi + 1):
-        score = float(np.min(mag[start : start + n + 1]))
-        if score > best_score:
-            best, best_score = start, score
+    scores = np.lib.stride_tricks.sliding_window_view(mag, n + 1)[lo : hi + 1].min(axis=1)
+    best = lo + int(np.argmax(scores))  # ties go to the first window
     return cand[best : best + n + 1]
 
 
 def _solve_exchange(ws: _Workspace, n: int) -> BestApproxResult:
     """Remez-style exchange on the weighted error over the sup grid."""
     V = ws.vander
-    W = ws.wgt
+    W = ws.grid.wgt
     F = ws.fx
     ref = _initial_reference(ws, n)
-    coef = np.zeros(n)
     flags: list[str] = []
     equi = False
-    gap = math.inf
-    iters = 0
     for iters in range(1, _EXCHANGE_MAX_ITER + 1):
         A = np.empty((n + 1, n + 1))
         A[:, :n] = V[ref, :n] * W[ref, None]
@@ -422,7 +404,7 @@ def _solve_exchange(ws: _Workspace, n: int) -> BestApproxResult:
             flags.append("degenerate_reference")
         coef, h = sol[:n], sol[n]
         e = (F - V[:, :n] @ coef) * W
-        emax = float(np.max(np.abs(e)))
+        emax = float(ws.grid.norm(e))
         gap = emax - abs(h)
         if emax <= 1e-14 * max(1.0, ws.zero_error):
             equi = True  # f is feasible; the zero error trivially levels
@@ -442,19 +424,18 @@ def _solve_exchange(ws: _Workspace, n: int) -> BestApproxResult:
         ref = new_ref
     else:
         flags.append("max_iterations")
-    value = float(np.max(np.abs((F - V[:, :n] @ coef) * W)))
     if equi:
-        # alternation with |e| within 1e-6 of the value on every reference point
-        e_ref = (F[ref] - V[ref, :n] @ coef) * W[ref]
-        tol = 1e-6 * max(1.0, value)
-        leveled = bool(np.max(np.abs(np.abs(e_ref) - value)) <= tol)
-        alternating = bool(np.all(e_ref[1:] * e_ref[:-1] < 0)) or value <= 1e-14 * max(1.0, ws.zero_error)
+        # alternation with |e| within 1e-6 of the value on every reference point;
+        # without the certificate the loop ended on one of its three stop flags
+        e_ref = e[ref]
+        tol = 1e-6 * max(1.0, emax)
+        leveled = bool(np.max(np.abs(np.abs(e_ref) - emax)) <= tol)
+        alternating = bool(np.all(e_ref[1:] * e_ref[:-1] < 0)) or emax <= 1e-14 * max(1.0, ws.zero_error)
         equi = leveled and alternating
-    if not equi and "max_iterations" not in flags and "reference_collapse" not in flags \
-            and "stalled_reference" not in flags:
-        flags.append("no_certificate")
+        if not equi:
+            flags.append("no_certificate")
     return BestApproxResult(
-        n, value, coef, "exchange", iters, max(gap, 0.0),
+        n, emax, coef, "exchange", iters, max(gap, 0.0),
         equioscillation=equi, flags=tuple(flags),
     )
 

@@ -165,6 +165,8 @@ def _cmd_verify_lemma1(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    if args.y_grid_size < 0:
+        raise ValueError(f"--y-grid-size must be >= 0, got {args.y_grid_size}")
     y_grid = np.linspace(-1.0, 1.0, args.y_grid_size)
     mult = calibrate_multiplier(n_max=args.n_max, y_grid=y_grid)
     report = calibration_report(mult)

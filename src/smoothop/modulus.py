@@ -17,12 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .translation import translate_trig
-from .weighted_space import (
-    WeightedSpace,
-    _norm_nodes,
-    _sampled_norm,
-    as_sampled,
-)
+from .weighted_space import WeightedSpace, as_sampled
 
 __all__ = ["ModulusReport", "modulus_omega", "modulus_curve"]
 
@@ -78,15 +73,15 @@ def modulus_omega(
     """
     fn = as_sampled(f)
     _check_args(space, delta, t_grid)
-    xs, weights = _norm_nodes(space, norm_resolution)
-    res = xs.size
+    grid = space._grid(norm_resolution)
+    res = grid.x.size
     if delta == 0:
         return ModulusReport(0.0, 0.0, 0.0, t_grid, res)
-    fx = fn(xs)
+    fx = fn(grid.x)
     best = -1.0
     best_t = 0.0
     for t in np.linspace(-delta, delta, t_grid)[: t_grid // 2 + 1]:
-        val = _sampled_norm(translate_trig(fn, float(t), xs, M=M) - fx, space, xs, weights)
+        val = float(grid.norm(grid.wgt * (translate_trig(fn, float(t), grid.x, M=M) - fx)))
         if val > best:
             best, best_t = val, float(t)
     return ModulusReport(float(delta), best, best_t, t_grid, res)

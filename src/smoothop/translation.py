@@ -307,16 +307,14 @@ def calibrate_multiplier(
         table[_candidate_key(cand)] = resid
         results.append((resid, cand))
 
-    winners = [rc for rc in results if rc[0] <= 1e-8]
-    best_resid, best_cand = min(results, key=lambda rc: rc[0])
-    chosen = winners[0] if len(winners) == 1 else (best_resid, best_cand)
-    (a1, b1), (a2, b2) = chosen[1]
+    # a sole winner is the minimum, so the minimum is always the choice
+    best_resid, ((a1, b1), (a2, b2)) = min(results, key=lambda rc: rc[0])
     return Multiplier(
         JacobiBasis(a1, b1),
         JacobiBasis(a2, b2),
-        validated=(len(winners) == 1),
+        validated=sum(resid <= 1e-8 for resid, _ in results) == 1,
         n_max=n_max,
-        max_residual=chosen[0],
+        max_residual=best_resid,
         residual_table=table,
     )
 

@@ -58,6 +58,20 @@ class WeightedSpace:
         if not verdict:
             raise ValueError(f"parameters outside the admissible region: {verdict.clause}")
 
+    @lru_cache(maxsize=32)
+    def _grid(self, resolution: int | None) -> _NormGrid:
+        """The grid of this space's norm: a Gauss-Legendre rule for p < inf
+        (default 256 nodes), the points of :func:`sup_grid` for p = inf
+        (default 4097), built once per resolution."""
+        if resolution is None:  # the default is the same grid, not a second one
+            return self._grid(4097 if self.is_sup else 256)
+        if self.is_sup:
+            return _NormGrid(self, sup_grid(resolution), None)
+        if resolution < 16:
+            raise ValueError(f"resolution must be at least 16, got {resolution}")
+        rule = gauss_legendre(resolution)
+        return _NormGrid(self, rule.nodes, rule.weights)
+
 
 @dataclass(frozen=True)
 class ParamVerdict:
@@ -148,33 +162,36 @@ def sup_grid(resolution: int = 4097) -> np.ndarray:
     return grid
 
 
-def _norm_nodes(space: WeightedSpace, resolution: int | None = None):
-    """The points the norm of `space` samples a function on, and their weights.
+class _NormGrid:
+    """The points the norm of a space samples a function on, with its one
+    discrete norm.
 
-    For p < inf these are a Gauss-Legendre rule (default 256 nodes); for
-    p = inf the points of :func:`sup_grid` (default 4097) and weights None.
+    `x` holds the nodes, `qw` the quadrature weights (None at p = inf, where
+    the norm is a max) and `wgt` the weight (1 - x^2)^alpha; all three are
+    read-only, as grids are shared through the cache of WeightedSpace._grid.
     """
-    if space.is_sup:
-        return sup_grid(4097 if resolution is None else resolution), None
-    res = 256 if resolution is None else resolution
-    if res < 16:
-        raise ValueError(f"resolution must be at least 16, got {res}")
-    rule = gauss_legendre(res)
-    return rule.nodes, rule.weights
 
+    def __init__(self, space: WeightedSpace, x: np.ndarray, qw: np.ndarray | None):
+        self.p, self.x, self.qw = space.p, x, qw
+        self.wgt = (1.0 - x * x) ** space.alpha
+        self.wgt.flags.writeable = False
 
-def _sampled_norm(vals: np.ndarray, space: WeightedSpace, xs: np.ndarray, weights) -> float:
-    """The norm of `space` from samples `vals` at the points of :func:`_norm_nodes`.
+    def norm(self, e: np.ndarray):
+        """The norm of each row of weighted samples e = wgt * (f at x).
 
-    Raises ValueError naming the first x with a non-finite sample.
-    """
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise ValueError(f"non-finite sample value {vals[bad]} at x = {xs[bad]}")
-    core = np.abs(vals) * (1.0 - xs * xs) ** space.alpha
-    if weights is None:
-        return float(np.max(core))
-    return float(np.sum(weights * core**space.p) ** (1.0 / space.p))
+        Raises ValueError naming the first x with a non-finite sample.
+        """
+        a = np.abs(e)
+        if self.qw is None:
+            out = a.max(axis=-1)
+        else:
+            a **= self.p
+            out = (a @ self.qw) ** (1.0 / self.p)
+        # a non-finite sample makes its row's norm non-finite, so only then is e searched
+        if not np.isfinite(out).all() and not np.isfinite(e).all():
+            i = int(np.argmin(np.isfinite(e)))  # the first non-finite sample
+            raise ValueError(f"non-finite sample value {e.flat[i]} at x = {self.x[i % self.x.size]}")
+        return out
 
 
 def weighted_norm(f, space: WeightedSpace, resolution: int | None = None) -> float:
@@ -184,5 +201,5 @@ def weighted_norm(f, space: WeightedSpace, resolution: int | None = None) -> flo
     with the weight folded into the integrand; for p = inf the essential sup
     is approximated by the max over :func:`sup_grid` (default 4097 points).
     """
-    xs, weights = _norm_nodes(space, resolution)
-    return _sampled_norm(as_sampled(f)(xs), space, xs, weights)
+    grid = space._grid(resolution)
+    return float(grid.norm(grid.wgt * as_sampled(f)(grid.x)))

@@ -318,6 +318,18 @@ def test_no_value_above_the_zero_polynomial(name):
     assert any("exceeds_zero_polynomial" in r.flags for r in seq)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
+def test_value_is_the_norm_of_the_space(p):
+    """Every solver's E_n is weighted_norm of its error on the solver's grid."""
+    space = WeightedSpace(p, 1.0)
+    grid = approx._grid_size(space)
+    for name in ("abs", "absshift", "signabs32"):
+        f = get_test_function(name)
+        for r in best_approx_sequence(f, 16, space):
+            norm = weighted_norm(lambda x: f(x) - r.polynomial()(x), space, grid)
+            assert_allclose(r.value, norm, rtol=1e-12, err_msg=f"{name} n={r.n}")
+
+
 class TestSequences:
     def test_zero_function(self):
         seq = best_approx_sequence(lambda x: np.zeros_like(x), 4, SP2)

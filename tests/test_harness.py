@@ -218,6 +218,8 @@ class TestCLI:
         assert "n_max must be >= 0" in capsys.readouterr().err
         assert main(["calibrate-multiplier", "--y-grid-size", "0"]) == 2
         assert "y_grid must be non-empty" in capsys.readouterr().err
+        assert main(["calibrate-multiplier", "--y-grid-size", "-1"]) == 2
+        assert "--y-grid-size must be >= 0" in capsys.readouterr().err
 
     def test_best_approx_csv_file(self, tmp_path, capsys):
         code = main(["best-approx", "--function", "x2", "--p", "2", "--alpha", "1",
