@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as C
 
 from .approx import best_approx_sequence
-from .modulus import modulus_omega
+from .modulus import modulus_curve
 from .orthopoly import JACOBI_22, fourier_jacobi_series, jacobi_eval
 from .translation import default_multiplier, multiplier_eval, translate
 from .weighted_space import (
@@ -170,7 +170,7 @@ def verify_lemma1(
     resid = 0.0
     for n in range(min(n_max, 12) + 1):
         pn = SampledFunction(lambda x, _n=n: jacobi_eval(JACOBI_22, _n, x), degree=n)
-        A = np.column_stack([top(pn, y, xg) for y in yg])
+        A = np.ascontiguousarray(top(pn, yg, xg).T)  # column j is y = yg[j], in C order
         sv = np.linalg.svd(A, compute_uv=False)
         sv_ratio = float(sv[1] / sv[0]) if sv[0] > 0 else 0.0
         profile = pn(xg)
@@ -181,23 +181,19 @@ def verify_lemma1(
 
     # property 4: T_y preserves constants (certifies the prefactor)
     one = lambda x: np.ones_like(x)
-    resid = 0.0
-    for y in yg:
-        vals = top(one, y, xg, M=16)
-        resid = max(resid, float(np.max(np.abs(vals - 1.0))))
+    resid = float(np.max(np.abs(top(one, yg, xg, M=16) - 1.0)))
     checks.append(PropertyCheck("constant", resid, 1e-12))
 
     # property 5: a_k(T_y f) = R_k(y) a_k(f) on a seeded degree-10 polynomial
     mult = default_multiplier()
     f = _randpoly(seed)
-    base = fourier_jacobi_series(f, 10)
+    base = fourier_jacobi_series(f, 10).values
+    y9 = np.linspace(-1.0, 1.0, 9)
+    expected = np.array([multiplier_eval(mult, k, y9) for k in range(11)]).T * base
     resid = 0.0
-    for y in np.linspace(-1.0, 1.0, 9):
-        tf = lambda x, _y=float(y): top(f, _y, x)
-        shifted = fourier_jacobi_series(tf, 10)
-        for k in range(11):
-            expected = multiplier_eval(mult, k, y) * base[k]
-            resid = max(resid, abs(shifted[k] - expected))
+    for y, exp_y in zip(y9, expected):
+        shifted = fourier_jacobi_series(lambda x: top(f, y, x), 10).values
+        resid = max(resid, float(np.max(np.abs(shifted - exp_y))))
     checks.append(PropertyCheck("multiplier", resid, 1e-9))
 
     return Lemma1Report(checks, n_max, prefactor_scale)
@@ -205,6 +201,17 @@ def verify_lemma1(
 
 # ---------------------------------------------------------------------------
 # converse-inequality table
+
+def _omegas_at_reciprocals(fn, ns, space, t_grid, M, norm_resolution=None) -> list[float]:
+    """omega(f, 1/n) for each n of an ascending list, in that order.
+
+    One modulus curve over the ascending deltas 1/n, so each distinct t is
+    translated once; every value equals its own :func:`modulus_omega` call.
+    """
+    deltas = [1.0 / n for n in reversed(ns)]
+    curve = modulus_curve(fn, deltas, space, t_grid=t_grid, M=M, norm_resolution=norm_resolution)
+    return [r.value for r in reversed(curve)]
+
 
 @dataclass
 class ConverseTableRow:
@@ -250,11 +257,9 @@ def converse_table(
     # Noise floor for the degenerate case (f itself a polynomial): both sides
     # of the ratio are then pure roundoff and the ratio is reported as 0.
     floor = 1e-10 * max(1.0, weighted_norm(fn, space, norm_resolution))
+    omegas = _omegas_at_reciprocals(fn, n_list, space, t_grid, M, norm_resolution)
     rows = []
-    for n in n_list:
-        omega = modulus_omega(
-            fn, 1.0 / n, space, t_grid=t_grid, M=M, norm_resolution=norm_resolution
-        ).value
+    for n, omega in zip(n_list, omegas):
         rhs = float(nu[:n] @ e[:n])
         if omega <= floor and rhs <= floor * n * (n + 1) / 2:
             ratio = 0.0
@@ -382,9 +387,7 @@ def class_fit(
     mask = e > 1e-12
 
     ns = [2**k for k in range(1, 13) if 2**k <= n_max]
-    omegas = np.array(
-        [modulus_omega(fn, 1.0 / m, space, t_grid=t_grid, M=M).value for m in ns]
-    )
+    omegas = np.array(_omegas_at_reciprocals(fn, ns, space, t_grid, M))
     deltas = 1.0 / np.asarray(ns, dtype=float)
     wmask = omegas > 1e-14
 

@@ -42,6 +42,39 @@ def _check_args(space: WeightedSpace, delta: float, t_grid: int) -> None:
         raise ValueError(f"t_grid must be odd and >= 3, got {t_grid}")
 
 
+def _omegas(fn, deltas, space, t_grid, M, norm_resolution) -> list[ModulusReport]:
+    """omega(fn, delta) for each delta, translating each distinct t once.
+
+    The t grids of nested deltas overlap: every other point of
+    linspace(-d, d, k) is, up to rounding, a point of linspace(-2d, 2d, k).
+    ||T_{cos t} f - f|| is kept per t, keyed by the exact float, so the points
+    that coincide exactly are translated once, and a shared value is the one
+    a separate call would compute, bit for bit.  Ties go to the first t of
+    each delta's own grid.
+    """
+    for delta in deltas:
+        _check_args(space, delta, t_grid)
+    grid = space._grid(norm_resolution)
+    res = grid.x.size
+    fx = fn(grid.x) if any(deltas) else None
+    dist: dict[float, float] = {}
+    reports = []
+    for delta in deltas:
+        if delta == 0:
+            reports.append(ModulusReport(0.0, 0.0, 0.0, t_grid, res))
+            continue
+        best = -1.0
+        best_t = 0.0
+        for t in np.linspace(-delta, delta, t_grid)[: t_grid // 2 + 1]:
+            t = float(t)
+            if t not in dist:
+                dist[t] = float(grid.norm(grid.wgt * (translate_trig(fn, t, grid.x, M=M) - fx)))
+            if dist[t] > best:
+                best, best_t = dist[t], t
+        reports.append(ModulusReport(float(delta), best, best_t, t_grid, res))
+    return reports
+
+
 def modulus_omega(
     f,
     delta: float,
@@ -71,20 +104,7 @@ def modulus_omega(
     norm_resolution : int, optional
         Grid size of the norm (defaults of :func:`~smoothop.weighted_norm`).
     """
-    fn = as_sampled(f)
-    _check_args(space, delta, t_grid)
-    grid = space._grid(norm_resolution)
-    res = grid.x.size
-    if delta == 0:
-        return ModulusReport(0.0, 0.0, 0.0, t_grid, res)
-    fx = fn(grid.x)
-    best = -1.0
-    best_t = 0.0
-    for t in np.linspace(-delta, delta, t_grid)[: t_grid // 2 + 1]:
-        val = float(grid.norm(grid.wgt * (translate_trig(fn, float(t), grid.x, M=M) - fx)))
-        if val > best:
-            best, best_t = val, float(t)
-    return ModulusReport(float(delta), best, best_t, t_grid, res)
+    return _omegas(as_sampled(f), [delta], space, t_grid, M, norm_resolution)[0]
 
 
 def modulus_curve(
@@ -107,11 +127,8 @@ def modulus_curve(
         raise ValueError(f"deltas must be positive, got {min(deltas)}")
     if any(b <= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly ascending")
-    fn = as_sampled(f)
-    reports = []
-    for d in deltas:
-        rep = modulus_omega(fn, d, space, t_grid=t_grid, M=M, norm_resolution=norm_resolution)
-        if reports and rep.value < reports[-1].value - 1e-12:
+    reports = _omegas(as_sampled(f), deltas, space, t_grid, M, norm_resolution)
+    for prev, rep in zip(reports, reports[1:]):
+        if rep.value < prev.value - 1e-12:
             rep.flags = rep.flags + ("monotonicity_violation",)
-        reports.append(rep)
     return reports

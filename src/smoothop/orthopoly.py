@@ -68,6 +68,18 @@ def _check_domain(v, name: str, what: str = "argument") -> None:
         raise ValueError(f"{what} outside [-1, 1]: {name} = {np.asarray(v)[~inside].flat[0]}")
 
 
+def _require_finite(v: np.ndarray, x: np.ndarray) -> None:
+    """Raise ValueError naming the first x with a non-finite sample in v.
+
+    v holds samples at the points x, one row per function (rows of length
+    x.size, searched in row-major order).
+    """
+    finite = np.isfinite(v)
+    if not finite.all():
+        i = int(np.argmin(finite))  # the first non-finite sample
+        raise ValueError(f"non-finite sample value {v.flat[i]} at x = {x[i % x.size]}")
+
+
 def _jacobi_standard(basis: JacobiBasis, n: int, x: np.ndarray) -> Iterator[np.ndarray]:
     """Standard-normalization Jacobi values of degrees 0..n, yielded in turn
     by the three-term recurrence."""
@@ -209,13 +221,15 @@ class CoefficientSequence:
         return float(self.values[k])
 
 
-def fourier_jacobi_coeff(f, n: int, M: int | None = None) -> float:
+def fourier_jacobi_coeff(f, n: int, M: int | None = None):
     """Coefficient a_n(f) = integral of f(x) P_n^(2,2)(x) (1 - x^2)^2 dx.
 
     The integral is taken with a Gauss-Legendre rule of size M
     (default 2 * (n + 8), exact whenever f is a polynomial of degree
     <= 2M - 5 - n).  No normalization by the square norm of the basis
-    polynomial is applied.
+    polynomial is applied.  An f that returns one row of samples per
+    function, shape (k, M), gets one coefficient per row.  A non-finite
+    sample raises ValueError naming its x.
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
@@ -226,11 +240,16 @@ def fourier_jacobi_coeff(f, n: int, M: int | None = None) -> float:
     s = 1.0 - x * x
     pn = jacobi_eval(JACOBI_22, n, x)
     fx = np.asarray(f(x), dtype=float)
-    return float(rule.weights @ (fx * pn * s * s))
+    _require_finite(fx, x)
+    out = (fx * pn * s * s) @ rule.weights
+    return float(out) if out.ndim == 0 else out
 
 
 def fourier_jacobi_series(f, k_max: int, M: int | None = None) -> CoefficientSequence:
-    """All coefficients a_0(f) .. a_{k_max}(f) on one shared quadrature grid."""
+    """All coefficients a_0(f) .. a_{k_max}(f) on one shared quadrature grid.
+
+    A non-finite sample raises ValueError naming its x.
+    """
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
     if M is None:
@@ -239,6 +258,7 @@ def fourier_jacobi_series(f, k_max: int, M: int | None = None) -> CoefficientSeq
     x = rule.nodes
     s2 = (1.0 - x * x) ** 2
     fx = np.asarray(f(x), dtype=float)
+    _require_finite(fx, x)
     base = rule.weights * fx * s2
     coeffs = np.empty(k_max + 1)
     for k, pk in enumerate(_jacobi_standard(JACOBI_22, k_max, x)):

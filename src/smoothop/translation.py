@@ -90,7 +90,7 @@ def _default_quad_size(f) -> int:
     return 128 if deg is None else _exact_quad_size(int(deg))
 
 
-def _check_translate_args(x: np.ndarray, y: float, M: int) -> None:
+def _check_translate_args(x: np.ndarray, y: np.ndarray, M: int) -> None:
     if M < 1:
         raise ValueError(f"quadrature size must be positive, got M = {M}")
     _check_domain(y, "y", "translation parameter")
@@ -102,63 +102,69 @@ def _check_translate_args(x: np.ndarray, y: float, M: int) -> None:
         )
 
 
-# Elements of the (x, z) grid computed per pass: one pass's temporaries stay
-# in cache, and a small call is a single pass.
+# Elements of the (y, x, z) grid computed per pass: one pass's temporaries
+# stay in cache, and a small call is a single pass.
 _CHUNK = 16384
 
 
-def _translate(f, y: float, sy_root: float, x, M: int | None):
-    """(T_y f)(x) with sy_root = sqrt(1 - y^2) given by the caller.
+def _translate(f, y, sy_root, x, M: int | None):
+    """(T_y f)(x) for a scalar or 1-d y, with sy_root = sqrt(1 - y^2) given
+    by the caller; the result has shape y.shape + x.shape.
 
     The core of :func:`translate` and :func:`translate_trig`: checks x, y and
-    M, then evaluates the (x, z) grid in passes of whole rows, in place.
+    M, then evaluates the (y, x, z) grid in passes of at most _CHUNK
+    elements (one x-row when M exceeds it), in place.  A pass takes whole y-blocks when one y's rows fit,
+    and x-row chunks of one y otherwise; every element sees the same
+    arithmetic either way.
     """
     if M is None:
         M = _default_quad_size(f)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_translate_args(xs, y, M)
+    ys = np.atleast_1d(y)
+    xs = np.asarray(x, dtype=float).ravel()
+    _check_translate_args(xs, ys, M)
     rule = gauss_chebyshev(M)
     z = rule.nodes
-    sy = sy_root * sy_root
+    sroot = np.atleast_1d(sy_root)[:, None]
+    sy = sroot * sroot
     sz = 1.0 - z * z
-    zs = z * sy_root
-    # K = 1 - R^2 - 2 sy sz + 4 sx sy sz^2 = a_z - R^2 + sx c_z
+    zs = z * sroot
+    # K = 1 - R^2 - 2 sy sz + 4 sx sy sz^2 = a_z - R^2 + sx c_z, per y
     a = 1.0 - 2.0 * sy * sz
     c = 4.0 * sy * sz * sz
     sx = 1.0 - xs * xs
     rx = np.sqrt(sx)
-    xy = xs * y
+    xy = np.multiply.outer(ys, xs)
+    out = np.empty((ys.size, xs.size))
+    step = max(1, _CHUNK // M)  # x-rows per pass
+    per_pass = max(1, step // max(1, xs.size))  # y per pass; 1 unless a y's rows fit
+    for i in range(0, ys.size, per_pass):
+        j = min(i + per_pass, ys.size)
+        for lo in range(0, xs.size, step):
+            hi = lo + step
+            r = rx[lo:hi, None] * zs[i:j, None]
+            np.subtract(xy[i:j, lo:hi, None], r, out=r)
+            np.clip(r, -1.0, 1.0, out=r)
+            k = sx[lo:hi, None] * c[i:j, None]
+            k += a[i:j, None]
+            k -= r * r
+            k *= np.asarray(f(r.ravel()), dtype=float).reshape(r.shape)
+            # one matrix-vector product per y, each the shape of a scalar
+            # call's pass, so a row's rounding does not depend on the batch
+            out[i:j, lo:hi] = k @ rule.weights
+    out /= np.pi * sx
+    out = out.reshape(np.shape(y) + np.shape(x))
+    return float(out) if out.ndim == 0 else out
 
-    def rows(lo, hi):
-        r = np.multiply.outer(rx[lo:hi], zs)
-        np.subtract(xy[lo:hi, None], r, out=r)
-        np.clip(r, -1.0, 1.0, out=r)
-        k = np.multiply.outer(sx[lo:hi], c)
-        k += a
-        k -= r * r
-        k *= np.asarray(f(r.ravel()), dtype=float).reshape(r.shape)
-        return k @ rule.weights
 
-    step = max(1, _CHUNK // M)
-    if xs.size <= step:
-        vals = rows(0, xs.size)
-    else:
-        vals = np.concatenate([rows(lo, lo + step) for lo in range(0, xs.size, step)])
-    vals /= np.pi * sx
-    if np.ndim(x) == 0:
-        return float(vals[0])
-    return vals
-
-
-def translate(f, y: float, x, M: int | None = None):
+def translate(f, y, x, M: int | None = None):
     """Evaluate (T_y f)(x) by Gauss-Chebyshev quadrature in z.
 
     Parameters
     ----------
     f : callable
         Real function on [-1, 1], vectorized over its argument.
-    y : float
-        Translation parameter in [-1, 1].
+    y : float or 1-d array_like
+        Translation parameter(s) in [-1, 1].
     x : float or array_like
         Evaluation points with |x| <= 1 - EDGE_EPS.
     M : int, optional
@@ -168,11 +174,14 @@ def translate(f, y: float, x, M: int | None = None):
 
     Returns
     -------
-    float or ndarray, matching the shape of `x`.
+    float or ndarray of shape y.shape + x.shape; row i of a 1-d y is the
+    scalar call at y[i], bit for bit.
     """
-    y = float(y)
-    # max() keeps sqrt real for |y| within the domain slack beyond 1
-    return _translate(f, y, math.sqrt(max(0.0, 1.0 - y * y)), x, M)
+    y = np.asarray(y, dtype=float)
+    if y.ndim > 1:
+        raise ValueError(f"translation parameter y must be a scalar or 1-d, got shape {y.shape}")
+    # the maximum keeps sqrt real for |y| within the domain slack beyond 1
+    return _translate(f, y, np.sqrt(np.maximum(0.0, 1.0 - y * y)), x, M)
 
 
 def translate_trig(f, t: float, x, M: int | None = None):
@@ -226,12 +235,14 @@ def multiplier_eval(mult: Multiplier, n: int, y):
     return float(out) if out.ndim == 0 else out
 
 
-def fit_multiplier(n: int, y: float, M: int | None = None) -> float:
+def fit_multiplier(n: int, y, M: int | None = None):
     """Measure R_n(y) directly from the operator as a_n(T_y p_n) / a_n(p_n).
 
-    The translation's z-quadrature uses M nodes (default exact for the
-    degree-n integrand); the two coefficient integrals share one
-    Gauss-Legendre grid sized to be exact as well.
+    y is a scalar or a 1-d array; an array gives one fit per entry from one
+    translation call, with a_n(p_n) computed once.  The translation's
+    z-quadrature uses M nodes (default exact for the degree-n integrand);
+    the two coefficient integrals share one Gauss-Legendre grid sized to be
+    exact as well.
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
@@ -241,14 +252,11 @@ def fit_multiplier(n: int, y: float, M: int | None = None) -> float:
     def pn(x):
         return jacobi_eval(JACOBI_22, n, x)
 
-    def tpn(x):
-        return translate(pn, y, x, M=M)
-
     m_coeff = 2 * (n + 8)
     denom = fourier_jacobi_coeff(pn, n, M=m_coeff)
     if abs(denom) < 1e-300:
         raise ZeroDivisionError(f"vanishing reference coefficient a_{n}(p_{n})")
-    numer = fourier_jacobi_coeff(tpn, n, M=m_coeff)
+    numer = fourier_jacobi_coeff(lambda x: translate(pn, y, x, M=M), n, M=m_coeff)
     return numer / denom
 
 
@@ -274,7 +282,7 @@ def calibrate_multiplier(
     several) validate, returns the best-scoring candidate with
     validated=False and the full residual table attached.  Raises
     ValueError for n_max < 0 or an empty y_grid, which would leave nothing
-    to measure.
+    to measure, and for a y_grid that is not 1-d.
     """
     if candidates is None:
         candidates = DEFAULT_CANDIDATES
@@ -285,13 +293,12 @@ def calibrate_multiplier(
     if y_grid is None:
         y_grid = np.linspace(-0.9, 0.9, 7)
     y_grid = np.asarray(y_grid, dtype=float)
+    if y_grid.ndim != 1:
+        raise ValueError(f"y_grid must be 1-d, got shape {y_grid.shape}")
     if not y_grid.size:
         raise ValueError("y_grid must be non-empty")
 
-    measured = np.empty((n_max + 1, y_grid.size))
-    for n in range(n_max + 1):
-        for iy, y in enumerate(y_grid):
-            measured[n, iy] = fit_multiplier(n, float(y))
+    measured = np.array([fit_multiplier(n, y_grid) for n in range(n_max + 1)])
 
     table: dict[str, float] = {}
     results = []

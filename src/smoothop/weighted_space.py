@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .orthopoly import gauss_legendre
+from .orthopoly import _require_finite, gauss_legendre
 from .translation import EDGE_EPS
 
 __all__ = [
@@ -188,9 +188,8 @@ class _NormGrid:
             a **= self.p
             out = (a @ self.qw) ** (1.0 / self.p)
         # a non-finite sample makes its row's norm non-finite, so only then is e searched
-        if not np.isfinite(out).all() and not np.isfinite(e).all():
-            i = int(np.argmin(np.isfinite(e)))  # the first non-finite sample
-            raise ValueError(f"non-finite sample value {e.flat[i]} at x = {self.x[i % self.x.size]}")
+        if not np.isfinite(out).all():
+            _require_finite(e, self.x)
         return out
 
 

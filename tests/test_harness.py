@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from smoothop import harness
+from smoothop import modulus
 from smoothop.cli import main
 from smoothop.harness import (
     TEST_FUNCTION_NAMES,
@@ -17,6 +17,8 @@ from smoothop.harness import (
     get_test_function,
     verify_lemma1,
 )
+from smoothop.modulus import modulus_omega
+from smoothop.translation import translate_trig
 from smoothop.weighted_space import WeightedSpace
 
 SP2 = WeightedSpace(2.0, 1.0)
@@ -120,9 +122,26 @@ class TestConverseTable:
         def no_omega(*args, **kwargs):
             raise AssertionError("omega computed for a table that must be refused")
 
-        monkeypatch.setattr(harness, "modulus_omega", no_omega)
+        # every omega translates through modulus's translate_trig, whatever route
+        # the table takes to it
+        monkeypatch.setattr(modulus, "translate_trig", no_omega)
         with pytest.raises(ValueError, match="nu = 115"):
             converse_table(np.abs, [16, 32, 64, 128], SPINF)
+
+    def test_one_translate_per_distinct_t(self, monkeypatch):
+        # 5 x 17 half-grid points, 49 distinct floats among them
+        n_list = [4, 8, 16, 32, 64]
+        calls = []
+
+        def counting(f, t, x, M=None):
+            calls.append(t)
+            return translate_trig(f, t, x, M=M)
+
+        monkeypatch.setattr(modulus, "translate_trig", counting)
+        rows = converse_table(np.abs, n_list, SP2)
+        assert len(calls) == len(set(calls)) == 49
+        monkeypatch.undo()
+        assert [r.omega for r in rows] == [modulus_omega(np.abs, 1.0 / n, SP2).value for n in n_list]
 
     def test_norm_grid_does_not_refuse_a_valid_table(self):
         # E_1 of an odd f equals ||f|| on the 4097-point solver grid, which

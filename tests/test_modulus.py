@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from smoothop import modulus
 from smoothop.cli import main
+from smoothop.harness import get_test_function
 from smoothop.modulus import modulus_curve, modulus_omega
 from smoothop.translation import translate_trig
 from smoothop.weighted_space import WeightedSpace, weighted_norm
@@ -80,6 +82,22 @@ class TestModulusCurve:
         one_shot = modulus_omega(np.abs, 0.35, SP2)
         via_curve = modulus_curve(np.abs, [0.35], SP2)[0]
         assert via_curve == one_shot
+
+    def test_one_translate_per_distinct_t(self, monkeypatch):
+        # the benchmark's curve: 3 x 17 half-grid points, 37 distinct floats
+        poly = get_test_function("randpoly")
+        deltas = [0.1, 0.2, 0.4]
+        calls = []
+
+        def counting(f, t, x, M=None):
+            calls.append(t)
+            return translate_trig(f, t, x, M=M)
+
+        monkeypatch.setattr(modulus, "translate_trig", counting)
+        reps = modulus_curve(poly, deltas, SP2)
+        assert len(calls) == len(set(calls)) == 37
+        monkeypatch.undo()
+        assert reps == [modulus_omega(poly, d, SP2) for d in deltas]
 
     def test_rejects_bad_delta_lists(self):
         with pytest.raises(ValueError):

@@ -219,6 +219,21 @@ class TestFourierJacobi:
         reference = [base @ jacobi_eval(JACOBI_22, k, x) for k in range(k_max + 1)]
         assert np.array_equal(fourier_jacobi_series(f, k_max).values, reference)
 
+    def test_non_finite_sample_named_by_x(self):
+        x0 = gauss_legendre(2 * (3 + 8)).nodes[0]
+        with pytest.raises(ValueError, match=f"x = {x0}"):
+            fourier_jacobi_coeff(lambda x: x * np.nan, 3)
+        x5 = gauss_legendre(2 * (4 + 8)).nodes[5]
+        with pytest.raises(ValueError, match=f"x = {x5}"):
+            fourier_jacobi_series(lambda x: np.where(x >= x5, np.inf, x), 4)
+
+    def test_coeff_of_rows(self):
+        f = lambda x: np.stack([x**2, np.abs(x)])
+        rows = fourier_jacobi_coeff(f, 2)
+        assert rows.shape == (2,)
+        assert_allclose(rows, [fourier_jacobi_coeff(lambda x: x**2, 2),
+                               fourier_jacobi_coeff(np.abs, 2)], rtol=1e-15, atol=1e-16)
+
     def test_coefficient_sequence_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             CoefficientSequence(np.array([1.0, np.nan]))

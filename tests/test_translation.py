@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from hypothesis import given, settings, strategies as st
 
 from smoothop.orthopoly import JACOBI_22, jacobi_eval
+from smoothop import translation
 from smoothop.translation import (
     DEFAULT_CANDIDATES,
     EDGE_EPS,
@@ -139,6 +140,68 @@ def test_multi_pass_call_matches_single_point_calls():
         whole = translated(x)
         single = np.array([translated(float(xi)) for xi in x])
         assert np.max(np.abs(whole - single)) <= 1e-14 * np.max(np.abs(single))
+
+
+class TestArrayY:
+    F = staticmethod(lambda v: np.abs(v - 0.1) ** 1.5)
+    YS = np.concatenate([[-1.0, 1.0], np.linspace(-0.95, 0.95, 11)])
+
+    @pytest.mark.parametrize("X, M", [
+        (21, 16),     # every y in one pass
+        (40, 128),    # three y per pass, the batch spans five passes
+        (4097, 128),  # X * M above _CHUNK: x-row chunks of one y
+        (3, 9000),    # one x-row per pass
+    ])
+    def test_rows_equal_scalar_calls_bit_for_bit(self, X, M):
+        x = np.linspace(-0.97, 0.97, X)
+        batch = translate(self.F, self.YS, x, M=M)
+        assert batch.shape == (self.YS.size, X)
+        assert np.array_equal(batch, np.stack([translate(self.F, y, x, M=M) for y in self.YS]))
+
+    def test_pass_sizes_stay_within_chunk(self):
+        sizes = []
+
+        def f(v):
+            sizes.append(v.size)
+            return self.F(v)
+
+        # 13 y: one pass; three y per pass; 33 x-row chunks for each y
+        for X, M, passes in [(21, 16, 1), (40, 128, 5), (4097, 128, 13 * 33)]:
+            sizes.clear()
+            translate(f, self.YS, np.linspace(-0.97, 0.97, X), M=M)
+            assert len(sizes) == passes
+            assert max(sizes) <= translation._CHUNK
+            assert sum(sizes) == self.YS.size * X * M
+
+    def test_output_shapes(self):
+        assert translate(np.abs, [0.2, 0.5], 0.25).shape == (2,)
+        assert translate(np.abs, [0.2], XGRID).shape == (1, XGRID.size)
+        assert translate(np.abs, np.empty(0), XGRID).shape == (0, XGRID.size)
+
+    def test_fit_multiplier_batch_matches_scalar_fits(self):
+        ys = np.linspace(-1.0, 1.0, 17)
+        for n in (0, 1, 4, 8, 13):
+            batch = fit_multiplier(n, ys)
+            assert batch.shape == ys.shape
+            scalar = np.array([fit_multiplier(n, float(y)) for y in ys])
+            assert np.max(np.abs(batch - scalar)) <= 1e-15
+
+    def test_array_y_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="y must be"):
+            translate(np.abs, [[0.1, 0.2]], XGRID)
+        with pytest.raises(ValueError, match="y must be"):
+            fit_multiplier(2, [[0.1, 0.2]])
+        with pytest.raises(ValueError, match="y_grid must be 1-d"):
+            calibrate_multiplier(y_grid=[[0.1, 0.2]])
+
+    def test_nan_inside_a_y_array_named(self):
+        ys = [0.1, math.nan, 0.3]
+        with pytest.raises(ValueError, match="y = nan"):
+            translate(np.abs, ys, XGRID)
+        with pytest.raises(ValueError, match="y = nan"):
+            fit_multiplier(2, ys)
+        with pytest.raises(ValueError, match="y = nan"):
+            calibrate_multiplier(n_max=2, y_grid=ys)
 
 
 class TestMultiplier:
