@@ -52,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
+from .orthopoly import _check_int
 from .weighted_space import SampledFunction, WeightedSpace, as_sampled
 
 __all__ = [
@@ -466,6 +467,7 @@ def best_approx(f, n: int, space: WeightedSpace) -> BestApproxResult:
     outside the admissible region.  Solver non-convergence is reported
     through `flags` and the gap, not raised.
     """
+    _check_int(n, "n")
     if n < 1:
         raise ValueError(f"degree bound must satisfy n >= 1, got {n}")
     space.require_admissible()
@@ -482,6 +484,7 @@ def best_approx_sequence(f, n_max: int, space: WeightedSpace) -> list[BestApprox
     as a solver failure.  n_max obeys the same grid limit as in
     :func:`best_approx`.
     """
+    _check_int(n_max, "n_max")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     space.require_admissible()

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .translation import translate_trig
+from .orthopoly import _check_int
+from .translation import EDGE_EPS, translate_trig
 from .weighted_space import WeightedSpace, as_sampled
 
 __all__ = ["ModulusReport", "modulus_omega", "modulus_curve"]
@@ -38,6 +39,7 @@ def _check_args(space: WeightedSpace, delta: float, t_grid: int) -> None:
     space.require_admissible()
     if not 0 <= delta < math.inf:  # NaN fails the comparison too
         raise ValueError(f"delta must be finite and >= 0, got delta = {delta}")
+    _check_int(t_grid, "t_grid")
     if t_grid < 3 or t_grid % 2 == 0:
         raise ValueError(f"t_grid must be odd and >= 3, got {t_grid}")
 
@@ -49,26 +51,37 @@ def _omegas(fn, deltas, space, t_grid, M, norm_resolution) -> list[ModulusReport
     linspace(-d, d, k) is, up to rounding, a point of linspace(-2d, 2d, k).
     ||T_{cos t} f - f|| is kept per t, keyed by the exact float, so the points
     that coincide exactly are translated once, and a shared value is the one
-    a separate call would compute, bit for bit.  Ties go to the first t of
-    each delta's own grid.
+    a separate call would compute, bit for bit.  Each delta's new t values
+    are translated in one call.  Ties go to the first t of each delta's own
+    grid.
     """
     for delta in deltas:
         _check_args(space, delta, t_grid)
     grid = space._grid(norm_resolution)
     res = grid.x.size
-    fx = fn(grid.x) if any(deltas) else None
+    if any(deltas):
+        edge = float(np.abs(grid.x).max())
+        if not edge <= 1 - EDGE_EPS:
+            raise ValueError(
+                f"norm_resolution = {res} puts a norm grid point at |x| = {edge}, inside "
+                f"the translation's singular edge band (need |x| <= 1 - {EDGE_EPS}); "
+                f"use a coarser norm_resolution"
+            )
+        fx = fn(grid.x)
     dist: dict[float, float] = {}
     reports = []
     for delta in deltas:
         if delta == 0:
             reports.append(ModulusReport(0.0, 0.0, 0.0, t_grid, res))
             continue
+        ts = np.linspace(-delta, delta, t_grid)[: t_grid // 2 + 1].tolist()
+        new = [t for t in ts if t not in dist]
+        for t, row in zip(new, translate_trig(fn, new, grid.x, M=M)):
+            # one norm per row: a matrix norm need not round as a vector's does
+            dist[t] = float(grid.norm(grid.wgt * (row - fx)))
         best = -1.0
         best_t = 0.0
-        for t in np.linspace(-delta, delta, t_grid)[: t_grid // 2 + 1]:
-            t = float(t)
-            if t not in dist:
-                dist[t] = float(grid.norm(grid.wgt * (translate_trig(fn, t, grid.x, M=M) - fx)))
+        for t in ts:
             if dist[t] > best:
                 best, best_t = dist[t], t
         reports.append(ModulusReport(float(delta), best, best_t, t_grid, res))

@@ -68,6 +68,12 @@ def _check_domain(v, name: str, what: str = "argument") -> None:
         raise ValueError(f"{what} outside [-1, 1]: {name} = {np.asarray(v)[~inside].flat[0]}")
 
 
+def _check_int(v, name: str) -> None:
+    """Raise ValueError naming `name` unless v is an integer (Python or numpy)."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {name} = {v!r}")
+
+
 def _require_finite(v: np.ndarray, x: np.ndarray) -> None:
     """Raise ValueError naming the first x with a non-finite sample in v.
 
@@ -80,22 +86,53 @@ def _require_finite(v: np.ndarray, x: np.ndarray) -> None:
         raise ValueError(f"non-finite sample value {v.flat[i]} at x = {x[i % x.size]}")
 
 
+@lru_cache(maxsize=32)
+def _recurrence_table(basis: JacobiBasis, size: int) -> tuple[tuple[float, ...], ...]:
+    """Coefficients (c1, c2, c3, c4) of the three-term recurrence of `basis`
+    for the steps m = 2 .. size + 1.
+
+    Callers ask for a power-of-two size and use a prefix, so a handful of
+    entries per basis serves every degree.
+    """
+    a, b = basis.alpha_idx, basis.beta_idx
+    table = []
+    for m in range(2, size + 2):
+        c1 = 2 * m * (m + a + b) * (2 * m + a + b - 2)
+        c2 = (2 * m + a + b - 1) * (a * a - b * b)
+        c3 = (2 * m + a + b - 2) * (2 * m + a + b - 1) * (2 * m + a + b)
+        c4 = 2 * (m + a - 1) * (m + b - 1) * (2 * m + a + b)
+        table.append((c1, c2, c3, c4))
+    return tuple(table)
+
+
 def _jacobi_standard(basis: JacobiBasis, n: int, x: np.ndarray) -> Iterator[np.ndarray]:
     """Standard-normalization Jacobi values of degrees 0..n, yielded in turn
-    by the three-term recurrence."""
+    by the three-term recurrence.
+
+    Each step runs in place on three rotating buffers, so a yielded array is
+    overwritten two steps later: use it before advancing the iterator.
+    """
     a, b = basis.alpha_idx, basis.beta_idx
     p_prev = np.ones_like(x)
     yield p_prev
     if n == 0:
         return
-    p_curr = 0.5 * (a - b + (a + b + 2) * x)
+    # an array even for 0-d x, so that the steps below can write into it
+    p_curr = np.asarray(0.5 * (a - b + (a + b + 2) * x))
     yield p_curr
-    for m in range(2, n + 1):
-        c1 = 2 * m * (m + a + b) * (2 * m + a + b - 2)
-        c2 = (2 * m + a + b - 1) * (a * a - b * b)
-        c3 = (2 * m + a + b - 2) * (2 * m + a + b - 1) * (2 * m + a + b)
-        c4 = 2 * (m + a - 1) * (m + b - 1) * (2 * m + a + b)
-        p_prev, p_curr = p_curr, ((c2 + c3 * x) * p_curr - c4 * p_prev) / c1
+    if n == 1:
+        return
+    table = _recurrence_table(basis, 1 << int(n - 2).bit_length())
+    step = np.empty_like(p_curr)
+    for c1, c2, c3, c4 in table[: n - 1]:
+        # ((c2 + c3 x) p_curr - c4 p_prev) / c1, operation for operation
+        np.multiply(x, c3, out=step)
+        step += c2
+        step *= p_curr
+        p_prev *= c4
+        step -= p_prev
+        step /= c1
+        p_prev, p_curr, step = p_curr, step, p_prev
         yield p_curr
 
 
@@ -114,6 +151,7 @@ def jacobi_eval(basis: JacobiBasis, n: int, x):
     -------
     float or ndarray, matching the shape of `x`.
     """
+    _check_int(n, "n")
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     xs = np.asarray(x, dtype=float)
@@ -138,7 +176,7 @@ class QuadratureRule:
             raise ValueError("nodes and weights must be matching 1-d arrays")
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed: a float M is refused, not served from the cache
 def gauss_chebyshev(M: int) -> QuadratureRule:
     """Gauss-Chebyshev rule (first kind) with M nodes.
 
@@ -146,6 +184,7 @@ def gauss_chebyshev(M: int) -> QuadratureRule:
     <= 2M - 1.  Nodes are cos((2j - 1) pi / (2M)), all weights pi / M.
     Rules are cached per M and shared, so their arrays are read-only.
     """
+    _check_int(M, "M")
     if M < 1:
         raise ValueError(f"need at least one node, got M = {M}")
     j = np.arange(1, M + 1)
@@ -157,15 +196,27 @@ def gauss_chebyshev(M: int) -> QuadratureRule:
 
 
 def _legendre_pair(M: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P_M(x), P_{M-1}(x)) in standard normalization, M >= 1."""
+    """(P_M(x), P_{M-1}(x)) in standard normalization, M >= 1.
+
+    Each step ((2m - 1) x p - (m - 1) p_prev) / m runs in place on three
+    rotating buffers.  The Legendre steps are not those of
+    :func:`_jacobi_standard` at (0, 0), whose coefficients carry a common
+    factor 4m(m - 1) and round differently.
+    """
     p_prev = np.ones_like(x)
     p = x.copy()
+    step = np.empty_like(x)
     for m in range(2, M + 1):
-        p_prev, p = p, ((2 * m - 1) * x * p - (m - 1) * p_prev) / m
+        np.multiply(x, 2 * m - 1, out=step)
+        step *= p
+        p_prev *= m - 1
+        step -= p_prev
+        step /= m
+        p_prev, p, step = p, step, p_prev
     return p, p_prev
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed: a float M is refused, not served from the cache
 def gauss_legendre(M: int) -> QuadratureRule:
     """Gauss-Legendre rule with M nodes, by Newton iteration on the recurrence.
 
@@ -175,6 +226,7 @@ def gauss_legendre(M: int) -> QuadratureRule:
     Raises RuntimeError if any root fails to converge within 100 iterations.
     Rules are cached per M and shared, so their arrays are read-only.
     """
+    _check_int(M, "M")
     if M < 1:
         raise ValueError(f"need at least one node, got M = {M}")
     k = np.arange(M)
@@ -231,6 +283,7 @@ def fourier_jacobi_coeff(f, n: int, M: int | None = None):
     function, shape (k, M), gets one coefficient per row.  A non-finite
     sample raises ValueError naming its x.
     """
+    _check_int(n, "n")
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     if M is None:
@@ -250,6 +303,7 @@ def fourier_jacobi_series(f, k_max: int, M: int | None = None) -> CoefficientSeq
 
     A non-finite sample raises ValueError naming its x.
     """
+    _check_int(k_max, "k_max")
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
     if M is None:

@@ -26,6 +26,7 @@ from .orthopoly import (
     JACOBI_22,
     JacobiBasis,
     _check_domain,
+    _check_int,
     fourier_jacobi_coeff,
     gauss_chebyshev,
     gauss_legendre,
@@ -91,6 +92,7 @@ def _default_quad_size(f) -> int:
 
 
 def _check_translate_args(x: np.ndarray, y: np.ndarray, M: int) -> None:
+    _check_int(M, "M")
     if M < 1:
         raise ValueError(f"quadrature size must be positive, got M = {M}")
     _check_domain(y, "y", "translation parameter")
@@ -184,17 +186,28 @@ def translate(f, y, x, M: int | None = None):
     return _translate(f, y, np.sqrt(np.maximum(0.0, 1.0 - y * y)), x, M)
 
 
-def translate_trig(f, t: float, x, M: int | None = None):
+def translate_trig(f, t, x, M: int | None = None):
     """Evaluate T_{cos t} f at x through the substitution y = cos t.
 
     The operator sees t only through cos t and |sin t|, so the result is the
     same for t and -t, bit for bit.  Using sin t itself (not sqrt(1 - cos^2 t))
     keeps the small-t translate accurate.  The z-quadrature is the
     Gauss-Chebyshev rule of :func:`translate`, node for node.
+
+    t is a scalar or a 1-d array; the result has shape t.shape + x.shape, and
+    row i of a 1-d t is the scalar call at t[i], bit for bit.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"translation angle must be finite, got t = {t}")
-    return _translate(f, math.cos(t), abs(math.sin(t)), x, M)
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise ValueError(f"translation angle t must be a scalar or 1-d, got shape {t.shape}")
+    finite = np.isfinite(t)
+    if not finite.all():
+        raise ValueError(f"translation angle must be finite, got t = {t[~finite].flat[0]}")
+    # math, not numpy, per entry: np.cos and math.cos may differ in the last bit
+    ts = t.ravel().tolist()
+    cos_t = np.array([math.cos(v) for v in ts]).reshape(t.shape)
+    sin_t = np.array([abs(math.sin(v)) for v in ts]).reshape(t.shape)
+    return _translate(f, cos_t, sin_t, x, M)
 
 
 @dataclass
@@ -225,6 +238,7 @@ def multiplier_eval(mult: Multiplier, n: int, y):
             "multiplier has not been validated by calibration; "
             "run calibrate_multiplier first"
         )
+    _check_int(n, "n")
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     ya = np.asarray(y, dtype=float)
@@ -244,6 +258,7 @@ def fit_multiplier(n: int, y, M: int | None = None):
     the two coefficient integrals share one Gauss-Legendre grid sized to be
     exact as well.
     """
+    _check_int(n, "n")
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     if M is None:

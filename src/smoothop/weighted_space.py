@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .orthopoly import _require_finite, gauss_legendre
+from .orthopoly import _check_int, _require_finite, gauss_legendre
 from .translation import EDGE_EPS
 
 __all__ = [
@@ -58,13 +58,14 @@ class WeightedSpace:
         if not verdict:
             raise ValueError(f"parameters outside the admissible region: {verdict.clause}")
 
-    @lru_cache(maxsize=32)
+    @lru_cache(maxsize=32, typed=True)  # typed: a float is refused, not served from the cache
     def _grid(self, resolution: int | None) -> _NormGrid:
         """The grid of this space's norm: a Gauss-Legendre rule for p < inf
         (default 256 nodes), the points of :func:`sup_grid` for p = inf
         (default 4097), built once per resolution."""
         if resolution is None:  # the default is the same grid, not a second one
             return self._grid(4097 if self.is_sup else 256)
+        _check_int(resolution, "resolution")
         if self.is_sup:
             return _NormGrid(self, sup_grid(resolution), None)
         if resolution < 16:

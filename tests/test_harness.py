@@ -129,17 +129,19 @@ class TestConverseTable:
             converse_table(np.abs, [16, 32, 64, 128], SPINF)
 
     def test_one_translate_per_distinct_t(self, monkeypatch):
-        # 5 x 17 half-grid points, 49 distinct floats among them
+        # 5 x 17 half-grid points, 49 distinct floats among them, in one call per n
         n_list = [4, 8, 16, 32, 64]
-        calls = []
+        calls, ts = [], []
 
         def counting(f, t, x, M=None):
             calls.append(t)
+            ts.extend(np.atleast_1d(t).tolist())
             return translate_trig(f, t, x, M=M)
 
         monkeypatch.setattr(modulus, "translate_trig", counting)
         rows = converse_table(np.abs, n_list, SP2)
-        assert len(calls) == len(set(calls)) == 49
+        assert len(ts) == len(set(ts)) == 49
+        assert len(calls) == len(n_list)
         monkeypatch.undo()
         assert [r.omega for r in rows] == [modulus_omega(np.abs, 1.0 / n, SP2).value for n in n_list]
 

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from smoothop import modulus
 from smoothop.cli import main
-from smoothop.harness import get_test_function
+from smoothop.harness import converse_table, get_test_function
 from smoothop.modulus import modulus_curve, modulus_omega
 from smoothop.translation import translate_trig
 from smoothop.weighted_space import WeightedSpace, weighted_norm
@@ -84,18 +84,21 @@ class TestModulusCurve:
         assert via_curve == one_shot
 
     def test_one_translate_per_distinct_t(self, monkeypatch):
-        # the benchmark's curve: 3 x 17 half-grid points, 37 distinct floats
+        # the benchmark's curve: 3 x 17 half-grid points, 37 distinct floats,
+        # in one call per delta
         poly = get_test_function("randpoly")
         deltas = [0.1, 0.2, 0.4]
-        calls = []
+        calls, ts = [], []
 
         def counting(f, t, x, M=None):
             calls.append(t)
+            ts.extend(np.atleast_1d(t).tolist())
             return translate_trig(f, t, x, M=M)
 
         monkeypatch.setattr(modulus, "translate_trig", counting)
         reps = modulus_curve(poly, deltas, SP2)
-        assert len(calls) == len(set(calls)) == 37
+        assert len(ts) == len(set(ts)) == 37
+        assert len(calls) == len(deltas)
         monkeypatch.undo()
         assert reps == [modulus_omega(poly, d, SP2) for d in deltas]
 
@@ -153,3 +156,17 @@ def test_non_finite_input_named_by_x():
 def test_non_finite_delta_rejected(delta):
     with pytest.raises(ValueError, match="delta = "):
         modulus_omega(np.abs, delta, SP2)
+
+
+def test_norm_grid_in_the_edge_band_named(monkeypatch):
+    # Gauss-Legendre nodes come within EDGE_EPS of +-1 from 1700 nodes on
+    def no_translate(*args, **kwargs):
+        raise AssertionError("translated on a norm grid inside the edge band")
+
+    monkeypatch.setattr(modulus, "translate_trig", no_translate)
+    with pytest.raises(ValueError, match="norm_resolution = 2048"):
+        modulus_curve(np.abs, [0.1], WeightedSpace(1.5, 1), norm_resolution=2048)
+    with pytest.raises(ValueError, match="norm_resolution = 2048"):
+        converse_table(np.abs, [4, 8], SP2, norm_resolution=2048)
+    monkeypatch.undo()
+    assert modulus_curve(np.abs, [0.1], WeightedSpace(1.5, 1), norm_resolution=1025)[0].value > 0

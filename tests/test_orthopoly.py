@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from hypothesis import given, settings, strategies as st
+from scipy.special import eval_jacobi
 
+from smoothop import orthopoly
+from smoothop.approx import best_approx, best_approx_sequence
+from smoothop.modulus import modulus_omega
 from smoothop.orthopoly import (
     JACOBI_22,
     LEGENDRE,
@@ -16,6 +20,8 @@ from smoothop.orthopoly import (
     gauss_legendre,
     jacobi_eval,
 )
+from smoothop.translation import default_multiplier, multiplier_eval, translate
+from smoothop.weighted_space import WeightedSpace, weighted_norm
 
 
 def jacobi_reference(basis, n, x):
@@ -33,6 +39,36 @@ def jacobi_reference(basis, n, x):
             * ((x + 1) / 2) ** (n - s)
         )
     return total / math.comb(n + int(a), n)
+
+
+def jacobi_recurrence_reference(basis, n, x):
+    """Degrees 0..n by the three-term recurrence, coefficients recomputed at
+    every step and a fresh array per step (the loop jacobi_eval replaced)."""
+    a, b = basis.alpha_idx, basis.beta_idx
+    p_prev = np.ones_like(x)
+    out = [p_prev]
+    if n == 0:
+        return out
+    p_curr = 0.5 * (a - b + (a + b + 2) * x)
+    out.append(p_curr)
+    for m in range(2, n + 1):
+        c1 = 2 * m * (m + a + b) * (2 * m + a + b - 2)
+        c2 = (2 * m + a + b - 1) * (a * a - b * b)
+        c3 = (2 * m + a + b - 2) * (2 * m + a + b - 1) * (2 * m + a + b)
+        c4 = 2 * (m + a - 1) * (m + b - 1) * (2 * m + a + b)
+        p_prev, p_curr = p_curr, ((c2 + c3 * x) * p_curr - c4 * p_prev) / c1
+        out.append(p_curr)
+    return out
+
+
+def legendre_pair_reference(M, x):
+    """(P_M(x), P_{M-1}(x)) with a fresh array per step (the loop
+    gauss_legendre's Newton iteration used to run)."""
+    p_prev = np.ones_like(x)
+    p = x.copy()
+    for m in range(2, M + 1):
+        p_prev, p = p, ((2 * m - 1) * x * p - (m - 1) * p_prev) / m
+    return p, p_prev
 
 
 def chebyshev_moment(k):
@@ -106,6 +142,26 @@ class TestJacobiEval:
         out = jacobi_eval(JACOBI_22, 4, 0.3)
         assert isinstance(out, float)
 
+    @pytest.mark.parametrize("basis", [LEGENDRE, JacobiBasis(1, 1), JACOBI_22, JacobiBasis(3, 1)])
+    def test_recurrence_bit_identical_to_reference_loop(self, basis):
+        xs = [np.asarray(0.3), np.linspace(-1, 1, 37),
+              np.random.default_rng(2).uniform(-1, 1, (5, 7))]
+        # a falling and rising n reuses the cached coefficient tables by prefix
+        for n in (64, 3, 17, 0, 1, 2, 40):
+            for x in xs:
+                got = [p.copy() for p in orthopoly._jacobi_standard(basis, n, x)]
+                ref = jacobi_recurrence_reference(basis, n, x)
+                assert len(got) == n + 1
+                assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+    @pytest.mark.parametrize("basis", [LEGENDRE, JacobiBasis(1, 1), JACOBI_22, JacobiBasis(3, 1)])
+    def test_matches_scipy(self, basis):
+        a, b = basis.alpha_idx, basis.beta_idx
+        x = np.linspace(-1, 1, 101)
+        for n in range(65):
+            expected = eval_jacobi(n, a, b, x) / eval_jacobi(n, a, b, 1.0)
+            assert np.max(np.abs(jacobi_eval(basis, n, x) - expected)) <= 1e-13
+
 
 class TestQuadrature:
     def test_chebyshev_single_node(self):
@@ -160,6 +216,14 @@ class TestQuadrature:
             rule.nodes[0] = 0.0
         with pytest.raises(ValueError):
             rule.weights[0] = 0.0
+
+    @pytest.mark.parametrize("M", [1, 2, 17, 256, 1025])
+    def test_legendre_rule_bit_identical_to_reference_recurrence(self, M, monkeypatch):
+        rule = gauss_legendre(M)
+        monkeypatch.setattr(orthopoly, "_legendre_pair", legendre_pair_reference)
+        ref = gauss_legendre.__wrapped__(M)  # an uncached build on the reference loop
+        assert np.array_equal(rule.nodes, ref.nodes)
+        assert np.array_equal(rule.weights, ref.weights)
 
     def test_chebyshev_rule_cached_and_read_only(self):
         rule = gauss_chebyshev(128)
@@ -237,3 +301,34 @@ class TestFourierJacobi:
     def test_coefficient_sequence_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             CoefficientSequence(np.array([1.0, np.nan]))
+
+
+SP2 = WeightedSpace(2, 1)
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: gauss_legendre(16.5), "M", id="gauss_legendre"),
+    pytest.param(lambda: gauss_chebyshev(16.5), "M", id="gauss_chebyshev"),
+    pytest.param(lambda: translate(np.abs, 0.3, 0.1, M=16.5), "M", id="translate-M"),
+    pytest.param(lambda: jacobi_eval(JACOBI_22, 2.0, 0.3), "n", id="jacobi_eval"),
+    pytest.param(lambda: multiplier_eval(default_multiplier(), 1.5, 0.3), "n", id="multiplier_eval"),
+    pytest.param(lambda: fourier_jacobi_coeff(np.abs, 2.5), "n", id="fourier_jacobi_coeff"),
+    pytest.param(lambda: fourier_jacobi_series(np.abs, 2.5), "k_max", id="fourier_jacobi_series"),
+    pytest.param(lambda: fourier_jacobi_series(np.abs, math.nan), "k_max", id="series-nan"),
+    pytest.param(lambda: best_approx(np.abs, 2.0, SP2), "n", id="best_approx"),
+    pytest.param(lambda: best_approx_sequence(np.abs, 4.0, SP2), "n_max", id="best_approx_sequence"),
+    pytest.param(lambda: weighted_norm(np.abs, SP2, math.nan), "resolution", id="weighted_norm-nan"),
+    pytest.param(lambda: modulus_omega(np.abs, 0.1, SP2, t_grid=5.0), "t_grid", id="modulus-t_grid"),
+    # an integral float is refused even when the integer's rule is cached
+    pytest.param(lambda: gauss_legendre(16) and gauss_legendre(16.0), "M", id="cached-float"),
+])
+def test_non_integer_size_or_degree_named(call, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call()
+
+
+def test_numpy_integers_accepted():
+    n, M = np.int64(3), np.int32(16)
+    assert jacobi_eval(JACOBI_22, n, 0.3) == jacobi_eval(JACOBI_22, 3, 0.3)
+    assert np.array_equal(gauss_legendre(M).nodes, gauss_legendre(16).nodes)
+    assert fourier_jacobi_series(np.abs, n).values.size == 4

@@ -204,6 +204,29 @@ class TestArrayY:
             calibrate_multiplier(n_max=2, y_grid=ys)
 
 
+class TestArrayT:
+    F = staticmethod(TestArrayY.F)
+    TS = np.concatenate([[0.0, 1e-9, -1e-9, 2.5], np.linspace(-0.4, 0.4, 8)])  # t = 0 and +-t
+
+    @pytest.mark.parametrize("X, M", [
+        (256, 16),    # several t per pass, as omega at p < inf translates
+        (4097, 128),  # x-row chunks of one t, as omega at p = inf translates
+    ])
+    def test_rows_equal_scalar_calls_bit_for_bit(self, X, M):
+        x = np.linspace(-0.97, 0.97, X)
+        batch = translate_trig(self.F, self.TS, x, M=M)
+        assert batch.shape == (self.TS.size, X)
+        assert np.array_equal(batch, np.stack([translate_trig(self.F, float(t), x, M=M) for t in self.TS]))
+
+    def test_array_t_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="t must be"):
+            translate_trig(np.abs, [[0.1, 0.2]], XGRID)
+
+    def test_nan_inside_a_t_array_named(self):
+        with pytest.raises(ValueError, match="t = nan"):
+            translate_trig(np.abs, [0.1, math.nan, 0.3], XGRID)
+
+
 class TestMultiplier:
     def test_fit_degree_zero_is_constant_one(self):
         for y in (-0.8, 0.5, 1.0):
