@@ -11,7 +11,8 @@ Solvers by exponent:
   grid.  Every degree shares one weight vector, so a whole sequence costs
   one factorization, made at its top degree.
 * p = inf: Remez-style exchange iteration on the weighted error over the
-  4097-point sup grid, with an equioscillation certificate.  Each step
+  4097-point sup grid, seeded at the n + 1 interior Chebyshev points, with
+  an equioscillation certificate.  Each step
   solves the square (n + 1)-point reference system by LU, with a
   least-squares fallback for a singular reference.
 * p = 1 and general p: iteratively reweighted least squares (IRLS) on a
@@ -333,17 +334,15 @@ def _solve_irls(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
 
 
 def _initial_reference(ws: _Workspace, n: int) -> np.ndarray:
-    """Indices of n + 1 interior alternation points to seed the exchange."""
-    targets = 0.95 * np.cos(np.pi * np.arange(n, -1, -1) / n) if n >= 1 else np.array([0.0])
-    idx = np.searchsorted(ws.grid.x, targets)
-    idx = np.clip(idx, 0, ws.grid.x.size - 1)
-    idx = np.unique(idx)
-    k = 0
-    while idx.size < n + 1:  # top up after collisions (coarse grids only)
-        if k not in idx:
-            idx = np.sort(np.append(idx, k))
-        k += 1
-    return idx[: n + 1]
+    """Ascending grid indices of the n + 1 Chebyshev points
+    cos(pi (k + 1/2) / (n + 1)), k = 0..n: the exchange's seed.
+
+    Relies on the grid being :func:`sup_grid` of X points, whose point i is
+    -(1 - EDGE_EPS) cos(pi i / (X - 1)): the point at the angle nearest
+    pi (k + 1/2) / (n + 1) has index rint((X - 1) (k + 1/2) / (n + 1)).  For
+    1 <= n <= (X - 1) / 4 neighbouring indices are at least 3 apart.
+    """
+    return np.rint((ws.grid.x.size - 1) * (np.arange(n + 1) + 0.5) / (n + 1)).astype(int)
 
 
 def _alternating_candidates(e: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -467,9 +466,7 @@ def best_approx(f, n: int, space: WeightedSpace) -> BestApproxResult:
     outside the admissible region.  Solver non-convergence is reported
     through `flags` and the gap, not raised.
     """
-    _check_int(n, "n")
-    if n < 1:
-        raise ValueError(f"degree bound must satisfy n >= 1, got {n}")
+    _check_int(n, "n", 1)
     space.require_admissible()
     _require_resolvable(n, space)
     ws = _Workspace(as_sampled(f), space, n)
@@ -484,9 +481,7 @@ def best_approx_sequence(f, n_max: int, space: WeightedSpace) -> list[BestApprox
     as a solver failure.  n_max obeys the same grid limit as in
     :func:`best_approx`.
     """
-    _check_int(n_max, "n_max")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _check_int(n_max, "n_max", 1)
     space.require_admissible()
     _require_resolvable(n_max, space)
     ws = _Workspace(as_sampled(f), space, n_max)

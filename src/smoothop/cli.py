@@ -17,6 +17,7 @@ import numpy as np
 from . import harness
 from .approx import best_approx_sequence
 from .modulus import modulus_curve
+from .orthopoly import _check_int
 from .translation import calibrate_multiplier, calibration_report
 from .weighted_space import WeightedSpace
 
@@ -114,8 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      *_OUTPUT, "seed")
     s.add_argument("--n-max", type=int, default=20)
     s.add_argument("--grid", type=int, default=24)
-    s.add_argument("--prefactor-scale", type=float, default=1.0,
-                   help="fault-injection diagnostic; 1.0 is the true operator")
 
     s = _add_options(subs.add_parser("calibrate-multiplier", help="match multiplier closed forms"),
                      "out")
@@ -148,12 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify_lemma1(args) -> int:
-    report = harness.verify_lemma1(
-        n_max=args.n_max,
-        grid=args.grid,
-        prefactor_scale=args.prefactor_scale,
-        seed=args.seed,
-    )
+    report = harness.verify_lemma1(n_max=args.n_max, grid=args.grid, seed=args.seed)
     rows = [(c.name, c.max_residual, c.tolerance, "PASS" if c.passed else "FAIL")
             for c in report.checks]
     for name, resid, tol, status in rows:
@@ -165,8 +159,7 @@ def _cmd_verify_lemma1(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    if args.y_grid_size < 0:
-        raise ValueError(f"--y-grid-size must be >= 0, got {args.y_grid_size}")
+    _check_int(args.y_grid_size, "--y-grid-size", 0)
     y_grid = np.linspace(-1.0, 1.0, args.y_grid_size)
     mult = calibrate_multiplier(n_max=args.n_max, y_grid=y_grid)
     report = calibration_report(mult)

@@ -26,7 +26,7 @@ from numpy.polynomial import chebyshev as C
 
 from .approx import best_approx_sequence
 from .modulus import modulus_curve
-from .orthopoly import JACOBI_22, fourier_jacobi_series, jacobi_eval
+from .orthopoly import JACOBI_22, _check_int, fourier_jacobi_series, jacobi_eval
 from .translation import default_multiplier, multiplier_eval, translate
 from .weighted_space import (
     SampledFunction,
@@ -79,6 +79,7 @@ TEST_FUNCTION_NAMES = tuple(_LIBRARY)
 def get_test_function(spec: str, seed: int = 0) -> SampledFunction:
     """Resolve a test function by name, or parse comma-separated Chebyshev
     coefficients (e.g. "0.5,0,1" for T_0/2 + T_2)."""
+    _check_int(seed, "seed", 0)
     if spec in _LIBRARY:
         return _LIBRARY[spec](seed)
     try:
@@ -111,37 +112,24 @@ class PropertyCheck:
 class Lemma1Report:
     checks: list[PropertyCheck]
     n_max: int
-    prefactor_scale: float
 
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
 
-def verify_lemma1(
-    n_max: int = 20,
-    grid: int = 24,
-    prefactor_scale: float = 1.0,
-    seed: int = 0,
-) -> Lemma1Report:
+def verify_lemma1(n_max: int = 20, grid: int = 24, seed: int = 0) -> Lemma1Report:
     """Check the five structural properties of the translation operator.
 
-    `prefactor_scale` is a fault-injection diagnostic: scaling the operator
-    by c makes the constant-preservation residual |c - 1| (and breaks the
-    identity and multiplier checks), while linearity and the rank-1 property
-    stay intact.
+    n_max <= 20 bounds the degrees of the identity check; the rank-1 check
+    needs grid >= 2 y values.
     """
-    if n_max > 20:
-        raise ValueError(f"n_max must be <= 20, got {n_max}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if grid < 2:
-        raise ValueError(f"grid must be >= 2 (the rank-1 check needs two y values), got {grid}")
+    if _check_int(n_max, "n_max", 0) > 20:
+        raise ValueError(f"n_max must be <= 20, got n_max = {n_max}")
+    _check_int(grid, "grid", 2)
+    _check_int(seed, "seed", 0)
     xg = np.linspace(-0.97, 0.97, grid)
     yg = np.linspace(-1.0, 1.0, grid)
-
-    def top(fn, y, x, M=None):
-        return prefactor_scale * translate(fn, y, x, M=M)
 
     checks: list[PropertyCheck] = []
 
@@ -153,8 +141,8 @@ def verify_lemma1(
     combo = lambda x: a * f1(x) + b * f2(x)
     resid = 0.0
     for y in (0.3, -0.8):
-        lhs = top(combo, y, xg, M=16)
-        rhs = a * top(f1, y, xg, M=16) + b * top(f2, y, xg, M=16)
+        lhs = translate(combo, y, xg, M=16)
+        rhs = a * translate(f1, y, xg, M=16) + b * translate(f2, y, xg, M=16)
         resid = max(resid, float(np.max(np.abs(lhs - rhs))))
     checks.append(PropertyCheck("linearity", resid, 1e-12))
 
@@ -162,7 +150,7 @@ def verify_lemma1(
     resid = 0.0
     for d in range(n_max + 1):
         pd = SampledFunction(lambda x, _d=d: jacobi_eval(JACOBI_22, _d, x), degree=d)
-        vals = top(pd, 1.0, xg)
+        vals = translate(pd, 1.0, xg)
         resid = max(resid, float(np.max(np.abs(vals - pd(xg)))))
     checks.append(PropertyCheck("identity", resid, 1e-10))
 
@@ -170,7 +158,7 @@ def verify_lemma1(
     resid = 0.0
     for n in range(min(n_max, 12) + 1):
         pn = SampledFunction(lambda x, _n=n: jacobi_eval(JACOBI_22, _n, x), degree=n)
-        A = np.ascontiguousarray(top(pn, yg, xg).T)  # column j is y = yg[j], in C order
+        A = np.ascontiguousarray(translate(pn, yg, xg).T)  # column j is y = yg[j], in C order
         sv = np.linalg.svd(A, compute_uv=False)
         sv_ratio = float(sv[1] / sv[0]) if sv[0] > 0 else 0.0
         profile = pn(xg)
@@ -181,7 +169,7 @@ def verify_lemma1(
 
     # property 4: T_y preserves constants (certifies the prefactor)
     one = lambda x: np.ones_like(x)
-    resid = float(np.max(np.abs(top(one, yg, xg, M=16) - 1.0)))
+    resid = float(np.max(np.abs(translate(one, yg, xg, M=16) - 1.0)))
     checks.append(PropertyCheck("constant", resid, 1e-12))
 
     # property 5: a_k(T_y f) = R_k(y) a_k(f) on a seeded degree-10 polynomial
@@ -192,11 +180,11 @@ def verify_lemma1(
     expected = np.array([multiplier_eval(mult, k, y9) for k in range(11)]).T * base
     resid = 0.0
     for y, exp_y in zip(y9, expected):
-        shifted = fourier_jacobi_series(lambda x: top(f, y, x), 10).values
+        shifted = fourier_jacobi_series(lambda x: translate(f, y, x), 10).values
         resid = max(resid, float(np.max(np.abs(shifted - exp_y))))
     checks.append(PropertyCheck("multiplier", resid, 1e-9))
 
-    return Lemma1Report(checks, n_max, prefactor_scale)
+    return Lemma1Report(checks, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +227,9 @@ def converse_table(
     `exceeds_zero_polynomial` (E_nu above ||f|| on the solver's own grid).
     """
     space.require_admissible()
-    n_list = [int(n) for n in n_list]
-    if not n_list or any(n < 1 for n in n_list):
-        raise ValueError("n_list must contain positive integers")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly ascending")
+    n_list = [_check_int(n, f"n_list[{i}]", 1) for i, n in enumerate(n_list)]
+    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"n_list must be non-empty and strictly ascending, got {n_list}")
     fn = as_sampled(f)
     seq = best_approx_sequence(fn, max(n_list), space)
     for r in seq:
@@ -276,8 +262,7 @@ def converse_table(
 
 def choose_block_level(n: int) -> int:
     """The integer N with n/2 < 2^N <= n + 1 (largest such power of two)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = _check_int(n, "n", 2)
     N = (n + 1).bit_length() - 1
     assert n / 2 < 2**N <= n + 1
     return N
@@ -307,8 +292,6 @@ def dyadic_bound(f, n: int, space: WeightedSpace) -> DyadicDecomposition:
     * block-sum step: 2^(2(mu-1)) E_{2^mu} <= sum_{nu=2^(mu-1)}^{2^mu-1} nu
       E_nu, which follows from monotonicity of E_nu.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
     space.require_admissible()
     fn = as_sampled(f)
     N = choose_block_level(n)
@@ -377,8 +360,7 @@ def class_fit(
     the fit degenerate, which is reported, not raised.
     """
     space.require_admissible(lam)
-    if n_max < 4:
-        raise ValueError(f"need n_max >= 4 for a fit, got {n_max}")
+    _check_int(n_max, "n_max", 4)  # a fit needs a few points
     fn = as_sampled(f)
 
     seq = best_approx_sequence(fn, n_max, space)

@@ -39,9 +39,8 @@ def _check_args(space: WeightedSpace, delta: float, t_grid: int) -> None:
     space.require_admissible()
     if not 0 <= delta < math.inf:  # NaN fails the comparison too
         raise ValueError(f"delta must be finite and >= 0, got delta = {delta}")
-    _check_int(t_grid, "t_grid")
-    if t_grid < 3 or t_grid % 2 == 0:
-        raise ValueError(f"t_grid must be odd and >= 3, got {t_grid}")
+    if _check_int(t_grid, "t_grid", 3) % 2 == 0:
+        raise ValueError(f"t_grid must be odd, got t_grid = {t_grid}")
 
 
 def _omegas(fn, deltas, space, t_grid, M, norm_resolution) -> list[ModulusReport]:

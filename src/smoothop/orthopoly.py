@@ -68,10 +68,14 @@ def _check_domain(v, name: str, what: str = "argument") -> None:
         raise ValueError(f"{what} outside [-1, 1]: {name} = {np.asarray(v)[~inside].flat[0]}")
 
 
-def _check_int(v, name: str) -> None:
-    """Raise ValueError naming `name` unless v is an integer (Python or numpy)."""
+def _check_int(v, name: str, minimum: int | None = None) -> int:
+    """v as a Python int; raises ValueError naming `name` unless v is an
+    integer (Python or numpy, not bool) and, if given, at least `minimum`."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {name} = {v!r}")
+    if minimum is not None and v < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {name} = {v}")
+    return int(v)
 
 
 def _require_finite(v: np.ndarray, x: np.ndarray) -> None:
@@ -151,9 +155,7 @@ def jacobi_eval(basis: JacobiBasis, n: int, x):
     -------
     float or ndarray, matching the shape of `x`.
     """
-    _check_int(n, "n")
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
+    _check_int(n, "n", 0)
     xs = np.asarray(x, dtype=float)
     _check_domain(xs, "x")
     for vals in _jacobi_standard(basis, n, xs):
@@ -184,9 +186,7 @@ def gauss_chebyshev(M: int) -> QuadratureRule:
     <= 2M - 1.  Nodes are cos((2j - 1) pi / (2M)), all weights pi / M.
     Rules are cached per M and shared, so their arrays are read-only.
     """
-    _check_int(M, "M")
-    if M < 1:
-        raise ValueError(f"need at least one node, got M = {M}")
+    _check_int(M, "M", 1)
     j = np.arange(1, M + 1)
     nodes = np.cos((2 * j - 1) * np.pi / (2 * M))[::-1].copy()
     weights = np.full(M, np.pi / M)
@@ -226,9 +226,7 @@ def gauss_legendre(M: int) -> QuadratureRule:
     Raises RuntimeError if any root fails to converge within 100 iterations.
     Rules are cached per M and shared, so their arrays are read-only.
     """
-    _check_int(M, "M")
-    if M < 1:
-        raise ValueError(f"need at least one node, got M = {M}")
+    _check_int(M, "M", 1)
     k = np.arange(M)
     x = np.cos(np.pi * (k + 0.75) / (M + 0.5))
     for _ in range(100):
@@ -283,9 +281,7 @@ def fourier_jacobi_coeff(f, n: int, M: int | None = None):
     function, shape (k, M), gets one coefficient per row.  A non-finite
     sample raises ValueError naming its x.
     """
-    _check_int(n, "n")
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
+    _check_int(n, "n", 0)
     if M is None:
         M = 2 * (n + 8)
     rule = gauss_legendre(M)
@@ -303,9 +299,7 @@ def fourier_jacobi_series(f, k_max: int, M: int | None = None) -> CoefficientSeq
 
     A non-finite sample raises ValueError naming its x.
     """
-    _check_int(k_max, "k_max")
-    if k_max < 0:
-        raise ValueError(f"k_max must be nonnegative, got {k_max}")
+    _check_int(k_max, "k_max", 0)
     if M is None:
         M = 2 * (k_max + 8)
     rule = gauss_legendre(M)

@@ -92,9 +92,7 @@ def _default_quad_size(f) -> int:
 
 
 def _check_translate_args(x: np.ndarray, y: np.ndarray, M: int) -> None:
-    _check_int(M, "M")
-    if M < 1:
-        raise ValueError(f"quadrature size must be positive, got M = {M}")
+    _check_int(M, "M", 1)
     _check_domain(y, "y", "translation parameter")
     inside = np.abs(x) <= 1 - EDGE_EPS  # NaN is never inside
     if not inside.all():
@@ -238,9 +236,7 @@ def multiplier_eval(mult: Multiplier, n: int, y):
             "multiplier has not been validated by calibration; "
             "run calibrate_multiplier first"
         )
-    _check_int(n, "n")
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
+    _check_int(n, "n", 0)
     ya = np.asarray(y, dtype=float)
     _check_domain(ya, "y")
     first = jacobi_eval(mult.first_term_basis, n + COMPANION_DEGREE_SHIFT, ya)
@@ -258,9 +254,7 @@ def fit_multiplier(n: int, y, M: int | None = None):
     the two coefficient integrals share one Gauss-Legendre grid sized to be
     exact as well.
     """
-    _check_int(n, "n")
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
+    _check_int(n, "n", 0)
     if M is None:
         M = _exact_quad_size(n)
 
@@ -303,8 +297,7 @@ def calibrate_multiplier(
         candidates = DEFAULT_CANDIDATES
     if not candidates:
         raise ValueError("need at least one candidate")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    _check_int(n_max, "n_max", 0)
     if y_grid is None:
         y_grid = np.linspace(-0.9, 0.9, 7)
     y_grid = np.asarray(y_grid, dtype=float)

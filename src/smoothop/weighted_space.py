@@ -65,11 +65,9 @@ class WeightedSpace:
         (default 4097), built once per resolution."""
         if resolution is None:  # the default is the same grid, not a second one
             return self._grid(4097 if self.is_sup else 256)
-        _check_int(resolution, "resolution")
         if self.is_sup:
             return _NormGrid(self, sup_grid(resolution), None)
-        if resolution < 16:
-            raise ValueError(f"resolution must be at least 16, got {resolution}")
+        _check_int(resolution, "resolution", 16)
         rule = gauss_legendre(resolution)
         return _NormGrid(self, rule.nodes, rule.weights)
 
@@ -145,7 +143,7 @@ def as_sampled(f, name: str = "f", degree: int | None = None) -> SampledFunction
     return SampledFunction(f, name=name, degree=degree)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)  # typed: a float is refused, not served from the cache
 def sup_grid(resolution: int = 4097) -> np.ndarray:
     """Chebyshev-extrema-distributed grid, scaled into |x| <= 1 - EDGE_EPS.
 
@@ -154,8 +152,7 @@ def sup_grid(resolution: int = 4097) -> np.ndarray:
     so refining can only increase a grid max.  The scaling keeps every point
     outside the translation operator's singular edge band.
     """
-    if resolution < 16:
-        raise ValueError(f"resolution must be at least 16, got {resolution}")
+    _check_int(resolution, "resolution", 16)
     i = np.arange(resolution)
     grid = (1.0 - EDGE_EPS) * np.cos(np.pi * i / (resolution - 1))
     grid = grid[::-1].copy()

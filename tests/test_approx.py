@@ -8,6 +8,7 @@ from scipy.optimize import linprog
 from smoothop import approx, get_test_function
 from smoothop.approx import (
     _gram,
+    _initial_reference,
     _lane_mask,
     _tril_inverse,
     _weighted_least_squares,
@@ -180,12 +181,32 @@ class TestExchange:
     def test_matches_linear_program(self):
         # same grid, same discrete problem, independent solver
         fs = {"abs": np.abs, "absshift": lambda x: np.abs(x - 0.25)}
+        cases = [(name, n) for name in fs for n in (1, 2, 3, 5, 6)] + [("abs", 128)]
         grid = sup_grid(4097)
-        for name, f in fs.items():
-            for n in (1, 2, 3, 5, 6):
-                lp = minimax_lp(f, n, 1.0, grid)
-                r = best_approx(f, n, SPINF)
-                assert_allclose(r.value, lp, rtol=1e-9, err_msg=f"{name}, n={n}")
+        for name, n in cases:
+            lp = minimax_lp(fs[name], n, 1.0, grid)
+            r = best_approx(fs[name], n, SPINF)
+            assert_allclose(r.value, lp, rtol=1e-9, err_msg=f"{name}, n={n}")
+
+    def test_seed_is_n_plus_1_increasing_grid_indices(self):
+        ws = _Workspace(as_sampled(np.abs), SPINF, 1)
+        last = ws.grid.x.size - 1
+        for n in range(1, last // 4 + 1):
+            idx = _initial_reference(ws, n)
+            assert idx.shape == (n + 1,), n
+            assert 0 <= idx[0] and idx[-1] <= last, n
+            # at least 3 apart, so no two seed points share a grid point
+            assert np.diff(idx).min() >= 3, n
+
+    @pytest.mark.parametrize("name, n_max", [
+        ("abs", 128), ("absshift", 128), ("signabs32", 128),
+        ("randpoly", 64), ("x", 64), ("one", 64),
+    ])
+    def test_sup_sequences_carry_no_flag(self, name, n_max):
+        # seeded at Chebyshev points, the exchange certifies every degree
+        seq = best_approx_sequence(get_test_function(name), n_max, SPINF)
+        assert [(r.n, r.flags) for r in seq if r.flags] == []
+        assert all(r.equioscillation for r in seq)
 
     def test_equioscillation_certificate(self):
         r = best_approx(np.abs, 5, SPINF)
@@ -304,8 +325,9 @@ class TestLockstep:
 
 
 @pytest.mark.parametrize("name", ["randpoly", "one", "x"])
-def test_no_value_above_the_zero_polynomial(name):
-    # the exchange solver collapses on these inputs from nu ~ 30-40 on
+def test_no_value_above_the_zero_polynomial(name, collapse_exchange_from):
+    # a collapsed exchange solve from nu = 30 on is replaced by the zero polynomial
+    collapse_exchange_from(30)
     f = get_test_function(name)
     xs = sup_grid(4097)
     zero_error = float(np.max(np.abs((1 - xs**2) * f(xs))))

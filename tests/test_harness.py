@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from smoothop import modulus
+from smoothop import harness, modulus
 from smoothop.cli import main
 from smoothop.harness import (
     TEST_FUNCTION_NAMES,
@@ -18,11 +18,21 @@ from smoothop.harness import (
     verify_lemma1,
 )
 from smoothop.modulus import modulus_omega
-from smoothop.translation import translate_trig
+from smoothop.translation import translate, translate_trig
 from smoothop.weighted_space import WeightedSpace
 
 SP2 = WeightedSpace(2.0, 1.0)
 SPINF = WeightedSpace(math.inf, 1.0)
+
+
+@pytest.fixture
+def prefactor_fault(monkeypatch):
+    """Scale the operator that verify_lemma1 checks by 1.01."""
+
+    def scaled(f, y, x, M=None):
+        return 1.01 * translate(f, y, x, M=M)
+
+    monkeypatch.setattr(harness, "translate", scaled)
 
 
 class TestFunctionLibrary:
@@ -64,8 +74,8 @@ class TestVerifyLemma1:
         names = [c.name for c in report.checks]
         assert names == ["linearity", "identity", "rank1", "constant", "multiplier"]
 
-    def test_injected_prefactor_fault_is_caught(self):
-        report = verify_lemma1(n_max=4, grid=12, prefactor_scale=1.01)
+    def test_injected_prefactor_fault_is_caught(self, prefactor_fault):
+        report = verify_lemma1(n_max=4, grid=12)
         by_name = {c.name: c for c in report.checks}
         assert not by_name["constant"].passed
         assert 0.005 < by_name["constant"].max_residual < 0.02
@@ -116,9 +126,13 @@ class TestConverseTable:
         with pytest.raises(ValueError, match="admissible"):
             converse_table(np.abs, [2, 4], WeightedSpace(1.0, 0.4))
 
-    def test_collapsed_sup_solver_rejected_before_any_omega(self, monkeypatch):
-        # the exchange solver collapses from nu = 115 on for |x| (E_115 ~ 1.5e10
-        # against ||f|| ~ 0.385); the table must refuse, not sum it
+    def test_collapsed_sup_solver_rejected_before_any_omega(
+        self, monkeypatch, collapse_exchange_from
+    ):
+        # an exchange solve that collapses from nu = 115 on for |x| (E_115 ~ 1e10
+        # against ||f|| ~ 0.385): the table must refuse, not sum it
+        collapse_exchange_from(115)
+
         def no_omega(*args, **kwargs):
             raise AssertionError("omega computed for a table that must be refused")
 
@@ -220,9 +234,8 @@ class TestCLI:
         assert code == 0
         assert out.count("PASS") == 5
 
-    def test_verify_lemma1_fault_exit_one(self, capsys):
-        code = main(["verify-lemma1", "--n-max", "4", "--grid", "12",
-                     "--prefactor-scale", "1.01"])
+    def test_verify_lemma1_fault_exit_one(self, capsys, prefactor_fault):
+        code = main(["verify-lemma1", "--n-max", "4", "--grid", "12"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,14 @@ from scipy.special import eval_jacobi
 
 from smoothop import orthopoly
 from smoothop.approx import best_approx, best_approx_sequence
+from smoothop.harness import (
+    choose_block_level,
+    class_fit,
+    converse_table,
+    dyadic_bound,
+    get_test_function,
+    verify_lemma1,
+)
 from smoothop.modulus import modulus_omega
 from smoothop.orthopoly import (
     JACOBI_22,
@@ -20,8 +29,14 @@ from smoothop.orthopoly import (
     gauss_legendre,
     jacobi_eval,
 )
-from smoothop.translation import default_multiplier, multiplier_eval, translate
-from smoothop.weighted_space import WeightedSpace, weighted_norm
+from smoothop.translation import (
+    calibrate_multiplier,
+    default_multiplier,
+    fit_multiplier,
+    multiplier_eval,
+    translate,
+)
+from smoothop.weighted_space import WeightedSpace, sup_grid, weighted_norm
 
 
 def jacobi_reference(basis, n, x):
@@ -319,11 +334,57 @@ SP2 = WeightedSpace(2, 1)
     pytest.param(lambda: best_approx_sequence(np.abs, 4.0, SP2), "n_max", id="best_approx_sequence"),
     pytest.param(lambda: weighted_norm(np.abs, SP2, math.nan), "resolution", id="weighted_norm-nan"),
     pytest.param(lambda: modulus_omega(np.abs, 0.1, SP2, t_grid=5.0), "t_grid", id="modulus-t_grid"),
-    # an integral float is refused even when the integer's rule is cached
+    # an integral float is refused even when the integer's rule or grid is cached
     pytest.param(lambda: gauss_legendre(16) and gauss_legendre(16.0), "M", id="cached-float"),
+    pytest.param(lambda: sup_grid(4097).size and sup_grid(4097.0), "resolution",
+                 id="sup_grid-cached-float"),
+    # sup_grid(16.5) used to return a grid whose first two points coincide
+    pytest.param(lambda: sup_grid(16.5), "resolution", id="sup_grid"),
+    pytest.param(lambda: fit_multiplier(1.5, 0.3), "n", id="fit_multiplier"),
+    pytest.param(lambda: calibrate_multiplier(n_max=2.5), "n_max", id="calibrate_multiplier"),
+    # converse_table used to compute the row of int(4.5) = 4
+    pytest.param(lambda: converse_table(np.abs, [4.5, 8], SP2), "n_list[0]",
+                 id="converse_table"),
+    pytest.param(lambda: verify_lemma1(n_max=2.5), "n_max", id="verify_lemma1-n_max"),
+    pytest.param(lambda: verify_lemma1(n_max=True), "n_max", id="verify_lemma1-bool"),
+    pytest.param(lambda: verify_lemma1(grid=5.5), "grid", id="verify_lemma1-grid"),
+    pytest.param(lambda: verify_lemma1(seed=0.5), "seed", id="verify_lemma1-seed"),
+    pytest.param(lambda: get_test_function("abs", seed=1.5), "seed", id="get_test_function"),
+    pytest.param(lambda: choose_block_level(2.5), "n", id="choose_block_level"),
+    pytest.param(lambda: dyadic_bound(np.abs, 8.5, SP2), "n", id="dyadic_bound"),
+    pytest.param(lambda: class_fit(np.abs, SP2, 8.5), "n_max", id="class_fit"),
 ])
 def test_non_integer_size_or_degree_named(call, name):
-    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+    with pytest.raises(ValueError, match=f"{re.escape(name)} must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: gauss_legendre(0), "M", id="gauss_legendre"),
+    pytest.param(lambda: gauss_chebyshev(0), "M", id="gauss_chebyshev"),
+    pytest.param(lambda: translate(np.abs, 0.3, 0.1, M=0), "M", id="translate-M"),
+    pytest.param(lambda: jacobi_eval(JACOBI_22, -1, 0.3), "n", id="jacobi_eval"),
+    pytest.param(lambda: multiplier_eval(default_multiplier(), -1, 0.3), "n", id="multiplier_eval"),
+    pytest.param(lambda: fit_multiplier(-1, 0.3), "n", id="fit_multiplier"),
+    pytest.param(lambda: calibrate_multiplier(n_max=-1), "n_max", id="calibrate_multiplier"),
+    pytest.param(lambda: fourier_jacobi_coeff(np.abs, -1), "n", id="fourier_jacobi_coeff"),
+    pytest.param(lambda: fourier_jacobi_series(np.abs, -1), "k_max", id="fourier_jacobi_series"),
+    pytest.param(lambda: sup_grid(15), "resolution", id="sup_grid"),
+    pytest.param(lambda: weighted_norm(np.abs, SP2, 15), "resolution", id="weighted_norm"),
+    pytest.param(lambda: modulus_omega(np.abs, 0.1, SP2, t_grid=1), "t_grid", id="modulus-t_grid"),
+    pytest.param(lambda: best_approx(np.abs, 0, SP2), "n", id="best_approx"),
+    pytest.param(lambda: best_approx_sequence(np.abs, 0, SP2), "n_max", id="best_approx_sequence"),
+    pytest.param(lambda: converse_table(np.abs, [4, 0], SP2), "n_list[1]", id="converse_table"),
+    pytest.param(lambda: verify_lemma1(n_max=-1), "n_max", id="verify_lemma1-n_max"),
+    pytest.param(lambda: verify_lemma1(grid=1), "grid", id="verify_lemma1-grid"),
+    pytest.param(lambda: verify_lemma1(seed=-1), "seed", id="verify_lemma1-seed"),
+    pytest.param(lambda: get_test_function("randpoly", seed=-1), "seed", id="get_test_function"),
+    pytest.param(lambda: choose_block_level(1), "n", id="choose_block_level"),
+    pytest.param(lambda: dyadic_bound(np.abs, 1, SP2), "n", id="dyadic_bound"),
+    pytest.param(lambda: class_fit(np.abs, SP2, 3), "n_max", id="class_fit"),
+])
+def test_integer_below_minimum_named(call, name):
+    with pytest.raises(ValueError, match=f"{re.escape(name)} must be >= "):
         call()
 
 
@@ -332,3 +393,4 @@ def test_numpy_integers_accepted():
     assert jacobi_eval(JACOBI_22, n, 0.3) == jacobi_eval(JACOBI_22, 3, 0.3)
     assert np.array_equal(gauss_legendre(M).nodes, gauss_legendre(16).nodes)
     assert fourier_jacobi_series(np.abs, n).values.size == 4
+    assert choose_block_level(np.int64(8)) == 3  # numpy ints lack bit_length
