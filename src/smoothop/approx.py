@@ -18,18 +18,23 @@ Solvers by exponent:
 * p = 1 and general p: iteratively reweighted least squares (IRLS) on a
   1025-point Gauss-Legendre grid.  The degrees of a sequence run as lanes in
   lockstep: one shared warm start, then one stacked weighted least-squares
-  solve per iteration for the lanes still active.  A lane leaves the stack
-  when it converges, at the iteration limit, or when its normal equations
-  are singular.  `best_approx(f, n)` is a sequence of one lane.
+  solve per iteration for the lanes still active.  Each iteration solves in
+  correction form: it adds G^{-1} V^T (w rho) to the lane's iterate c, with
+  the residual rho = f - V c the lane already holds.  A lane leaves the
+  stack when it converges, at the iteration limit, or when its normal
+  equations are singular.  `best_approx(f, n)` is a sequence of one lane.
 
 Every weighted least-squares solve goes through the normal equations.  The
 Gram matrix V^T diag(w) V comes from the weighted Chebyshev moments
 m_k = sum_x w(x) T_k(x), since T_i T_j = (T_{i+j} + T_{|i-j|}) / 2; it is
 factored by Cholesky, the whole stack of factors is inverted by 2 x 2 block
-recursion in batched matmuls (no LU), and the solution is refined three
-times on its residual V^T (w (f - V c)) (fixed-precision iterative
-refinement).  n may not exceed a quarter of the solver's grid, so that V
-itself has full rank.
+recursion in batched matmuls (no LU), and the solution is refined on its
+residual V^T (w (f - V c)) (fixed-precision iterative refinement): three
+times after a plain solve from c = 0 (the p = 2 projection and the IRLS
+warm start), once after an IRLS correction.  An IRLS iteration thus makes
+five products with the grid-sized design: the Gram moments, V^T (w rho),
+one refinement step (V c and V^T r), and the new residual V c.  n may not
+exceed a quarter of the solver's grid, so that V itself has full rank.
 The Gram matrix can still be numerically singular when the weights span too
 many orders of magnitude, as IRLS weights do for p >= 6; Cholesky then
 fails, and the IRLS lane stops with the flag `singular_normal_equations`
@@ -205,7 +210,12 @@ def _tril_inverse(L: np.ndarray) -> np.ndarray:
     return X[:, :N, :N]
 
 
-def _weighted_least_squares(ws: _Workspace, w: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _weighted_least_squares(
+    ws: _Workspace,
+    w: np.ndarray,
+    mask: np.ndarray,
+    start: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Minimize sum_x w_k(x) (f(x) - (V c_k)(x))^2 for every lane k at once.
 
     Lane k fits the first n_k Chebyshev coefficients that row k of `mask`
@@ -219,13 +229,22 @@ def _weighted_least_squares(ws: _Workspace, w: np.ndarray, mask: np.ndarray) -> 
     A shared row is factored once, at the top degree N: the leading n x n
     blocks of L and L^{-1} are the factor and its inverse for degree n, so
     lane n cuts L^{-1} r to its first n entries between the two triangular
-    products.  Each of _REFINE_STEPS refinement steps solves G d = V^T
-    (w (f - V c)) for the current residual and adds d to c; A = diag(sqrt w) V
-    is never formed.  The moment Gram is less exact than A^T A, so three
+    products.  A refinement step solves G d = V^T (w (f - V c)) for the
+    current residual and adds d to c; A = diag(sqrt w) V is never formed.
+
+    The cold path (no `start`) refines the plain solve from c = 0
+    _REFINE_STEPS times.  The moment Gram is less exact than A^T A, so three
     steps are taken: on a p = 1 IRLS design with cond(A) >= 1e6 the refined
     c is within 3.5e-13 relative of an SVD-based solve, and two steps leave
-    2.2e-10.  Raises LinAlgError when some Gram matrix is not numerically
-    positive definite.
+    2.2e-10.  `start` = (c, f - V c) holds an iterate per lane and its
+    residual, as IRLS keeps them.  The solve is then in correction form:
+    c + G^{-1} V^T (w (f - V c)) is a refinement step from c that needs no
+    product to find its residual, and one more step follows.  The error left
+    grows with the distance from c to the solution, so this path is for
+    iterates near it; in IRLS runs to n = 128 each step stays within
+    2.7e-10 relative of an SVD-based solve (README lists the figures).
+    Raises LinAlgError when some Gram matrix is not numerically positive
+    definite.
     """
     N = mask.shape[1]
     V = ws.vander[:, :N]
@@ -237,9 +256,16 @@ def _weighted_least_squares(ws: _Workspace, w: np.ndarray, mask: np.ndarray) -> 
         y = (L_inv @ rhs[:, :, None])[:, :, 0] * mask
         return (L_inv_T @ y[:, :, None])[:, :, 0]
 
-    coef = apply((w * ws.fx) @ V)  # the plain solve: from c = 0 the residual is f
-    r = np.empty((len(mask), ws.fx.size))
-    for _ in range(_REFINE_STEPS):
+    if start is None:
+        coef = apply((w * ws.fx) @ V)  # the plain solve: from c = 0 the residual is f
+        r = np.empty((len(mask), ws.fx.size))
+        steps = _REFINE_STEPS
+    else:
+        coef, resid = start
+        r = np.multiply(w, resid)
+        coef = coef + apply(r @ V)
+        steps = 1
+    for _ in range(steps):
         np.matmul(coef, V.T, out=r)
         np.subtract(ws.fx, r, out=r)
         r *= w
@@ -293,7 +319,9 @@ def _solve_irls(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
     lane = np.arange(len(ns))  # the active lanes, in stack order
     # weighted L2 warm start: one weight vector, one factorization
     coef = _weighted_least_squares(ws, base[None], lanes)
-    e = grid.wgt * (ws.fx - coef @ V.T)
+    rho = coef @ V.T  # the residual f - V c of each lane
+    np.subtract(ws.fx, rho, out=rho)
+    e = grid.wgt * rho
     value = grid.norm(e)
     gap = np.full(len(ns), math.inf)
     for it in range(1, _IRLS_MAX_ITER + 1):
@@ -304,20 +332,23 @@ def _solve_irls(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
         w **= p - 2.0
         w *= base
         try:
-            new = _weighted_least_squares(ws, w, lanes[lane])
+            new = _weighted_least_squares(ws, w, lanes[lane], (coef, rho))
         except np.linalg.LinAlgError:  # find the singular lanes one by one
             new, keep = coef.copy(), np.ones(len(lane), dtype=bool)
             for k in range(len(lane)):
+                start = (coef[k, None], rho[k, None])
                 try:
-                    new[k] = _weighted_least_squares(ws, w[k, None], lanes[lane[k], None])[0]
+                    new[k] = _weighted_least_squares(ws, w[k, None], lanes[lane[k], None], start)[0]
                 except np.linalg.LinAlgError:
                     keep[k] = False
                     finish(k, it, ("singular_normal_equations",))
-            lane, coef, value, gap, new = lane[keep], coef[keep], value[keep], gap[keep], new[keep]
+            lane, value, gap, new = lane[keep], value[keep], gap[keep], new[keep]
+            rho, w = rho[keep], w[keep]
         coef = new
-        e = coef @ V.T
-        np.subtract(ws.fx, e, out=e)
-        e *= grid.wgt
+        # rho and e are recomputed in the buffers of the old residual and of w
+        np.matmul(coef, V.T, out=rho)
+        np.subtract(ws.fx, rho, out=rho)
+        e = np.multiply(grid.wgt, rho, out=w)
         new_value = grid.norm(e)
         gap = np.abs(new_value - value)
         value = new_value
@@ -325,7 +356,8 @@ def _solve_irls(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
         if done.any():
             for k in np.flatnonzero(done):
                 finish(k, it)
-            lane, coef, e, value, gap = lane[~done], coef[~done], e[~done], value[~done], gap[~done]
+            lane, coef, rho, e = lane[~done], coef[~done], rho[~done], e[~done]
+            value, gap = value[~done], gap[~done]
         if not lane.size:
             break
     for k in range(len(lane)):

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as C
 
 from .approx import best_approx_sequence
-from .modulus import modulus_curve
+from .modulus import _check_omega_args, modulus_curve
 from .orthopoly import JACOBI_22, _check_int, fourier_jacobi_series, jacobi_eval
 from .translation import default_multiplier, multiplier_eval, translate
 from .weighted_space import (
@@ -222,14 +222,17 @@ def converse_table(
     ratio = omega(f, 1/n) * n^2 / sum_{nu=1..n} nu * E_nu.  The converse
     inequality bounds the ratio by a constant independent of f and n.
 
-    Raises ValueError, before any omega is computed, when some E_nu is not a
-    usable best approximation: its solver flags `reference_collapse`, or
-    `exceeds_zero_polynomial` (E_nu above ||f|| on the solver's own grid).
+    Raises ValueError before any E_nu is solved for a bad parameter of omega
+    (t_grid, M, norm_resolution).  Raises ValueError, before any omega is
+    computed, when some E_nu is not a usable best approximation: its solver
+    flags `reference_collapse`, or `exceeds_zero_polynomial` (E_nu above
+    ||f|| on the solver's own grid).
     """
     space.require_admissible()
     n_list = [_check_int(n, f"n_list[{i}]", 1) for i, n in enumerate(n_list)]
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"n_list must be non-empty and strictly ascending, got {n_list}")
+    _check_omega_args(space, [1.0 / n for n in n_list], t_grid, M, norm_resolution)
     fn = as_sampled(f)
     seq = best_approx_sequence(fn, max(n_list), space)
     for r in seq:
@@ -357,10 +360,13 @@ def class_fit(
 
     Both exponents estimate the same smoothness parameter; their difference
     is the desk-scale check.  Underflowing sequences (polynomial input) make
-    the fit degenerate, which is reported, not raised.
+    the fit degenerate, which is reported, not raised.  A bad parameter of
+    omega (t_grid, M) is refused before any E_n is solved.
     """
     space.require_admissible(lam)
     _check_int(n_max, "n_max", 4)  # a fit needs a few points
+    ns = [2**k for k in range(1, 13) if 2**k <= n_max]
+    _check_omega_args(space, [1.0 / n for n in ns], t_grid, M, None)
     fn = as_sampled(f)
 
     seq = best_approx_sequence(fn, n_max, space)
@@ -368,7 +374,6 @@ def class_fit(
     nu = np.arange(1, n_max + 1)
     mask = e > 1e-12
 
-    ns = [2**k for k in range(1, 13) if 2**k <= n_max]
     omegas = np.array(_omegas_at_reciprocals(fn, ns, space, t_grid, M))
     deltas = 1.0 / np.asarray(ns, dtype=float)
     wmask = omegas > 1e-14

@@ -35,12 +35,30 @@ class ModulusReport:
     flags: tuple[str, ...] = ()
 
 
-def _check_args(space: WeightedSpace, delta: float, t_grid: int) -> None:
+def _check_omega_args(space: WeightedSpace, deltas, t_grid: int, M, norm_resolution):
+    """Check every parameter of the omega computations at `deltas`; returns
+    the norm grid.  Cheap, so a driver that first solves for best
+    approximations checks here before it solves.
+    """
     space.require_admissible()
-    if not 0 <= delta < math.inf:  # NaN fails the comparison too
-        raise ValueError(f"delta must be finite and >= 0, got delta = {delta}")
+    for delta in deltas:
+        if not 0 <= delta < math.inf:  # NaN fails the comparison too
+            raise ValueError(f"delta must be finite and >= 0, got delta = {delta}")
     if _check_int(t_grid, "t_grid", 3) % 2 == 0:
         raise ValueError(f"t_grid must be odd, got t_grid = {t_grid}")
+    if M is not None:
+        _check_int(M, "M", 1)
+    if norm_resolution is not None:
+        _check_int(norm_resolution, "norm_resolution", 16)
+    grid = space._grid(norm_resolution)
+    edge = float(np.abs(grid.x).max())
+    if any(deltas) and not edge <= 1 - EDGE_EPS:
+        raise ValueError(
+            f"norm_resolution = {grid.x.size} puts a norm grid point at |x| = {edge}, inside "
+            f"the translation's singular edge band (need |x| <= 1 - {EDGE_EPS}); "
+            f"use a coarser norm_resolution"
+        )
+    return grid
 
 
 def _omegas(fn, deltas, space, t_grid, M, norm_resolution) -> list[ModulusReport]:
@@ -54,18 +72,9 @@ def _omegas(fn, deltas, space, t_grid, M, norm_resolution) -> list[ModulusReport
     are translated in one call.  Ties go to the first t of each delta's own
     grid.
     """
-    for delta in deltas:
-        _check_args(space, delta, t_grid)
-    grid = space._grid(norm_resolution)
+    grid = _check_omega_args(space, deltas, t_grid, M, norm_resolution)
     res = grid.x.size
     if any(deltas):
-        edge = float(np.abs(grid.x).max())
-        if not edge <= 1 - EDGE_EPS:
-            raise ValueError(
-                f"norm_resolution = {res} puts a norm grid point at |x| = {edge}, inside "
-                f"the translation's singular edge band (need |x| <= 1 - {EDGE_EPS}); "
-                f"use a coarser norm_resolution"
-            )
         fx = fn(grid.x)
     dist: dict[float, float] = {}
     reports = []

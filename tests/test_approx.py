@@ -163,8 +163,8 @@ class TestWeightedLeastSquares:
 
     @pytest.mark.parametrize("N", [17, 32])
     def test_lanes_match_svd_solve(self, N):
-        # the IRLS path: lanes n = 1..N, each with its own p = 1 weight row;
-        # N = 17 pads the factor stack to 32
+        # the cold path with lanes n = 1..N, each with its own p = 1 weight
+        # row; N = 17 pads the factor stack to 32
         ns = list(range(1, N + 1))
         cond = assert_lanes_match_svd_solve(ns, np.array([p1_irls_weights(n) for n in ns]))
         assert cond >= 1e5
@@ -175,6 +175,21 @@ class TestWeightedLeastSquares:
         rule = gauss_legendre(1025)
         w = rule.weights * (1 - rule.nodes**2) ** 2
         assert_lanes_match_svd_solve(list(range(1, 65)), w[None])
+
+    def test_started_solve_matches_cold_solve(self):
+        # the correction form of the first p = 1 IRLS step at n = 128: from the
+        # p = 2 warm start and its residual, with the weights base / |e| that
+        # residual gives, cond(A) = 2e5
+        ws, mask = shifted_abs_workspace(128), _lane_mask([128])
+        base = ws.grid.qw * ws.grid.wgt**2
+        c0 = _weighted_least_squares(ws, base[None], mask)
+        resid = ws.fx - c0 @ ws.vander.T
+        w = base / np.maximum(np.abs(ws.grid.wgt * resid), approx._IRLS_RESIDUAL_FLOOR)
+        assert np.linalg.cond(ws.vander * np.sqrt(w[0])[:, None]) >= 1e5
+        started = _weighted_least_squares(ws, w, mask, (c0, resid))
+        cold = _weighted_least_squares(ws, w, mask)
+        # 4.0e-13 measured
+        assert np.linalg.norm(started - cold) <= 1e-12 * np.linalg.norm(cold)
 
 
 class TestExchange:
@@ -247,27 +262,32 @@ class TestIRLS:
 
     def test_every_step_matches_svd_solve_at_degree_64(self, monkeypatch):
         # p = 1, alpha = 1 at the CLI's default n = 64: the IRLS weights drive cond(A)
-        # to about 5e5.  Each step is checked against an SVD-based solve of
-        # the same design, and the run driven by that solve gives the same E.
-        deviations = []
+        # to about 5e5; p = 1.5 and p = 3 at n = 16 as in the benchmark's
+        # sequences.  Each step, cold or started from the last iterate, is
+        # checked against an SVD-based solve of the same design, and the run
+        # driven by that solve gives the same E.
+        solve = _weighted_least_squares
+        for p, n_top in [(1.0, 64), (1.5, 16), (3.0, 16)]:
+            deviations = []
 
-        def svd_driven(ws, w, mask):
-            coef = _weighted_least_squares(ws, w, mask)
-            ref = np.zeros_like(coef)
-            for k, lane in enumerate(mask):
-                n, s = int(lane.sum()), np.sqrt(w[min(k, len(w) - 1)])
-                A = ws.vander[:, :n] * s[:, None]
-                ref[k, :n], *_ = np.linalg.lstsq(A, ws.fx * s, rcond=None)
-                deviations.append(np.linalg.norm(coef[k] - ref[k]) / np.linalg.norm(ref[k]))
-            return ref
+            def svd_driven(ws, w, mask, start=None):
+                coef = solve(ws, w, mask, start)
+                ref = np.zeros_like(coef)
+                for k, lane in enumerate(mask):
+                    n, s = int(lane.sum()), np.sqrt(w[min(k, len(w) - 1)])
+                    A = ws.vander[:, :n] * s[:, None]
+                    ref[k, :n], *_ = np.linalg.lstsq(A, ws.fx * s, rcond=None)
+                    deviations.append(np.linalg.norm(coef[k] - ref[k]) / np.linalg.norm(ref[k]))
+                return ref
 
-        sp = WeightedSpace(1.0, 1.0)
-        expected = best_approx(np.abs, 64, sp)
-        monkeypatch.setattr(approx, "_weighted_least_squares", svd_driven)
-        r = best_approx(np.abs, 64, sp)
-        assert len(deviations) == r.iterations + 1
-        assert max(deviations) <= 1e-10
-        assert_allclose(expected.value, r.value, rtol=1e-10)
+            sp = WeightedSpace(p, 1.0)
+            expected = best_approx(np.abs, n_top, sp)
+            monkeypatch.setattr(approx, "_weighted_least_squares", svd_driven)
+            r = best_approx(np.abs, n_top, sp)
+            monkeypatch.undo()
+            assert len(deviations) == r.iterations + 1, p
+            assert max(deviations) <= 1e-10, p
+            assert_allclose(expected.value, r.value, rtol=1e-10, err_msg=f"p={p}")
 
     def test_singular_normal_equations_flagged_not_raised(self):
         # at p = 6 the weights |e|^(p-2) span too many orders of magnitude

@@ -227,6 +227,37 @@ class TestClassFit:
             class_fit(np.abs, SP2, 16, lam=2.5)
 
 
+def _table(**kwargs):
+    return converse_table(np.abs, [4, 16, 64, 256], SPINF, **kwargs)
+
+
+def _fit(**kwargs):
+    return class_fit(np.abs, SPINF, 256, **kwargs)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: _table(t_grid=4), "t_grid must be odd", id="table-t_grid-even"),
+    pytest.param(lambda: _table(t_grid=5.0), "t_grid must be an integer", id="table-t_grid-float"),
+    pytest.param(lambda: _table(M=0), "M must be >= 1", id="table-M"),
+    pytest.param(lambda: _table(norm_resolution=15), "norm_resolution must be >= 16",
+                 id="table-norm_resolution"),
+    # Gauss-Legendre nodes come within the translation's edge band from 1700 nodes on
+    pytest.param(lambda: converse_table(np.abs, [4, 64], SP2, norm_resolution=2048),
+                 "norm_resolution = 2048", id="table-norm_resolution-edge"),
+    pytest.param(lambda: _fit(t_grid=4), "t_grid must be odd", id="fit-t_grid-even"),
+    pytest.param(lambda: _fit(t_grid=5.0), "t_grid must be an integer", id="fit-t_grid-float"),
+    pytest.param(lambda: _fit(M=0), "M must be >= 1", id="fit-M"),
+])
+def test_omega_parameters_refused_before_any_solve(monkeypatch, call, message):
+    # a bad parameter of omega costs no E_nu solve, which takes seconds at n = 256
+    def no_solve(*args, **kwargs):
+        raise AssertionError("best approximations solved before omega's parameters were checked")
+
+    monkeypatch.setattr(harness, "best_approx_sequence", no_solve)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 class TestCLI:
     def test_verify_lemma1_exit_zero(self, capsys):
         code = main(["verify-lemma1", "--n-max", "6", "--grid", "12"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -170,3 +171,20 @@ def test_norm_grid_in_the_edge_band_named(monkeypatch):
         converse_table(np.abs, [4, 8], SP2, norm_resolution=2048)
     monkeypatch.undo()
     assert modulus_curve(np.abs, [0.1], WeightedSpace(1.5, 1), norm_resolution=1025)[0].value > 0
+
+
+@pytest.mark.parametrize("space", [SP2, SPINF], ids=["p2", "sup"])
+@pytest.mark.parametrize("size, message", [
+    (15, "norm_resolution must be >= 16, got norm_resolution = 15"),
+    (16.5, "norm_resolution must be an integer, got norm_resolution = 16.5"),
+], ids=["below-16", "float"])
+@pytest.mark.parametrize("entry", ["modulus_omega", "modulus_curve", "converse_table"])
+def test_bad_norm_resolution_named(entry, size, message, space):
+    # the parameter is named as the caller passed it, not as the norm's `resolution`
+    call = {
+        "modulus_omega": lambda: modulus_omega(np.abs, 0.1, space, norm_resolution=size),
+        "modulus_curve": lambda: modulus_curve(np.abs, [0.1], space, norm_resolution=size),
+        "converse_table": lambda: converse_table(np.abs, [4, 8], space, norm_resolution=size),
+    }[entry]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
