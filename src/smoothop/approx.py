@@ -40,6 +40,25 @@ many orders of magnitude, as IRLS weights do for p >= 6; Cholesky then
 fails, and the IRLS lane stops with the flag `singular_normal_equations`
 and keeps its last iterate.
 
+Even and odd inputs (finite p).  The Gauss-Legendre grid, its weights and
+(1 - x^2)^alpha are symmetric about 0 bit for bit.  When f's samples are
+too, even or odd, reflecting x -> -x maps a best approximation to another
+one, and their average, of f's parity, is no worse: E_n has a minimiser in
+the even (odd) Chebyshev columns alone, and E_{2k-1} = E_{2k} for even f
+(E_{2k} = E_{2k+1} for odd f) exactly.  The workspace then keeps only those
+columns, and each distinct count of kept degrees below n is solved once;
+an odd f at n = 1 has none and gets the zero polynomial.  Any other f keeps
+every column.  p = inf is left out: the sup grid is not symmetric bit for
+bit, and the even polynomials are no Haar system on [-1, 1], which the
+exchange needs.
+
+Scale.  Every absolute tolerance (the IRLS residual floor and stop test,
+the exchange's stop, feasibility and levelling tests, the monotonicity
+slack of a sequence) is relative to ||f|| on the solver's grid, the error
+of the zero polynomial, so E_n(c f) equals |c| E_n(f) up to roundoff, with
+the same flags, for any c != 0.  f = 0 on the grid returns the zero
+polynomial unsolved.
+
 A result whose value exceeds the error of the zero polynomial on the same
 grid (up to roundoff) is no best approximation.  It is flagged
 `exceeds_zero_polynomial`, keeps its other flags, and returns the zero
@@ -53,7 +72,7 @@ design matrices well conditioned up to degree 64 and beyond.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
@@ -71,7 +90,7 @@ _GRID_P2 = 256
 _GRID_IRLS = 1025
 _GRID_SUP = 4097
 _IRLS_MAX_ITER = 200
-_IRLS_RESIDUAL_FLOOR = 1e-10
+_IRLS_RESIDUAL_FLOOR = 1e-10  # times ||f|| on the grid
 _EXCHANGE_MAX_ITER = 60
 _REFINE_STEPS = 3
 _LANE_BUDGET = 1 << 18  # entries of one IRLS Gram stack, lanes x N x N (2 MB)
@@ -121,13 +140,28 @@ def _require_resolvable(n: int, space: WeightedSpace) -> None:
         )
 
 
+def _parity(fx: np.ndarray) -> int | None:
+    """0 if the samples fx on a grid symmetric about 0 are even bit for bit,
+    1 if they are odd, None otherwise."""
+    if np.array_equal(fx[::-1], fx):
+        return 0
+    if np.array_equal(fx[::-1], -fx):
+        return 1
+    return None
+
+
 class _Workspace:
     """Grid data shared by every degree of one (f, space) problem: the
     space's norm grid and f sampled on it.
 
-    For finite p it also keeps the Chebyshev products matrix
-    T_0 .. T_{2N-2} on the grid and the index arrays i + j and |i - j|
-    (i, j < N), from which :func:`_gram` builds Gram matrices.
+    `degrees` holds the Chebyshev degrees the solve uses and `vander` their
+    columns on the grid.  For finite p it also keeps the moments matrix
+    `products` of the even or all Chebyshev polynomials up to T_{2N-2}, and
+    the index arrays into it of degrees d_i + d_j and |d_i - d_j|
+    (i, j < N), from which :func:`_gram` builds Gram matrices.  The
+    Gauss-Legendre grid, its weights and (1 - x^2)^alpha are symmetric
+    about 0 bit for bit, so when f's samples are even (odd), only the even
+    (odd) degrees are kept; otherwise every degree is.
     """
 
     def __init__(self, f: SampledFunction, space: WeightedSpace, n_top: int):
@@ -138,16 +172,23 @@ class _Workspace:
         # (the norm also rejects non-finite samples)
         self.zero_error = float(grid.norm(grid.wgt * self.fx))
         if space.is_sup:
+            self.degrees = np.arange(n_top)
             self.vander = C.chebvander(grid.x, n_top - 1)
         else:
-            self.products = C.chebvander(grid.x, 2 * n_top - 2)
-            self.vander = self.products[:, :n_top]
-            i, j = np.indices((n_top, n_top))
-            self.sum_idx, self.diff_idx = i + j, np.abs(i - j)
+            parity = _parity(self.fx)
+            first, step = (0, 1) if parity is None else (parity, 2)
+            self.degrees = d = np.arange(first, n_top, step)
+            full = C.chebvander(grid.x, 2 * n_top - 2)
+            # chebvander is column-major, so the column views stay BLAS-ready
+            self.vander = full[:, first:n_top:step]
+            # T_{d_i} T_{d_j} of one parity has even degrees only
+            self.products = full[:, ::step]
+            self.sum_idx = (d[:, None] + d) // step
+            self.diff_idx = np.abs(d[:, None] - d) // step
 
 
 def _lane_mask(ns) -> np.ndarray:
-    """Row k marks the first ns[k] of N = max(ns) Chebyshev coefficients."""
+    """Row k marks the first ns[k] of N = max(ns) kept Chebyshev coefficients."""
     ns = np.asarray(ns)
     return np.arange(ns.max()) < ns[:, None]
 
@@ -156,13 +197,14 @@ def _gram(ws: _Workspace, w: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Stacked Gram matrices V^T diag(w_k) V from Chebyshev product moments.
 
     T_i T_j = (T_{i+j} + T_{|i-j|}) / 2, so with the moments
-    m_k = sum_x w_k(x) T_k(x), k <= 2N - 2, entry (i, j) is
-    (m_{i+j} + m_{|i-j|}) / 2: one (rows x grid) by (grid x 2N-1) product
-    instead of one (grid x N) design per row.  Row k's matrix is cut to the
-    coefficients mask[k] marks and padded with an identity block.
+    m_k = sum_x w_k(x) T_k(x) of the workspace's `products`, entry (i, j)
+    for the kept degrees d_i, d_j is (m_{d_i+d_j} + m_{|d_i-d_j|}) / 2: one
+    (rows x grid) by (grid x 2N-1) product (2N when the odd degrees are
+    kept) instead of one (grid x N) design per row.  Row k's matrix is cut
+    to the coefficients mask[k] marks and padded with an identity block.
     """
     N = mask.shape[1]
-    m = w @ ws.products[:, : 2 * N - 1]
+    m = w @ ws.products[:, : ws.sum_idx[N - 1, N - 1] + 1]
     G = m[:, ws.sum_idx[:N, :N]]
     G += m[:, ws.diff_idx[:N, :N]]
     G *= 0.5
@@ -276,7 +318,8 @@ def _weighted_least_squares(
 def _solve_projection(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
     """Exact weighted least squares: the discrete p=2 problem has a closed
     solution.  All degrees share one weight vector, so one factorization at
-    the top degree serves every n."""
+    the top degree serves every n.  Here and in :func:`_solve_irls` each n
+    counts the kept Chebyshev columns a lane fits."""
     mask = _lane_mask(ns)
     V = ws.vander[:, : mask.shape[1]]
     w = ws.grid.qw * ws.grid.wgt**2
@@ -328,7 +371,7 @@ def _solve_irls(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
         # residual magnitudes floored so the p-2 power cannot blow up near zeros;
         # e is recomputed below, so w takes its buffer
         w = np.abs(e, out=e)
-        np.maximum(w, _IRLS_RESIDUAL_FLOOR, out=w)
+        np.maximum(w, _IRLS_RESIDUAL_FLOOR * ws.zero_error, out=w)
         w **= p - 2.0
         w *= base
         try:
@@ -352,7 +395,7 @@ def _solve_irls(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
         new_value = grid.norm(e)
         gap = np.abs(new_value - value)
         value = new_value
-        done = gap <= 1e-14 + 1e-13 * value
+        done = gap <= 1e-14 * ws.zero_error + 1e-13 * value
         if done.any():
             for k in np.flatnonzero(done):
                 finish(k, it)
@@ -438,11 +481,11 @@ def _solve_exchange(ws: _Workspace, n: int) -> BestApproxResult:
         e = (F - V[:, :n] @ coef) * W
         emax = float(ws.grid.norm(e))
         gap = emax - abs(h)
-        if emax <= 1e-14 * max(1.0, ws.zero_error):
+        if emax <= 1e-14 * ws.zero_error:
             equi = True  # f is feasible; the zero error trivially levels
             gap = 0.0
             break
-        if gap <= 1e-12 + 1e-9 * emax:
+        if gap <= 1e-12 * ws.zero_error + 1e-9 * emax:
             equi = True
             break
         cand = _alternating_candidates(e, ref)
@@ -457,12 +500,11 @@ def _solve_exchange(ws: _Workspace, n: int) -> BestApproxResult:
     else:
         flags.append("max_iterations")
     if equi:
-        # alternation with |e| within 1e-6 of the value on every reference point;
+        # alternation with |e| within 1e-6 ||f|| of the value on every reference point;
         # without the certificate the loop ended on one of its three stop flags
         e_ref = e[ref]
-        tol = 1e-6 * max(1.0, emax)
-        leveled = bool(np.max(np.abs(np.abs(e_ref) - emax)) <= tol)
-        alternating = bool(np.all(e_ref[1:] * e_ref[:-1] < 0)) or emax <= 1e-14 * max(1.0, ws.zero_error)
+        leveled = bool(np.max(np.abs(np.abs(e_ref) - emax)) <= 1e-6 * ws.zero_error)
+        alternating = bool(np.all(e_ref[1:] * e_ref[:-1] < 0)) or emax <= 1e-14 * ws.zero_error
         equi = leveled and alternating
         if not equi:
             flags.append("no_certificate")
@@ -472,14 +514,42 @@ def _solve_exchange(ws: _Workspace, n: int) -> BestApproxResult:
     )
 
 
+def _zero_polynomial(ws: _Workspace, n: int) -> BestApproxResult:
+    """The zero polynomial as E_n: exact when f = 0 or no kept degree is
+    below n."""
+    space = ws.space
+    solver = "exchange" if space.is_sup else "projection" if space.p == 2 else "irls"
+    return BestApproxResult(
+        n, ws.zero_error, np.zeros(n), solver, 0, 0.0,
+        equioscillation=True if space.is_sup else None,
+    )
+
+
 def _solve(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
-    if ws.space.is_sup:
-        results = [_solve_exchange(ws, n) for n in ns]
+    # each n fits the kept degrees below it, and each distinct count is solved
+    # once; a count of 0, or f = 0 on the grid, leaves the zero polynomial
+    counts = np.searchsorted(ws.degrees, ns) if ws.zero_error else np.zeros(len(ns), int)
+    sizes = sorted(set(counts.tolist()) - {0})
+    if not sizes:
+        solved = []
+    elif ws.space.is_sup:
+        solved = [_solve_exchange(ws, m) for m in sizes]
     elif ws.space.p == 2:
-        results = _solve_projection(ws, ns)
+        solved = _solve_projection(ws, sizes)
     else:
-        step = max(1, _LANE_BUDGET // max(ns) ** 2)  # lanes per stack
-        results = [r for i in range(0, len(ns), step) for r in _solve_irls(ws, ns[i : i + step])]
+        step = max(1, _LANE_BUDGET // sizes[-1] ** 2)  # lanes per stack
+        solved = [
+            r for i in range(0, len(sizes), step) for r in _solve_irls(ws, sizes[i : i + step])
+        ]
+    by_size = dict(zip(sizes, solved))
+    results = []
+    for n, m in zip(ns, counts):
+        if m:
+            coef = np.zeros(n)
+            coef[ws.degrees[:m]] = by_size[m].coefficients
+            results.append(replace(by_size[m], n=n, coefficients=coef))
+        else:
+            results.append(_zero_polynomial(ws, n))
     for r in results:
         # the zero polynomial is always feasible: return it, with the flags;
         # its gap is its value, as E_n >= 0 is the only lower bound left
@@ -509,8 +579,8 @@ def best_approx_sequence(f, n_max: int, space: WeightedSpace) -> list[BestApprox
     """E_1, ..., E_{n_max} on one shared grid, with the monotonicity check.
 
     Best approximation over a larger polynomial space cannot be worse, so
-    E_{nu+1} <= E_nu + 1e-9 must hold; a violation flags the offending entry
-    as a solver failure.  n_max obeys the same grid limit as in
+    E_{nu+1} <= E_nu + 1e-9 ||f|| (on the solver's grid) must hold; a
+    violation flags the offending entry as a solver failure.  n_max obeys the same grid limit as in
     :func:`best_approx`.
     """
     _check_int(n_max, "n_max", 1)
@@ -519,6 +589,6 @@ def best_approx_sequence(f, n_max: int, space: WeightedSpace) -> list[BestApprox
     ws = _Workspace(as_sampled(f), space, n_max)
     results = _solve(ws, list(range(1, n_max + 1)))
     for i in range(1, len(results)):
-        if results[i].value > results[i - 1].value + 1e-9:
+        if results[i].value > results[i - 1].value + _ROUNDOFF * ws.zero_error:
             results[i].flags = results[i].flags + ("monotonicity_violation",)
     return results

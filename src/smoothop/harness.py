@@ -245,7 +245,7 @@ def converse_table(
     nu = np.arange(1, len(e) + 1)
     # Noise floor for the degenerate case (f itself a polynomial): both sides
     # of the ratio are then pure roundoff and the ratio is reported as 0.
-    floor = 1e-10 * max(1.0, weighted_norm(fn, space, norm_resolution))
+    floor = 1e-10 * weighted_norm(fn, space, norm_resolution)
     omegas = _omegas_at_reciprocals(fn, n_list, space, t_grid, M, norm_resolution)
     rows = []
     for n, omega in zip(n_list, omegas):

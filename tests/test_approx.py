@@ -51,6 +51,22 @@ def minimax_lp(f, n, alpha, grid):
     return res.x[-1]
 
 
+def l1_lp(f, n, alpha, rule):
+    """Discrete weighted L1 best approximation by linear programming, as an
+    independent check on p = 1 IRLS.  Solved as the dual problem, whose
+    value equals E_n: maximize sum_x b(x) y(x) over |y(x)| <= q(x) with
+    A^T y = 0, where A = diag(w) V, b = w f and q are the rule's weights."""
+    w = (1 - rule.nodes**2) ** alpha
+    A = np.polynomial.chebyshev.chebvander(rule.nodes, n - 1) * w[:, None]
+    res = linprog(
+        -f(rule.nodes) * w, A_eq=A.T, b_eq=np.zeros(n),
+        bounds=np.column_stack([-rule.weights, rule.weights]), method="highs-ds",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0
+    return -res.fun
+
+
 class TestProjection:
     def test_linear_function_best_constant(self):
         r = best_approx(lambda x: x, 1, SP2)
@@ -289,6 +305,17 @@ class TestIRLS:
             assert max(deviations) <= 1e-10, p
             assert_allclose(expected.value, r.value, rtol=1e-10, err_msg=f"p={p}")
 
+    @pytest.mark.parametrize("name", ["abs", "absshift"])
+    def test_p1_matches_linear_program(self, name):
+        # abs is solved on the even columns, absshift on all of them; a degree
+        # that stops at the iteration limit may stay above the optimum
+        f, rule = get_test_function(name), gauss_legendre(approx._GRID_IRLS)
+        for r in best_approx_sequence(f, 16, WeightedSpace(1.0, 1.0)):
+            lp = l1_lp(f, r.n, 1.0, rule)
+            assert r.value >= lp * (1 - 1e-12), r.n
+            assert r.value <= lp * (1 + 1e-9) or "max_iterations" in r.flags, r.n
+            assert_allclose(r.value, lp, rtol=1e-6, err_msg=f"n={r.n}")
+
     def test_singular_normal_equations_flagged_not_raised(self):
         # at p = 6 the weights |e|^(p-2) span too many orders of magnitude
         # for Cholesky; the solver keeps its last iterate and says so
@@ -344,6 +371,50 @@ class TestLockstep:
         assert len({r.iterations for r in seq}) > 1
 
 
+class TestParity:
+    """An even or odd f is solved on the Chebyshev columns of its parity."""
+
+    @pytest.mark.parametrize("name, first, step", [
+        ("abs", 0, 2), ("x2", 0, 2), ("signabs32", 1, 2), ("absshift", 0, 1), ("randpoly", 0, 1),
+    ])
+    def test_kept_degrees(self, name, first, step):
+        f = get_test_function(name)
+        for p in (1.0, 2.0):
+            ws = _Workspace(f, WeightedSpace(p, 1.0), 16)
+            assert ws.degrees.tolist() == list(range(first, 16, step)), p
+            full = np.polynomial.chebyshev.chebvander(ws.grid.x, 15)
+            assert np.array_equal(ws.vander, full[:, ws.degrees])
+        # the sup grid is not symmetric bit for bit: p = inf keeps every column
+        assert _Workspace(f, SPINF, 16).degrees.tolist() == list(range(16))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("name", ["abs", "signabs32", "x2"])
+    def test_matches_full_basis(self, name, p, monkeypatch):
+        f, sp = get_test_function(name), WeightedSpace(p, 1.0)
+        seq = best_approx_sequence(f, 16, sp)
+        monkeypatch.setattr(approx, "_parity", lambda fx: None)
+        full = best_approx_sequence(f, 16, sp)
+        # x2 is reproduced from n = 3 on: both values are then roundoff
+        atol = 1e-15 * weighted_norm(f, sp, approx._grid_size(sp))
+        assert_allclose([r.value for r in seq], [r.value for r in full], rtol=1e-12, atol=atol)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_plateaus_are_exact(self, p):
+        sp = WeightedSpace(p, 1.0)
+        even = best_approx_sequence(np.abs, 16, sp)
+        odd = best_approx_sequence(KINKS["signabs32"], 16, sp)
+        # E_{2k-1} == E_{2k} for even f, E_{2k} == E_{2k+1} for odd f
+        assert all(even[i].value == even[i + 1].value for i in range(0, 16, 2))
+        assert all(odd[i].value == odd[i + 1].value for i in range(1, 15, 2))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_odd_function_at_n1_is_the_zero_polynomial(self, p):
+        f, sp = KINKS["signabs32"], WeightedSpace(p, 1.0)
+        r = best_approx(f, 1, sp)
+        assert r.value == weighted_norm(f, sp, approx._grid_size(sp))
+        assert (r.flags, r.iterations, r.coefficients.tolist()) == ((), 0, [0.0])
+
+
 @pytest.mark.parametrize("name", ["randpoly", "one", "x"])
 def test_no_value_above_the_zero_polynomial(name, collapse_exchange_from):
     # a collapsed exchange solve from nu = 30 on is replaced by the zero polynomial
@@ -374,8 +445,11 @@ def test_value_is_the_norm_of_the_space(p):
 
 class TestSequences:
     def test_zero_function(self):
-        seq = best_approx_sequence(lambda x: np.zeros_like(x), 4, SP2)
-        assert all(r.value <= 1e-14 for r in seq)
+        # f = 0 is its own best approximation: no solver iterates
+        for p in (1.0, 2.0, 3.0, INF):
+            for r in best_approx_sequence(lambda x: np.zeros_like(x), 4, WeightedSpace(p, 1.0)):
+                assert (r.value, r.iterations, r.flags) == (0.0, 0, ()), p
+                assert not np.any(r.coefficients) and r.coefficients.size == r.n
 
     def test_polynomial_tail_vanishes(self):
         f = np.polynomial.chebyshev.Chebyshev([0.1, 0.2, -0.4, 1.0])  # degree 3
@@ -390,11 +464,19 @@ class TestSequences:
         assert np.all(np.diff(vals) <= 1e-9)
 
     def test_scale_equivariance(self):
-        c = -3.7
-        for sp in (SP2, SPINF, SP1):
-            base = best_approx(np.abs, 3, sp).value
-            scaled = best_approx(lambda x: c * np.abs(x), 3, sp).value
-            assert_allclose(scaled, abs(c) * base, rtol=1e-9)
+        # every solver tolerance is relative to ||f||, so E_n(c f) = |c| E_n(f)
+        # with the same flags, however small or large c is
+        f = get_test_function("absshift")
+        for p in (1.0, 1.5, 2.0, 3.0, INF):
+            sp = WeightedSpace(p, 1.0)
+            base = best_approx_sequence(f, 16, sp)
+            for c in (-3.7, 1e-9, 1e9):
+                scaled = best_approx_sequence(lambda x: c * f(x), 16, sp)
+                assert_allclose(
+                    [r.value for r in scaled], [abs(c) * r.value for r in base],
+                    rtol=1e-11, err_msg=f"p={p}, c={c}",
+                )
+                assert [r.flags for r in scaled] == [r.flags for r in base], f"p={p}, c={c}"
 
     def test_csv_export_columns(self, capsys):
         assert main(["best-approx", "--function", "abs", "--p", "2", "--n-max", "3"]) == 0

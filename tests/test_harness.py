@@ -118,6 +118,13 @@ class TestConverseTable:
         ratios = [r.ratio for r in rows]
         assert max(ratios) / np.median(ratios) <= 10
 
+    def test_ratios_do_not_depend_on_the_scale_of_f(self):
+        # the noise floor is relative to ||f||: a tiny multiple of |x| is no polynomial
+        base = converse_table(np.abs, [4, 8, 16], SP2)
+        tiny = converse_table(lambda x: 1e-12 * np.abs(x), [4, 8, 16], SP2)
+        assert_allclose([r.ratio for r in tiny], [r.ratio for r in base], rtol=1e-9)
+        assert_allclose([r.ratio for r in base], [0.8788, 0.7221, 0.5950], atol=1e-4)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             converse_table(np.abs, [8, 4], SP2)
