@@ -5,20 +5,21 @@ E_n(f) is the infimum of ||f - P|| over algebraic polynomials P of degree
 infimum is replaced by minimization over a fixed discretization of the norm;
 each solver reports its optimality gap rather than hiding it.
 
-Solvers by exponent:
+Solvers by norm family:
 
-* p = 2: weighted least-squares projection on a 256-point Gauss-Legendre
-  grid.  Every degree shares one weight vector, so a whole sequence costs
-  one factorization, made at its top degree.
 * p = inf: Remez-style exchange iteration on the weighted error over the
   4097-point sup grid, seeded at the n + 1 interior Chebyshev points, with
   an equioscillation certificate.  Each step
   solves the square (n + 1)-point reference system by LU, with a
   least-squares fallback for a singular reference.
-* p = 1 and general p: iteratively reweighted least squares (IRLS) on a
-  1025-point Gauss-Legendre grid.  The degrees of a sequence run as lanes in
-  lockstep: one shared warm start, then one stacked weighted least-squares
-  solve per iteration for the lanes still active.  Each iteration solves in
+* finite p: one lockstep least-squares driver.  The degrees of a sequence
+  run as lanes and start from one shared weighted L2 fit, one factorization
+  made at the top degree.  At p = 2 that fit is the exact discrete
+  best approximation (the projection, on a 256-point Gauss-Legendre grid),
+  and the driver stops there.  Any other p runs iteratively reweighted
+  least squares (IRLS) from it on a 1025-point Gauss-Legendre grid: one
+  stacked weighted least-squares solve per iteration for the lanes still
+  active.  Each iteration solves in
   correction form: it adds G^{-1} V^T (w rho) to the lane's iterate c, with
   the residual rho = f - V c the lane already holds.  A lane leaves the
   stack when it converges, at the iteration limit, or when its normal
@@ -30,8 +31,8 @@ m_k = sum_x w(x) T_k(x), since T_i T_j = (T_{i+j} + T_{|i-j|}) / 2; it is
 factored by Cholesky, the whole stack of factors is inverted by 2 x 2 block
 recursion in batched matmuls (no LU), and the solution is refined on its
 residual V^T (w (f - V c)) (fixed-precision iterative refinement): three
-times after a plain solve from c = 0 (the p = 2 projection and the IRLS
-warm start), once after an IRLS correction.  An IRLS iteration thus makes
+times after a plain solve from c = 0 (the shared L2 fit every finite p
+starts from), once after an IRLS correction.  An IRLS iteration thus makes
 five products with the grid-sized design: the Gram moments, V^T (w rho),
 one refinement step (V c and V^T r), and the new residual V c.  n may not
 exceed a quarter of the solver's grid, so that V itself has full rank.
@@ -93,7 +94,7 @@ _IRLS_MAX_ITER = 200
 _IRLS_RESIDUAL_FLOOR = 1e-10  # times ||f|| on the grid
 _EXCHANGE_MAX_ITER = 60
 _REFINE_STEPS = 3
-_LANE_BUDGET = 1 << 18  # entries of one IRLS Gram stack, lanes x N x N (2 MB)
+_LANE_BUDGET = 1 << 18  # entries of one lockstep Gram stack, lanes x N x N (2 MB)
 _ROUNDOFF = 1e-9  # relative slack for comparisons between computed norms
 
 
@@ -274,12 +275,13 @@ def _weighted_least_squares(
     products.  A refinement step solves G d = V^T (w (f - V c)) for the
     current residual and adds d to c; A = diag(sqrt w) V is never formed.
 
-    The cold path (no `start`) refines the plain solve from c = 0
-    _REFINE_STEPS times.  The moment Gram is less exact than A^T A, so three
-    steps are taken: on a p = 1 IRLS design with cond(A) >= 1e6 the refined
-    c is within 3.5e-13 relative of an SVD-based solve, and two steps leave
-    2.2e-10.  `start` = (c, f - V c) holds an iterate per lane and its
-    residual, as IRLS keeps them.  The solve is then in correction form:
+    The cold path (no `start`), the L2 fit every finite p starts from,
+    refines the plain solve from c = 0 _REFINE_STEPS times.  The moment
+    Gram is less exact than A^T A, so three steps are taken: on a p = 1
+    IRLS design with cond(A) >= 1e6 the refined c is within 3.5e-13
+    relative of an SVD-based solve, and two steps leave 2.2e-10.
+    `start` = (c, f - V c) holds an iterate per lane and its residual, as
+    IRLS keeps them.  The solve is then in correction form:
     c + G^{-1} V^T (w (f - V c)) is a refinement step from c that needs no
     product to find its residual, and one more step follows.  The error left
     grows with the distance from c to the solution, so this path is for
@@ -315,37 +317,22 @@ def _weighted_least_squares(
     return coef
 
 
-def _solve_projection(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
-    """Exact weighted least squares: the discrete p=2 problem has a closed
-    solution.  All degrees share one weight vector, so one factorization at
-    the top degree serves every n.  Here and in :func:`_solve_irls` each n
-    counts the kept Chebyshev columns a lane fits."""
-    mask = _lane_mask(ns)
-    V = ws.vander[:, : mask.shape[1]]
-    w = ws.grid.qw * ws.grid.wgt**2
-    coef = _weighted_least_squares(ws, w[None], mask)
-    r = coef @ V.T
-    np.subtract(ws.fx, r, out=r)
-    r *= ws.grid.wgt  # weighted in place: no third lanes x grid array is live
-    value = ws.grid.norm(r)
-    r *= ws.grid.qw * ws.grid.wgt  # now r w
-    gap = np.max(np.abs(r @ V) * mask, axis=1)  # lane n's A^T r has n entries
-    return [
-        BestApproxResult(n, float(value[k]), coef[k, :n].copy(), "projection", 1, float(gap[k]))
-        for k, n in enumerate(ns)
-    ]
+def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
+    """Weighted least squares for every finite p, the degrees ns as lanes.
 
-
-def _solve_irls(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
-    """Iteratively reweighted least squares for p = 1 and general p.
-
-    The degrees ns run as lanes in lockstep: each iteration makes one
-    stacked weighted least-squares solve for the lanes still active.  A
-    lane leaves the stack when its value settles, at _IRLS_MAX_ITER, or
-    when Cholesky rejects its normal equations; it then keeps its last
-    iterate and is flagged `singular_normal_equations`.
+    Every p starts from the weighted L2 fit: all lanes share one weight
+    vector, so one factorization at the top degree serves every n.  At
+    p = 2 that fit is the discrete best approximation, returned as solver
+    `projection` with the gradient norm max |V^T (w r)| over the lane's
+    columns as its gap.  Other p run IRLS from it in lockstep: each
+    iteration makes one stacked weighted least-squares solve for the lanes
+    still active.  A lane leaves the stack when its value settles, at
+    _IRLS_MAX_ITER, or when Cholesky rejects its normal equations; it then
+    keeps its last iterate and is flagged `singular_normal_equations`.
+    Each n counts the kept Chebyshev columns a lane fits.
     """
     p = ws.space.p
+    solver = "projection" if p == 2 else "irls"
     lanes = _lane_mask(ns)
     V = ws.vander[:, : lanes.shape[1]]
     grid = ws.grid
@@ -356,16 +343,22 @@ def _solve_irls(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
         """Record lane k of the current stack."""
         n = ns[lane[k]]
         results[lane[k]] = BestApproxResult(
-            n, float(value[k]), coef[k, :n].copy(), "irls", it, float(gap[k]), flags=flags
+            n, float(value[k]), coef[k, :n].copy(), solver, it, float(gap[k]), flags=flags
         )
 
     lane = np.arange(len(ns))  # the active lanes, in stack order
-    # weighted L2 warm start: one weight vector, one factorization
+    # the weighted L2 fit: one weight vector, one factorization
     coef = _weighted_least_squares(ws, base[None], lanes)
     rho = coef @ V.T  # the residual f - V c of each lane
     np.subtract(ws.fx, rho, out=rho)
     e = grid.wgt * rho
     value = grid.norm(e)
+    if p == 2:
+        e *= grid.qw * grid.wgt  # now w rho
+        gap = np.max(np.abs(e @ V) * lanes, axis=1)  # lane n's V^T (w rho) has n entries
+        for k in range(len(ns)):
+            finish(k, 1)
+        return results
     gap = np.full(len(ns), math.inf)
     for it in range(1, _IRLS_MAX_ITER + 1):
         # residual magnitudes floored so the p-2 power cannot blow up near zeros;
@@ -530,16 +523,12 @@ def _solve(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
     # once; a count of 0, or f = 0 on the grid, leaves the zero polynomial
     counts = np.searchsorted(ws.degrees, ns) if ws.zero_error else np.zeros(len(ns), int)
     sizes = sorted(set(counts.tolist()) - {0})
-    if not sizes:
-        solved = []
-    elif ws.space.is_sup:
+    if ws.space.is_sup:
         solved = [_solve_exchange(ws, m) for m in sizes]
-    elif ws.space.p == 2:
-        solved = _solve_projection(ws, sizes)
     else:
-        step = max(1, _LANE_BUDGET // sizes[-1] ** 2)  # lanes per stack
+        step = max(1, _LANE_BUDGET // max(sizes, default=1) ** 2)  # lanes per stack
         solved = [
-            r for i in range(0, len(sizes), step) for r in _solve_irls(ws, sizes[i : i + step])
+            r for i in range(0, len(sizes), step) for r in _solve_lockstep(ws, sizes[i : i + step])
         ]
     by_size = dict(zip(sizes, solved))
     results = []

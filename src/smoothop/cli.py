@@ -1,6 +1,8 @@
 """Command-line entry points for the experiment drivers.
 
 Exit codes: 0 all checks pass, 1 a property check failed, 2 usage error.
+Under --format json, stdout holds the JSON document alone; every other line
+goes to stderr.
 """
 
 from __future__ import annotations
@@ -54,6 +56,12 @@ def _csv(header: str, rows, spec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _note(args, text: str) -> None:
+    """Print a human-readable line: to stdout, or to stderr under --format json,
+    where stdout holds the JSON document alone."""
+    print(text, file=sys.stderr if args.format == "json" else sys.stdout)
+
+
 def _emit(args, name: str, table, payload) -> None:
     """Print the table and, with --out, write <name>.csv or <name>.json.
 
@@ -71,7 +79,7 @@ def _emit(args, name: str, table, payload) -> None:
         path = os.path.join(args.out, f"{name}.{ext}")
         with open(path, "w") as fh:
             fh.write(text)
-        print(f"wrote {path}")
+        _note(args, f"wrote {path}")
 
 
 def _space(args) -> WeightedSpace:
@@ -151,7 +159,7 @@ def _cmd_verify_lemma1(args) -> int:
     rows = [(c.name, c.max_residual, c.tolerance, "PASS" if c.passed else "FAIL")
             for c in report.checks]
     for name, resid, tol, status in rows:
-        print(f"property {name}: {status} (max residual {resid:.3e}, tolerance {tol:.1e})")
+        _note(args, f"property {name}: {status} (max residual {resid:.3e}, tolerance {tol:.1e})")
     if args.out or args.format == "json":
         table = ("property,max_residual,tolerance,status", rows, ("", ".3e", ".1e", ""))
         _emit(args, "verify-lemma1", table, report)
@@ -164,10 +172,10 @@ def _cmd_calibrate(args) -> int:
     mult = calibrate_multiplier(n_max=args.n_max, y_grid=y_grid)
     report = calibration_report(mult)
     for key, resid in report["residual_table"].items():
-        print(f"candidate {key}: max residual {resid:.3e}")
+        _note(args, f"candidate {key}: max residual {resid:.3e}")
     status = "validated" if mult.validated else "NOT validated"
-    print(f"chosen {report['first_term_basis']} + {report['second_term_basis']} "
-          f"(degree shift {report['degree_shift']}): {status}")
+    _note(args, f"chosen {report['first_term_basis']} + {report['second_term_basis']} "
+                f"(degree shift {report['degree_shift']}): {status}")
     _emit(args, "calibration", None, report)
     return 0 if mult.validated else 1
 
@@ -208,7 +216,7 @@ def _cmd_converse(args) -> int:
     ratios = [r.ratio for r in rows if r.ratio > 0]
     if ratios:
         spread = max(ratios) / float(np.median(ratios))
-        print(f"max/median ratio spread: {spread:.3f}")
+        _note(args, f"max/median ratio spread: {spread:.3f}")
         if spread > 10:
             print("boundedness proxy violated (max/median > 10)", file=sys.stderr)
             return 1
@@ -218,12 +226,12 @@ def _cmd_converse(args) -> int:
 def _cmd_dyadic(args) -> int:
     f = harness.get_test_function(args.function, seed=args.seed)
     dec = harness.dyadic_bound(f, args.n, _space(args))
-    print(f"n={dec.n}  N={dec.N}  (n/2 < 2^N <= n+1)")
+    _note(args, f"n={dec.n}  N={dec.N}  (n/2 < 2^N <= n+1)")
     for k, q in enumerate(dec.blocks):
-        print(f"  ||Q_{k}|| = {q:.6e}")
+        _note(args, f"  ||Q_{k}|| = {q:.6e}")
     for c in dec.checks:
         status = "PASS" if c.passed else "FAIL"
-        print(f"check {c.name}: {status} (max violation {c.max_residual:.3e})")
+        _note(args, f"check {c.name}: {status} (max violation {c.max_residual:.3e})")
     if args.out or args.format == "json":
         _emit(args, "dyadic", ("k,block_norm", enumerate(dec.blocks), ("", ".16e")), dec)
     return 0 if dec.all_passed else 1
@@ -236,11 +244,11 @@ def _cmd_class_fit(args) -> int:
         t_grid=args.t_grid, M=args.quad_size,
     )
     if res.degenerate:
-        print("degenerate fit (sequence underflows; is the input a polynomial?)")
+        _note(args, "degenerate fit (under 3 values above roundoff; is the input a polynomial?)")
     else:
-        print(f"exponent from best approximation: {res.lambda_best_approx:.4f}")
-        print(f"exponent from modulus:            {res.lambda_modulus:.4f}")
-        print(f"difference:                       {res.difference:.4f}")
+        _note(args, f"exponent from best approximation: {res.lambda_best_approx:.4f}")
+        _note(args, f"exponent from modulus:            {res.lambda_modulus:.4f}")
+        _note(args, f"difference:                       {res.difference:.4f}")
     if args.out or args.format == "json":
         row = (res.lambda_best_approx, res.lambda_modulus, res.difference, res.degenerate)
         table = ("lambda_best_approx,lambda_modulus,difference,degenerate", [row], ("",) * 4)

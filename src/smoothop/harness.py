@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as C
 
 from .approx import best_approx_sequence
-from .modulus import _check_omega_args, modulus_curve
+from .modulus import _check_omega_args, _omegas
 from .orthopoly import JACOBI_22, _check_int, fourier_jacobi_series, jacobi_eval
 from .translation import default_multiplier, multiplier_eval, translate
 from .weighted_space import (
@@ -190,17 +190,6 @@ def verify_lemma1(n_max: int = 20, grid: int = 24, seed: int = 0) -> Lemma1Repor
 # ---------------------------------------------------------------------------
 # converse-inequality table
 
-def _omegas_at_reciprocals(fn, ns, space, t_grid, M, norm_resolution=None) -> list[float]:
-    """omega(f, 1/n) for each n of an ascending list, in that order.
-
-    One modulus curve over the ascending deltas 1/n, so each distinct t is
-    translated once; every value equals its own :func:`modulus_omega` call.
-    """
-    deltas = [1.0 / n for n in reversed(ns)]
-    curve = modulus_curve(fn, deltas, space, t_grid=t_grid, M=M, norm_resolution=norm_resolution)
-    return [r.value for r in reversed(curve)]
-
-
 @dataclass
 class ConverseTableRow:
     n: int
@@ -232,7 +221,8 @@ def converse_table(
     n_list = [_check_int(n, f"n_list[{i}]", 1) for i, n in enumerate(n_list)]
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"n_list must be non-empty and strictly ascending, got {n_list}")
-    _check_omega_args(space, [1.0 / n for n in n_list], t_grid, M, norm_resolution)
+    deltas = [1.0 / n for n in n_list]
+    _check_omega_args(space, deltas, t_grid, M, norm_resolution)
     fn = as_sampled(f)
     seq = best_approx_sequence(fn, max(n_list), space)
     for r in seq:
@@ -246,7 +236,7 @@ def converse_table(
     # Noise floor for the degenerate case (f itself a polynomial): both sides
     # of the ratio are then pure roundoff and the ratio is reported as 0.
     floor = 1e-10 * weighted_norm(fn, space, norm_resolution)
-    omegas = _omegas_at_reciprocals(fn, n_list, space, t_grid, M, norm_resolution)
+    omegas = [r.value for r in _omegas(fn, deltas, space, t_grid, M, norm_resolution)]
     rows = []
     for n, omega in zip(n_list, omegas):
         rhs = float(nu[:n] @ e[:n])
@@ -359,30 +349,33 @@ def class_fit(
     log omega(f, delta) vs log delta on the dyadic grid delta = 1/n.
 
     Both exponents estimate the same smoothness parameter; their difference
-    is the desk-scale check.  Underflowing sequences (polynomial input) make
-    the fit degenerate, which is reported, not raised.  A bad parameter of
+    is the desk-scale check.  E_n and omega values at roundoff level
+    relative to ||f|| are left out of the fits, so c f fits as f does;
+    with fewer than three points left (polynomial input) the fit is
+    degenerate, which is reported, not raised.  A bad parameter of
     omega (t_grid, M) is refused before any E_n is solved.
     """
     space.require_admissible(lam)
     _check_int(n_max, "n_max", 4)  # a fit needs a few points
     ns = [2**k for k in range(1, 13) if 2**k <= n_max]
-    _check_omega_args(space, [1.0 / n for n in ns], t_grid, M, None)
+    deltas = [1.0 / n for n in ns]
+    _check_omega_args(space, deltas, t_grid, M, None)
     fn = as_sampled(f)
 
     seq = best_approx_sequence(fn, n_max, space)
     e = np.array([r.value for r in seq])
     nu = np.arange(1, n_max + 1)
-    mask = e > 1e-12
+    fnorm = weighted_norm(fn, space)
+    mask = e > 1e-12 * fnorm
 
-    omegas = np.array(_omegas_at_reciprocals(fn, ns, space, t_grid, M))
-    deltas = 1.0 / np.asarray(ns, dtype=float)
-    wmask = omegas > 1e-14
+    omegas = np.array([r.value for r in _omegas(fn, deltas, space, t_grid, M, None)])
+    wmask = omegas > 1e-14 * fnorm
 
     degenerate = int(mask.sum()) < 3 or int(wmask.sum()) < 3
     if degenerate:
         lam_e = lam_w = diff = float("nan")
     else:
         lam_e = -float(np.polyfit(np.log(nu[mask]), np.log(e[mask]), 1)[0])
-        lam_w = float(np.polyfit(np.log(deltas[wmask]), np.log(omegas[wmask]), 1)[0])
+        lam_w = float(np.polyfit(np.log(deltas)[wmask], np.log(omegas[wmask]), 1)[0])
         diff = abs(lam_e - lam_w)
     return ClassFitResult(lam_e, lam_w, diff, degenerate, int(mask.sum()), int(wmask.sum()))

@@ -70,7 +70,7 @@ def _omegas(fn, deltas, space, t_grid, M, norm_resolution) -> list[ModulusReport
     that coincide exactly are translated once, and a shared value is the one
     a separate call would compute, bit for bit.  Each delta's new t values
     are translated in one call.  Ties go to the first t of each delta's own
-    grid.
+    grid.  The deltas may come in any order: each report is the same.
     """
     grid = _check_omega_args(space, deltas, t_grid, M, norm_resolution)
     res = grid.x.size

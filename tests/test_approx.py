@@ -89,6 +89,33 @@ class TestProjection:
             tk = np.polynomial.chebyshev.Chebyshev.basis(k)(xs)
             assert abs(np.sum(qw * w2 * resid * tk)) < 1e-9
 
+    @pytest.mark.parametrize("name", ["abs", "absshift", "signabs32"])
+    def test_is_the_lockstep_start_bit_for_bit(self, name):
+        # p = 2 stops the finite-p driver after its shared L2 fit; restated here
+        # from its parts, every result must match that fit bit for bit
+        f = get_test_function(name)
+        seq = best_approx_sequence(f, 64, SP2)
+        ws = _Workspace(f, SP2, 64)
+        grid = ws.grid
+        counts = np.searchsorted(ws.degrees, np.arange(1, 65))
+        sizes = sorted(set(counts.tolist()) - {0})
+        mask = _lane_mask(sizes)
+        V = ws.vander[:, : mask.shape[1]]
+        coef = _weighted_least_squares(ws, (grid.qw * grid.wgt**2)[None], mask)
+        e = grid.wgt * (ws.fx - coef @ V.T)
+        value = grid.norm(e)
+        gap = np.max(np.abs((e * (grid.qw * grid.wgt)) @ V) * mask, axis=1)
+        for r, m in zip(seq, counts):
+            assert (r.solver, r.flags) == ("projection", ()), r.n
+            if not m:  # odd f at n = 1: no kept degree, the zero polynomial
+                assert (r.value, r.iterations) == (ws.zero_error, 0)
+                continue
+            k = sizes.index(m)
+            expected = np.zeros(r.n)
+            expected[ws.degrees[:m]] = coef[k, :m]
+            assert (r.value, r.residual_norm_gap, r.iterations) == (value[k], gap[k], 1), r.n
+            assert np.array_equal(r.coefficients, expected), r.n
+
     def test_feasible_polynomial_gives_zero(self):
         f = np.polynomial.chebyshev.Chebyshev([0.3, -1.0, 0.25, 0.5])
         for sp in (SP2, SPINF, SP1):

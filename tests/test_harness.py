@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from smoothop import harness, modulus
-from smoothop.cli import main
+from smoothop import approx, harness, modulus
+from smoothop.cli import _parse_p, main
 from smoothop.harness import (
     TEST_FUNCTION_NAMES,
     choose_block_level,
@@ -233,6 +233,18 @@ class TestClassFit:
         with pytest.raises(ValueError, match="λ"):
             class_fit(np.abs, SP2, 16, lam=2.5)
 
+    def test_fit_does_not_depend_on_the_scale_of_f(self):
+        # the roundoff floors are relative to ||f||: at c = 1e-12 an absolute
+        # floor of 1e-12 left no E_n point and called the fit degenerate
+        base = class_fit(np.abs, SP2, 32, lam=1.0)
+        assert (base.points_best_approx, base.points_modulus) == (32, 5)
+        for c in (1e-12, 1e-15, 1e9):
+            res = class_fit(lambda x, c=c: c * np.abs(x), SP2, 32, lam=1.0)
+            assert not res.degenerate, c
+            assert (res.points_best_approx, res.points_modulus) == (32, 5), c
+            assert_allclose([res.lambda_best_approx, res.lambda_modulus],
+                            [base.lambda_best_approx, base.lambda_modulus], rtol=1e-12)
+
 
 def _table(**kwargs):
     return converse_table(np.abs, [4, 16, 64, 256], SPINF, **kwargs)
@@ -350,8 +362,78 @@ class TestCLI:
             for row in rows:
                 assert re.fullmatch(",".join(fields), row), (argv[0], row)
 
+    @pytest.mark.parametrize("text", ["inf", "infinity", "∞", " INF "])
+    def test_p_infinity_spellings(self, text, capsys):
+        assert _parse_p(text) == math.inf
+        assert main(["best-approx", "--function", "abs", "--p", text, "--n-max", "2",
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [r["solver"] for r in payload] == ["exchange"] * 2
+
+    def test_best_approx_json_has_coefficients(self, capsys):
+        assert main(["best-approx", "--function", "absshift", "--n-max", "3",
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        for r, entry in zip(harness.best_approx_sequence(get_test_function("absshift"), 3, SP2),
+                            payload):
+            assert entry["coefficients"] == r.coefficients.tolist()
+            assert (entry["n"], entry["value"], entry["flags"]) == (r.n, r.value, [])
+
+    def test_flagged_degrees_listed_on_stderr(self, capsys, monkeypatch):
+        # two IRLS iterations are too few at p = 1: lanes stop at the limit
+        monkeypatch.setattr(approx, "_IRLS_MAX_ITER", 2)
+        code = main(["best-approx", "--function", "abs", "--p", "1", "--n-max", "4"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.startswith("ν,E_ν,solver,iterations,gap\n")
+        lines = captured.err.splitlines()
+        assert lines and all(re.fullmatch(r"nu=\d: flags \('max_iterations',\)", s)
+                             for s in lines), lines
+
+    def test_class_fit_exponents_printed(self, capsys):
+        assert main(["class-fit", "--function", "abs", "--n-max", "8", "--t-grid", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        labels = ["exponent from best approximation", "exponent from modulus", "difference"]
+        assert [line.split(":")[0] for line in lines] == labels
+        assert all(re.fullmatch(r".*: +-?\d\.\d{4}", line) for line in lines), lines
+
+    def test_degenerate_class_fit_json_names_nan(self, capsys):
+        assert main(["class-fit", "--function", "x2", "--n-max", "8", "--t-grid", "5",
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["degenerate"] is True
+        assert payload["lambda_best_approx"] == payload["difference"] == "nan"
+
     def test_class_fit_reports(self, capsys):
         code = main(["class-fit", "--function", "x2", "--p", "2", "--alpha", "1",
                      "--n-max", "8"])
         assert code == 0
         assert "degenerate" in capsys.readouterr().out
+
+
+_JSON_COMMANDS = {
+    "verify-lemma1": ["verify-lemma1", "--n-max", "4", "--grid", "8"],
+    "calibrate-multiplier": ["calibrate-multiplier", "--n-max", "4", "--y-grid-size", "7"],
+    "best-approx": ["best-approx", "--function", "abs", "--n-max", "4"],
+    "modulus": ["modulus", "--function", "abs", "--deltas", "0.1,0.2", "--t-grid", "5"],
+    "converse-table": ["converse-table", "--function", "abs", "--n-list", "2,4", "--t-grid", "5"],
+    "dyadic": ["dyadic", "--function", "abs", "--n", "5"],
+    "class-fit": ["class-fit", "--function", "abs", "--n-max", "8", "--t-grid", "5"],
+}
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("cmd", sorted(_JSON_COMMANDS))
+def test_json_format_puts_only_json_on_stdout(cmd, out, tmp_path, capsys):
+    argv = list(_JSON_COMMANDS[cmd])
+    if cmd != "calibrate-multiplier":  # which writes JSON only
+        argv += ["--format", "json"]
+    if out:
+        argv += ["--out", str(tmp_path)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    if out:
+        [path] = tmp_path.iterdir()
+        assert json.loads(path.read_text()) == payload
+        assert f"wrote {path}" in captured.err

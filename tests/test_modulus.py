@@ -103,6 +103,13 @@ class TestModulusCurve:
         monkeypatch.undo()
         assert reps == [modulus_omega(poly, d, SP2) for d in deltas]
 
+    def test_deltas_in_any_order(self):
+        # omega per delta does not depend on the deltas translated before it
+        deltas = [0.05, 0.4, 0.1, 0.2]
+        shuffled = modulus._omegas(np.abs, deltas, SP2, 9, None, None)
+        ascending = modulus._omegas(np.abs, sorted(deltas), SP2, 9, None, None)
+        assert shuffled == [ascending[sorted(deltas).index(d)] for d in deltas]
+
     def test_rejects_bad_delta_lists(self):
         with pytest.raises(ValueError):
             modulus_curve(np.abs, [], SP2)
