@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -169,10 +169,25 @@ class _NormGrid:
     read-only, as grids are shared through the cache of WeightedSpace._grid.
     """
 
-    def __init__(self, space: WeightedSpace, x: np.ndarray, qw: np.ndarray | None):
-        self.p, self.x, self.qw = space.p, x, qw
-        self.wgt = (1.0 - x * x) ** space.alpha
+    def __init__(self, space: WeightedSpace, x: np.ndarray, qw: np.ndarray | None,
+                 wgt: np.ndarray | None = None):
+        self.space, self.p, self.x, self.qw = space, space.p, x, qw
+        self.wgt = (1.0 - x * x) ** space.alpha if wgt is None else wgt
         self.wgt.flags.writeable = False
+
+    @cached_property
+    def half(self) -> _NormGrid:
+        """The nodes x >= 0 of this Gauss-Legendre grid, which is symmetric
+        about 0 bit for bit, each weight doubled except that of the node
+        x = 0 of an odd-sized rule.  A sum of an even function over the half
+        equals the sum over the whole grid, up to the order of addition.
+        Nodes and `wgt` are views of the full grid's."""
+        m = self.x.size // 2
+        qw = 2.0 * self.qw[m:]
+        if self.x.size % 2:
+            qw[0] = self.qw[m]
+        qw.flags.writeable = False
+        return _NormGrid(self.space, self.x[m:], qw, self.wgt[m:])
 
     def norm(self, e: np.ndarray):
         """The norm of each row of weighted samples e = wgt * (f at x).

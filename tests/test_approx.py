@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
@@ -407,23 +408,68 @@ class TestParity:
     def test_kept_degrees(self, name, first, step):
         f = get_test_function(name)
         for p in (1.0, 2.0):
-            ws = _Workspace(f, WeightedSpace(p, 1.0), 16)
+            sp = WeightedSpace(p, 1.0)
+            ws = _Workspace(f, sp, 16)
             assert ws.degrees.tolist() == list(range(first, 16, step)), p
+            # an even or odd f is solved on the half grid x >= 0
+            X = approx._grid_size(sp)
+            assert ws.grid.x.size == ((X + 1) // 2 if step == 2 else X), p
+            assert ws.fx.size == ws.grid.x.size
             full = np.polynomial.chebyshev.chebvander(ws.grid.x, 15)
             assert np.array_equal(ws.vander, full[:, ws.degrees])
         # the sup grid is not symmetric bit for bit: p = inf keeps every column
-        assert _Workspace(f, SPINF, 16).degrees.tolist() == list(range(16))
+        # and every point
+        ws = _Workspace(f, SPINF, 16)
+        assert ws.degrees.tolist() == list(range(16))
+        assert ws.grid.x.size == 4097
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("name", ["abs", "signabs32", "x2"])
     def test_matches_full_basis(self, name, p, monkeypatch):
+        # to n = 32 (64 at p = 2): abs at p = 1 is the CLI command of the
+        # approx_lp benchmark
         f, sp = get_test_function(name), WeightedSpace(p, 1.0)
-        seq = best_approx_sequence(f, 16, sp)
+        n_max = 64 if p == 2 else 32
+        seq = best_approx_sequence(f, n_max, sp)
         monkeypatch.setattr(approx, "_parity", lambda fx: None)
-        full = best_approx_sequence(f, 16, sp)
+        full = best_approx_sequence(f, n_max, sp)  # every column on the full grid
         # x2 is reproduced from n = 3 on: both values are then roundoff
         atol = 1e-15 * weighted_norm(f, sp, approx._grid_size(sp))
         assert_allclose([r.value for r in seq], [r.value for r in full], rtol=1e-12, atol=atol)
+        assert [r.flags for r in seq] == [r.flags for r in full]
+        # an odd f at n = 1 gets the zero polynomial without a solve
+        first = 1 if name == "signabs32" else 0
+        assert [r.iterations for r in seq[first:]] == [r.iterations for r in full[first:]]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=1024),
+        st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+        st.sampled_from(["nan", "even_inf", "odd_inf"]),
+    )
+    def test_non_finite_sample_is_named(self, index, p, kind):
+        # NaN at one node fails the parity test; +-inf at mirrored nodes
+        # passes it, as an even or an odd f; both are rejected by name
+        sp = WeightedSpace(p, 1.0)
+        x = sp._grid(approx._grid_size(sp)).x
+        bad = x[index % x.size]
+
+        def f(t):
+            out = np.abs(t) if kind == "even_inf" else t.copy()
+            if kind == "nan":
+                out[t == bad] = np.nan
+            else:
+                mirrored = np.abs(t) == abs(bad)
+                out[mirrored] = np.copysign(np.inf, out[mirrored])
+            return out
+
+        # an odd f needs f(0) = -f(0), which inf at x = 0 is not
+        passes = kind == "even_inf" or (kind == "odd_inf" and bad != 0)
+        assert (approx._parity(f(x)) is not None) == passes
+        with pytest.raises(ValueError, match="non-finite") as err:
+            best_approx_sequence(f, 4, sp)
+        named = float(str(err.value).rsplit("x = ", 1)[1])
+        assert not np.isfinite(f(np.array([named])))[0]
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_plateaus_are_exact(self, p):

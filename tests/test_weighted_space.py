@@ -122,6 +122,28 @@ class TestWeightedNorm:
         with pytest.raises(ValueError, match="x ="):
             weighted_norm(bad, sp, resolution=4097)
 
+    @pytest.mark.parametrize("X", [1025, 256])
+    def test_half_rule(self, X):
+        # the solvers' Gauss-Legendre sizes: odd with a node at x = 0, and even
+        grid = WeightedSpace(1.5, 1.0)._grid(X)
+        half = grid.half
+        assert half is grid.half  # built once per grid
+        right = grid.x >= 0
+        assert half.x.size == (X + 1) // 2 == right.sum()
+        assert np.array_equal(half.x, grid.x[right])
+        assert np.array_equal(half.wgt, grid.wgt[right])
+        doubled = 2 * grid.qw[right]
+        if X % 2:
+            assert half.x[0] == 0.0
+            doubled[0] = grid.qw[X // 2]
+        assert np.array_equal(half.qw, doubled)
+        # the sum of an even function over the half is its sum over the grid,
+        # within 1e-15 relative to the sum of its magnitudes (2 for T_0, whose
+        # two sums differ by 1.1e-15 at X = 1025)
+        even = np.polynomial.chebyshev.chebvander(grid.x, X // 2)[:, ::2]
+        diff = np.abs(half.qw @ even[right] - grid.qw @ even)
+        assert np.all(diff <= 1e-15 * (grid.qw @ np.abs(even)))
+
     def test_resolution_floor(self):
         sp = WeightedSpace(2.0, 1.0)
         with pytest.raises(ValueError):
