@@ -29,7 +29,7 @@ Every weighted least-squares solve goes through the normal equations.  The
 Gram matrix V^T diag(w) V comes from the weighted Chebyshev moments
 m_k = sum_x w(x) T_k(x), since T_i T_j = (T_{i+j} + T_{|i-j|}) / 2; it is
 factored by Cholesky, the whole stack of factors is inverted by 2 x 2 block
-recursion in batched matmuls (no LU), and the solution is refined on its
+recursion (no LU), and the solution is refined on its
 residual V^T (w (f - V c)) (fixed-precision iterative refinement): three
 times after a plain solve from c = 0 (the shared L2 fit every finite p
 starts from), once after an IRLS correction.  An IRLS iteration thus makes
@@ -207,24 +207,29 @@ def _lane_mask(ns) -> np.ndarray:
     return np.arange(ns.max()) < ns[:, None]
 
 
-def _gram(ws: _Workspace, w: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _off_block(mask: np.ndarray) -> np.ndarray:
+    """Row k marks the entries of an N x N matrix outside the leading block
+    that row k of the lane mask keeps: the padding of :func:`_gram`."""
+    return ~(mask[:, :, None] & mask[:, None, :])
+
+
+def _gram(ws: _Workspace, w: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Stacked Gram matrices V^T diag(w_k) V from Chebyshev product moments.
 
     T_i T_j = (T_{i+j} + T_{|i-j|}) / 2, so with the moments
     m_k = sum_x w_k(x) T_k(x) of the workspace's `products`, entry (i, j)
     for the kept degrees d_i, d_j is (m_{d_i+d_j} + m_{|d_i-d_j|}) / 2: one
     (rows x grid) by (grid x 2N-1) product (2N when the odd degrees are
-    kept) instead of one (grid x N) design per row.  Row k's matrix is cut
-    to the coefficients mask[k] marks and padded with an identity block.
+    kept) instead of one (grid x N) design per row.  Row k's matrix is that
+    of the identity wherever row k of `off` (from :func:`_off_block`, built
+    once per lane set) is set: its kept block padded with an identity block.
     """
-    N = mask.shape[1]
+    N = off.shape[1]
     m = w @ ws.products[:, : ws.sum_idx[N - 1, N - 1] + 1]
-    G = m[:, ws.sum_idx[:N, :N]]
-    G += m[:, ws.diff_idx[:N, :N]]
+    G = np.take(m, ws.sum_idx[:N, :N], axis=1)
+    G += np.take(m, ws.diff_idx[:N, :N], axis=1)
     G *= 0.5
-    np.copyto(G, 0.0, where=~(mask[:, :, None] & mask[:, None, :]))
-    diag = np.arange(N)
-    G[:, diag, diag] += ~mask
+    np.copyto(G, np.eye(N), where=off)
     return G
 
 
@@ -235,10 +240,12 @@ def _tril_inverse(L: np.ndarray) -> np.ndarray:
     X11 = L11^{-1}, X22 = L22^{-1} and X21 = -X22 L21 X11.  The stack is
     padded with an identity block to a power of two, P.  Starting from the
     reciprocal diagonal, each of the log2 P levels doubles the block size b
-    and fills the X21 blocks of the diagonal 2b x 2b blocks of every matrix
-    with two batched matmuls on strided views; blocks wholly inside the
-    padding are skipped, as their X21 is zero.  Nothing above the diagonal
-    is written, so the upper triangle is exactly zero.
+    and fills the X21 blocks of the diagonal 2b x 2b blocks of every matrix;
+    blocks wholly inside the padding are skipped, as their X21 is zero.  The
+    first level's blocks are 1 x 1, so it is three elementwise products on
+    strided views, each the one product its matmul would make; every later
+    level is two batched matmuls.  Nothing above the diagonal is written, so
+    the upper triangle is exactly zero.
     """
     K, N, _ = L.shape
     P = 1 << (N - 1).bit_length()
@@ -249,7 +256,7 @@ def _tril_inverse(L: np.ndarray) -> np.ndarray:
         L = padded
     L = np.ascontiguousarray(L)  # its block views take the strides of X
     X = np.zeros((K, P, P))
-    X.reshape(K, P * P)[:, :: P + 1] = 1.0 / np.diagonal(L, axis1=1, axis2=2)
+    np.reciprocal(L.reshape(K, P * P)[:, :: P + 1], out=X.reshape(K, P * P)[:, :: P + 1])
     s0, s1, s2 = X.strides
 
     def diagonal_blocks(A: np.ndarray, size: int) -> np.ndarray:
@@ -261,7 +268,10 @@ def _tril_inverse(L: np.ndarray) -> np.ndarray:
     b = 1
     while b < P:
         Xb, Lb = diagonal_blocks(X, 2 * b), diagonal_blocks(L, 2 * b)
-        Xb[..., b:, :b] = -(Xb[..., b:, b:] @ (Lb[..., b:, :b] @ Xb[..., :b, :b]))
+        if b == 1:
+            np.negative(Xb[..., 1, 1] * (Lb[..., 1, 0] * Xb[..., 0, 0]), out=Xb[..., 1, 0])
+        else:
+            np.negative(Xb[..., b:, b:] @ (Lb[..., b:, :b] @ Xb[..., :b, :b]), out=Xb[..., b:, :b])
         b *= 2
     return X[:, :N, :N]
 
@@ -270,6 +280,7 @@ def _weighted_least_squares(
     ws: _Workspace,
     w: np.ndarray,
     mask: np.ndarray,
+    off: np.ndarray,
     start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Minimize sum_x w_k(x) (f(x) - (V c_k)(x))^2 for every lane k at once.
@@ -277,7 +288,9 @@ def _weighted_least_squares(
     Lane k fits the first n_k Chebyshev coefficients that row k of `mask`
     marks (see :func:`_lane_mask`); the returned (lanes x N) coefficients
     are zero beyond n_k.  `w` holds one weight row per lane, or a single
-    row that all lanes share.
+    row that all lanes share.  `off` is :func:`_off_block` of the mask each
+    weight row is factored at: its lane's, or for a shared row the top
+    degree N's, which keeps every entry.
 
     Each weight row's Gram matrix comes from :func:`_gram` and is factored
     as L L^T in one stacked Cholesky; G^{-1} is applied as L^{-T} L^{-1},
@@ -303,10 +316,8 @@ def _weighted_least_squares(
     Raises LinAlgError when some Gram matrix is not numerically positive
     definite.
     """
-    N = mask.shape[1]
-    V = ws.vander[:, :N]
-    factor_mask = mask if len(w) == len(mask) else mask.any(axis=0, keepdims=True)
-    L_inv = _tril_inverse(np.linalg.cholesky(_gram(ws, w, factor_mask)))
+    V = ws.vander[:, : mask.shape[1]]
+    L_inv = _tril_inverse(np.linalg.cholesky(_gram(ws, w, off)))
     L_inv_T = L_inv.transpose(0, 2, 1)
 
     def apply(rhs: np.ndarray) -> np.ndarray:
@@ -342,6 +353,8 @@ def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
     still active.  A lane leaves the stack when its value settles, at
     _IRLS_MAX_ITER, or when Cholesky rejects its normal equations; it then
     keeps its last iterate and is flagged `singular_normal_equations`.
+    The lane masks and their Gram padding (:func:`_off_block`) are built
+    once and sliced with the lanes as they leave.
     Each n counts the kept Chebyshev columns a lane fits.
     """
     p = ws.space.p
@@ -360,8 +373,10 @@ def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
         )
 
     lane = np.arange(len(ns))  # the active lanes, in stack order
-    # the weighted L2 fit: one weight vector, one factorization
-    coef = _weighted_least_squares(ws, base[None], lanes)
+    # the weighted L2 fit: one weight vector, one factorization at the top
+    # degree, whose mask is the union of the lanes'
+    top = lanes.any(axis=0, keepdims=True)
+    coef = _weighted_least_squares(ws, base[None], lanes, _off_block(top))
     rho = coef @ V.T  # the residual f - V c of each lane
     np.subtract(ws.fx, rho, out=rho)
     e = grid.wgt * rho
@@ -373,6 +388,7 @@ def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
             finish(k, 1)
         return results
     gap = np.full(len(ns), math.inf)
+    mask, off = lanes, _off_block(lanes)  # those of the active lanes
     for it in range(1, _IRLS_MAX_ITER + 1):
         # residual magnitudes floored so the p-2 power cannot blow up near zeros;
         # e is recomputed below, so w takes its buffer
@@ -381,18 +397,20 @@ def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
         w **= p - 2.0
         w *= base
         try:
-            new = _weighted_least_squares(ws, w, lanes[lane], (coef, rho))
+            new = _weighted_least_squares(ws, w, mask, off, (coef, rho))
         except np.linalg.LinAlgError:  # find the singular lanes one by one
             new, keep = coef.copy(), np.ones(len(lane), dtype=bool)
             for k in range(len(lane)):
                 start = (coef[k, None], rho[k, None])
                 try:
-                    new[k] = _weighted_least_squares(ws, w[k, None], lanes[lane[k], None], start)[0]
+                    new[k] = _weighted_least_squares(
+                        ws, w[k, None], mask[k, None], off[k, None], start
+                    )[0]
                 except np.linalg.LinAlgError:
                     keep[k] = False
                     finish(k, it, ("singular_normal_equations",))
             lane, value, gap, new = lane[keep], value[keep], gap[keep], new[keep]
-            rho, w = rho[keep], w[keep]
+            rho, w, mask, off = rho[keep], w[keep], mask[keep], off[keep]
         coef = new
         # rho and e are recomputed in the buffers of the old residual and of w
         np.matmul(coef, V.T, out=rho)
@@ -406,7 +424,7 @@ def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
             for k in np.flatnonzero(done):
                 finish(k, it)
             lane, coef, rho, e = lane[~done], coef[~done], rho[~done], e[~done]
-            value, gap = value[~done], gap[~done]
+            value, gap, mask, off = value[~done], gap[~done], mask[~done], off[~done]
         if not lane.size:
             break
     for k in range(len(lane)):

@@ -27,6 +27,7 @@ from .orthopoly import (
     JacobiBasis,
     _check_domain,
     _check_int,
+    _require_finite,
     fourier_jacobi_coeff,
     gauss_chebyshev,
     gauss_legendre,
@@ -113,9 +114,13 @@ def _translate(f, y, sy_root, x, M: int | None):
 
     The core of :func:`translate` and :func:`translate_trig`: checks x, y and
     M, then evaluates the (y, x, z) grid in passes of at most _CHUNK
-    elements (one x-row when M exceeds it), in place.  A pass takes whole y-blocks when one y's rows fit,
-    and x-row chunks of one y otherwise; every element sees the same
-    arithmetic either way.
+    elements (one x-row when M exceeds it), in place.  A pass takes whole
+    y-blocks when one y's rows fit, and x-row chunks of one y otherwise;
+    every element sees the same arithmetic either way.  A non-finite sample
+    of f makes its (y, x) entry non-finite, so the result is checked once,
+    and only on failure are the passes of its non-finite entries evaluated
+    again and searched in order: ValueError names the first point where f
+    is not finite.
     """
     if M is None:
         M = _default_quad_size(f)
@@ -137,20 +142,34 @@ def _translate(f, y, sy_root, x, M: int | None):
     out = np.empty((ys.size, xs.size))
     step = max(1, _CHUNK // M)  # x-rows per pass
     per_pass = max(1, step // max(1, xs.size))  # y per pass; 1 unless a y's rows fit
-    for i in range(0, ys.size, per_pass):
-        j = min(i + per_pass, ys.size)
-        for lo in range(0, xs.size, step):
-            hi = lo + step
-            r = rx[lo:hi, None] * zs[i:j, None]
-            np.subtract(xy[i:j, lo:hi, None], r, out=r)
-            np.clip(r, -1.0, 1.0, out=r)
-            k = sx[lo:hi, None] * c[i:j, None]
-            k += a[i:j, None]
-            k -= r * r
-            k *= np.asarray(f(r.ravel()), dtype=float).reshape(r.shape)
-            # one matrix-vector product per y, each the shape of a scalar
-            # call's pass, so a row's rounding does not depend on the batch
-            out[i:j, lo:hi] = k @ rule.weights
+
+    def arguments(i: int, lo: int) -> np.ndarray:
+        """R, the arguments of f on the pass over y from i and x-rows from lo."""
+        j, hi = min(i + per_pass, ys.size), lo + step
+        r = rx[lo:hi, None] * zs[i:j, None]
+        np.subtract(xy[i:j, lo:hi, None], r, out=r)
+        return np.clip(r, -1.0, 1.0, out=r)
+
+    # a non-finite sample of f is named by the check below, not warned of
+    with np.errstate(invalid="ignore"):
+        for i in range(0, ys.size, per_pass):
+            j = min(i + per_pass, ys.size)
+            for lo in range(0, xs.size, step):
+                hi = lo + step
+                r = arguments(i, lo)
+                k = sx[lo:hi, None] * c[i:j, None]
+                k += a[i:j, None]
+                k -= r * r
+                k *= np.asarray(f(r.ravel()), dtype=float).reshape(r.shape)
+                # one matrix-vector product per y, each the shape of a scalar
+                # call's pass, so a row's rounding does not depend on the batch
+                out[i:j, lo:hi] = k @ rule.weights
+        if not np.isfinite(out).all():
+            # finite samples can overflow too, so each such pass is searched in turn
+            yi, xi = np.nonzero(~np.isfinite(out))
+            for i, lo in dict.fromkeys(zip(yi - yi % per_pass, xi - xi % step)):
+                r = arguments(int(i), int(lo)).ravel()
+                _require_finite(np.asarray(f(r), dtype=float), r)
     out /= np.pi * sx
     out = out.reshape(np.shape(y) + np.shape(x))
     return float(out) if out.ndim == 0 else out
@@ -176,6 +195,9 @@ def translate(f, y, x, M: int | None = None):
     -------
     float or ndarray of shape y.shape + x.shape; row i of a 1-d y is the
     scalar call at y[i], bit for bit.
+
+    A non-finite sample of f raises ValueError naming the point it was
+    taken at.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim > 1:

@@ -11,6 +11,7 @@ from smoothop.approx import (
     _gram,
     _initial_reference,
     _lane_mask,
+    _off_block,
     _tril_inverse,
     _weighted_least_squares,
     _Workspace,
@@ -102,7 +103,7 @@ class TestProjection:
         sizes = sorted(set(counts.tolist()) - {0})
         mask = _lane_mask(sizes)
         V = ws.vander[:, : mask.shape[1]]
-        coef = _weighted_least_squares(ws, (grid.qw * grid.wgt**2)[None], mask)
+        coef = lsq(ws, (grid.qw * grid.wgt**2)[None], mask)
         e = grid.wgt * (ws.fx - coef @ V.T)
         value = grid.norm(e)
         gap = np.max(np.abs((e * (grid.qw * grid.wgt)) @ V) * mask, axis=1)
@@ -122,6 +123,13 @@ class TestProjection:
         for sp in (SP2, SPINF, SP1):
             r = best_approx(f, 4, sp)
             assert r.value <= 1e-10
+
+
+def lsq(ws, w, mask, start=None):
+    """_weighted_least_squares with the padding of each weight row built
+    here: that of its lane, or of the top degree for a shared row."""
+    factored = mask if len(w) == len(mask) else mask.any(axis=0, keepdims=True)
+    return _weighted_least_squares(ws, w, mask, _off_block(factored), start)
 
 
 def p1_irls_weights(n):
@@ -145,14 +153,86 @@ def shifted_abs_workspace(n_top):
     return _Workspace(as_sampled(lambda x: np.abs(x - 0.1)), WeightedSpace(1.0, 1.0), n_top)
 
 
+def tril_inverse_by_matmul(L):
+    """_tril_inverse with every level, b = 1 included, made of two batched
+    matmuls: the reference for its elementwise first level."""
+    K, N, _ = L.shape
+    P = 1 << (N - 1).bit_length()
+    if P > N:
+        padded = np.zeros((K, P, P))
+        padded[:, :N, :N] = L
+        padded.reshape(K, P * P)[:, N * (P + 1) :: P + 1] = 1.0
+        L = padded
+    L = np.ascontiguousarray(L)
+    X = np.zeros((K, P, P))
+    X.reshape(K, P * P)[:, :: P + 1] = 1.0 / np.diagonal(L, axis1=1, axis2=2)
+    s0, s1, s2 = X.strides
+
+    def diagonal_blocks(A, size):
+        shape = (K, -(-N // size), size, size)
+        return np.ndarray(shape, A.dtype, A, 0, (s0, size * (s1 + s2), s1, s2))
+
+    b = 1
+    while b < P:
+        Xb, Lb = diagonal_blocks(X, 2 * b), diagonal_blocks(L, 2 * b)
+        Xb[..., b:, :b] = -(Xb[..., b:, b:] @ (Lb[..., b:, :b] @ Xb[..., :b, :b]))
+        b *= 2
+    return X[:, :N, :N]
+
+
+def irls_factor_stack(N):
+    """Cholesky factors of three random Gram matrices and of a p = 1 IRLS
+    Gram matrix, in one stack."""
+    A = np.random.default_rng(N).standard_normal((3, N, 2 * N))
+    ws = shifted_abs_workspace(N)
+    irls = _gram(ws, p1_irls_weights(N)[None], _off_block(_lane_mask([N])))
+    return np.linalg.cholesky(np.concatenate([A @ A.transpose(0, 2, 1), irls]))
+
+
+class TestGram:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(["abs", "signabs32", "absshift"]),
+        st.lists(st.integers(1, 12), min_size=1, max_size=5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_kept_block_from_moments_identity_elsewhere(self, name, ns, seed):
+        # lane k's kept block is (m_{d_i+d_j} + m_{|d_i-d_j|}) / 2 of its own
+        # moments m = w_k^T products, and every other entry is the identity's,
+        # bit for bit; the even and odd kept degrees index the even moments
+        ws = _Workspace(get_test_function(name), SP1, 24)
+        mask = _lane_mask(ns)
+        N = mask.shape[1]
+        w = np.random.default_rng(seed).random((len(ns), ws.fx.size))
+        G = _gram(ws, w, _off_block(mask))
+        m = w @ ws.products[:, : ws.sum_idx[N - 1, N - 1] + 1]  # the product _gram makes
+        d = ws.degrees
+        step = 2 if d[0] == 1 or d[1] == 2 else 1
+        want = np.zeros_like(G)
+        for k, n in enumerate(ns):
+            for i in range(N):
+                for j in range(N):
+                    if i < n and j < n:
+                        hi, lo = (d[i] + d[j]) // step, abs(d[i] - d[j]) // step
+                        want[k, i, j] = (m[k, hi] + m[k, lo]) * 0.5
+                    else:
+                        want[k, i, j] = float(i == j)
+        assert np.array_equal(G.view(np.uint64), want.view(np.uint64))
+
+
 class TestTrilInverse:
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 16, 17, 33, 64])
+    def test_matches_matmul_reference_bit_for_bit(self, N):
+        # the elementwise b = 1 level makes the same one product per entry
+        L = irls_factor_stack(N)
+        X, ref = _tril_inverse(L), tril_inverse_by_matmul(L)
+        assert np.array_equal(X.view(np.uint64), ref.view(np.uint64))
+
     @pytest.mark.parametrize("N", [1, 2, 3, 5, 16, 17, 32, 33, 64])
     def test_inverts_a_stack_of_factors(self, N):
         # three random Cholesky factors and that of a p = 1 IRLS Gram matrix,
         # in one stack; N that is no power of two is padded inside
-        A = np.random.default_rng(N).standard_normal((3, N, 2 * N))
-        irls = _gram(shifted_abs_workspace(N), p1_irls_weights(N)[None], _lane_mask([N]))
-        L = np.linalg.cholesky(np.concatenate([A @ A.transpose(0, 2, 1), irls]))
+        L = irls_factor_stack(N)
         X = _tril_inverse(L)
         cond = np.linalg.cond(L)  # cond(L) = cond(A) for G = A^T A = L L^T
         if N >= 32:
@@ -169,7 +249,7 @@ def assert_lanes_match_svd_solve(ns, w):
     """Each lane of the stacked solve against an SVD-based solve of its own
     design diag(sqrt w_k) V[:, :n_k]; returns the largest cond of those."""
     ws = shifted_abs_workspace(max(ns))
-    coef = _weighted_least_squares(ws, w, _lane_mask(ns))
+    coef = lsq(ws, w, _lane_mask(ns))
     conds = []
     for k, n in enumerate(ns):
         s = np.sqrt(w[min(k, len(w) - 1)])
@@ -202,7 +282,7 @@ class TestWeightedLeastSquares:
         assert np.linalg.cond(A) >= 1e6
         ref, *_ = np.linalg.lstsq(A, fx * s, rcond=None)
         ws = _Workspace(as_sampled(lambda x: np.abs(x - 0.1)), WeightedSpace(1.0, 1.0), 32)
-        coef = _weighted_least_squares(ws, (s * s)[None], _lane_mask([32]))[0]
+        coef = lsq(ws, (s * s)[None], _lane_mask([32]))[0]
         assert np.linalg.norm(coef - ref) <= 1e-10 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("N", [17, 32])
@@ -226,12 +306,12 @@ class TestWeightedLeastSquares:
         # residual gives, cond(A) = 2e5
         ws, mask = shifted_abs_workspace(128), _lane_mask([128])
         base = ws.grid.qw * ws.grid.wgt**2
-        c0 = _weighted_least_squares(ws, base[None], mask)
+        c0 = lsq(ws, base[None], mask)
         resid = ws.fx - c0 @ ws.vander.T
         w = base / np.maximum(np.abs(ws.grid.wgt * resid), approx._IRLS_RESIDUAL_FLOOR)
         assert np.linalg.cond(ws.vander * np.sqrt(w[0])[:, None]) >= 1e5
-        started = _weighted_least_squares(ws, w, mask, (c0, resid))
-        cold = _weighted_least_squares(ws, w, mask)
+        started = lsq(ws, w, mask, (c0, resid))
+        cold = lsq(ws, w, mask)
         # 4.0e-13 measured
         assert np.linalg.norm(started - cold) <= 1e-12 * np.linalg.norm(cold)
 
@@ -314,8 +394,8 @@ class TestIRLS:
         for p, n_top in [(1.0, 64), (1.5, 16), (3.0, 16)]:
             deviations = []
 
-            def svd_driven(ws, w, mask, start=None):
-                coef = solve(ws, w, mask, start)
+            def svd_driven(ws, w, mask, off, start=None):
+                coef = solve(ws, w, mask, off, start)
                 ref = np.zeros_like(coef)
                 for k, lane in enumerate(mask):
                     n, s = int(lane.sum()), np.sqrt(w[min(k, len(w) - 1)])
@@ -397,6 +477,57 @@ class TestLockstep:
                 assert 1 <= r.iterations < approx._IRLS_MAX_ITER, (r.n, r.iterations)
         assert any("singular_normal_equations" in r.flags for r in seq)
         assert len({r.iterations for r in seq}) > 1
+
+    def test_p6_lanes_leave_with_their_own_masks(self, monkeypatch):
+        # |x| at p = 6 to n = 32: the even columns give lanes of 1..16 kept
+        # coefficients; some stop at the iteration limit, the others turn
+        # singular at several iterations (5 to 25).  Every solve must get the masks of
+        # exactly the lanes still active, each with its own padding, and each
+        # lane's flags and iteration count must be those its solves gave it.
+        # (Lanes are not compared with one-degree solves: BLAS rounds a row
+        # of a stacked product differently for other row counts, and p = 6
+        # stops amplify that.)
+        solve, log = _weighted_least_squares, []
+
+        def logged(ws, w, mask, off, start=None):
+            factored = mask if len(w) == len(mask) else mask.any(axis=0, keepdims=True)
+            assert np.array_equal(off, _off_block(factored))
+            sizes = mask.sum(axis=1).tolist()
+            try:
+                coef = solve(ws, w, mask, off, start)
+            except np.linalg.LinAlgError:
+                log.append((sizes, False))
+                raise
+            log.append((sizes, True))
+            return coef
+
+        monkeypatch.setattr(approx, "_weighted_least_squares", logged)
+        seq = best_approx_sequence(np.abs, 32, WeightedSpace(6.0, 1.0))
+        lanes = {(r.n + 1) // 2: r for r in seq}  # n = 2m - 1 and 2m keep m columns
+        stop = {m: r.iterations for m, r in lanes.items()}
+        singular = {m for m, r in lanes.items() if "singular_normal_equations" in r.flags}
+        assert len({stop[m] for m in singular}) >= 3
+        assert approx._IRLS_MAX_ITER in stop.values()
+        assert log.pop(0) == (list(range(1, 17)), True)  # the shared L2 fit
+        for it in range(1, approx._IRLS_MAX_ITER + 1):
+            active = [m for m in range(1, 17) if stop[m] >= it]
+            if not active:
+                break
+            sizes, solved = log.pop(0)
+            assert sizes == active, it
+            leaving = {m for m in active if stop[m] == it and m in singular}
+            # a stacked failure can also leave every lane solvable alone
+            assert not (solved and leaving), it
+            if not solved:  # the lanes one by one
+                assert log[: len(active)] == [([m], m not in leaving) for m in active], it
+                del log[: len(active)]
+        assert log == []
+        for m, r in lanes.items():
+            flag = "max_iterations" if stop[m] == approx._IRLS_MAX_ITER else None
+            flag = "singular_normal_equations" if m in singular else flag
+            assert [f for f in r.flags if f in {"max_iterations", "singular_normal_equations"}] == (
+                [flag] if flag else []
+            ), m
 
 
 class TestParity:

@@ -319,3 +319,56 @@ class TestMultiplier:
 def test_non_finite_arguments_rejected(kernel, param, x, name):
     with pytest.raises(ValueError, match=f"{name} = "):
         kernel(np.abs, param, x)
+
+
+class TestNonFiniteSamples:
+    """A non-finite sample of f raises ValueError naming where f was sampled."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(min_value=-1.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=0.5),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.sampled_from([translate, translate_trig]),
+        st.one_of(unit, st.lists(unit, min_size=1, max_size=3)),
+        st.sampled_from([1, 5, 200]),
+    )
+    def test_named_point_is_non_finite(self, lo, width, bad, kernel, param, X):
+        # f is non-finite on [lo, lo + width]; the call raises exactly when some
+        # argument of f falls in there, which a finite first call records.
+        # With X = 200 and M = 128 each y takes two passes.
+        hi = lo + width
+        x = np.linspace(-0.95, 0.95, X)
+        param = np.pi * np.asarray(param) if kernel is translate_trig else np.asarray(param)
+
+        def f(t):
+            out = np.abs(t)
+            out[(t >= lo) & (t <= hi)] = bad
+            return out
+
+        seen = []
+
+        def spy(t):
+            seen.append(t.copy())
+            return np.abs(t)
+
+        kernel(spy, param, x)
+        args = np.concatenate(seen)
+        if not np.any((args >= lo) & (args <= hi)):
+            assert np.all(np.isfinite(kernel(f, param, x)))
+            return
+        with pytest.raises(ValueError, match="non-finite sample") as err:
+            kernel(f, param, x)
+        named = float(str(err.value).rsplit("x = ", 1)[1])
+        assert not np.isfinite(f(np.array([named])))[0]
+
+    def test_overflow_before_it_does_not_hide_it(self):
+        # y = 1 makes every argument of row x equal x.  Finite samples of 1e308
+        # overflow the rows near x = 0 in the first pass; the NaN samples at
+        # x > 1/2 sit in the second, which is searched next.
+        def f(t):
+            return np.where(t > 0.5, np.nan, 1e308)
+
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="sample value nan") as err:
+            translate(f, 1.0, np.linspace(-0.95, 0.95, 200), M=128)
+        assert float(str(err.value).rsplit("x = ", 1)[1]) > 0.5
