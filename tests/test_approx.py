@@ -19,6 +19,7 @@ from smoothop.approx import (
     best_approx_sequence,
 )
 from smoothop.cli import main
+from smoothop.modulus import modulus_curve
 from smoothop.orthopoly import gauss_legendre
 from smoothop.weighted_space import WeightedSpace, as_sampled, sup_grid, weighted_norm
 
@@ -601,6 +602,35 @@ class TestParity:
             best_approx_sequence(f, 4, sp)
         named = float(str(err.value).rsplit("x = ", 1)[1])
         assert not np.isfinite(f(np.array([named])))[0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=4096),
+        st.sampled_from(["nan", "even_inf", "odd_inf"]),
+    )
+    def test_non_finite_sample_is_named_at_p_inf(self, index, kind):
+        # the sup exchange and omega on the 4097-point sup grid (omega on the
+        # smallest t grid, whose t = 0 row samples f at the grid itself); the
+        # grid is not symmetric bit for bit, so the mirrored point is the one
+        # at the mirrored index
+        x = SPINF._grid(approx._grid_size(SPINF)).x
+        bad = x[[index, x.size - 1 - index]]
+
+        def f(t):
+            out = np.abs(t) if kind == "even_inf" else t.copy()
+            if kind == "nan":
+                out[t == bad[0]] = np.nan
+            else:
+                mirrored = np.isin(t, bad)
+                out[mirrored] = np.copysign(np.inf, out[mirrored])
+            return out
+
+        for solve in (lambda: best_approx_sequence(f, 4, SPINF),
+                      lambda: modulus_curve(f, [0.1, 0.2], SPINF, t_grid=3)):
+            with pytest.raises(ValueError, match="non-finite") as err:
+                solve()
+            named = float(str(err.value).rsplit("x = ", 1)[1])
+            assert not np.isfinite(f(np.array([named])))[0]
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_plateaus_are_exact(self, p):

@@ -1,11 +1,12 @@
 import math
 import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from hypothesis import given, settings, strategies as st
-from scipy.special import eval_jacobi
+from scipy.special import eval_jacobi, jn_zeros
 
 from smoothop import orthopoly
 from smoothop.approx import best_approx, best_approx_sequence
@@ -84,6 +85,25 @@ def legendre_pair_reference(M, x):
     for m in range(2, M + 1):
         p_prev, p = p, ((2 * m - 1) * x * p - (m - 1) * p_prev) / m
     return p, p_prev
+
+
+def legendre_node_weight_reference(M, x0):
+    """(node, weight) of the M-point Gauss-Legendre rule nearest x0, as
+    Decimals: Newton on the recurrence in 40-digit decimal arithmetic.
+
+    numpy's leggauss and scipy's roots_legendre are off by 1e-8 in the end
+    weights at M = 1025, so neither can serve as the reference.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = Decimal(float(x0))
+        for _ in range(5):  # quadratic from a double: 1e-17, 1e-34, then the floor
+            p_prev, p = Decimal(1), x
+            for m in range(2, M + 1):
+                p_prev, p = p, ((2 * m - 1) * x * p - (m - 1) * p_prev) / m
+            dp = M * (x * p - p_prev) / (x * x - 1)
+            x -= p / dp
+        return x, 2 / ((1 - x * x) * dp * dp)
 
 
 def chebyshev_moment(k):
@@ -190,11 +210,16 @@ class TestQuadrature:
         assert_allclose(rule.weights, [2.0])
 
     def test_legendre_nodes_interior_ascending_symmetric(self):
-        for M in (2, 7, 64, 256):
+        for M in (2, 7, 64, 256, 257, 1025):
             rule = gauss_legendre(M)
             assert np.all(np.diff(rule.nodes) > 0)
             assert np.all(np.abs(rule.nodes) < 1)
-            assert_allclose(rule.nodes, -rule.nodes[::-1], atol=1e-16)
+            # mirrored bit for bit, weights too, with +0.0 in the middle of an odd M
+            assert np.array_equal(rule.nodes, -rule.nodes[::-1]), M
+            assert np.array_equal(rule.weights, rule.weights[::-1]), M
+            if M % 2:
+                middle = rule.nodes[M // 2]
+                assert middle == 0.0 and not np.signbit(middle), M
             assert_allclose(rule.weights.sum(), 2.0, rtol=1e-14)
 
     @settings(max_examples=40, deadline=None)
@@ -239,6 +264,51 @@ class TestQuadrature:
         ref = gauss_legendre.__wrapped__(M)  # an uncached build on the reference loop
         assert np.array_equal(rule.nodes, ref.nodes)
         assert np.array_equal(rule.weights, ref.weights)
+
+    @pytest.mark.parametrize("M, weight_rtol", [(256, 2e-12), (1025, 5e-11)])
+    def test_legendre_rule_matches_decimal_reference(self, M, weight_rtol):
+        rule = gauss_legendre(M)
+        for i in [*range(M - 8, M), M // 2]:  # the 8 nodes nearest 1 and the middle one
+            x, w = legendre_node_weight_reference(M, rule.nodes[i])
+            assert abs(float(Decimal(float(rule.nodes[i])) - x)) <= 1e-16, i
+            assert abs(float((Decimal(float(rule.weights[i])) - w) / w)) <= weight_rtol, i
+
+    def test_bessel_zero_table(self):
+        np.testing.assert_array_max_ulp(orthopoly._J0_ZEROS, jn_zeros(0, 20), maxulp=1)
+
+    def test_legendre_rule_pass_count(self, monkeypatch):
+        # one pass of the recurrence from 64 nodes on, at most two below; the
+        # one guess of M = 2 is 2e-4 off, and its error bound holds after three
+        passes = []
+        pair = orthopoly._legendre_pair
+
+        def counted(M, x):
+            passes.append(M)
+            return pair(M, x)
+
+        monkeypatch.setattr(orthopoly, "_legendre_pair", counted)
+        for M in [*range(1, 321), 511, 512, 1024, 1025, 2048, 2049]:
+            passes.clear()
+            gauss_legendre.__wrapped__(M)
+            if M == 2:
+                assert len(passes) == 3
+            elif M < 64:
+                assert len(passes) <= 2, M
+            else:
+                assert len(passes) == 1, M
+
+    def test_legendre_rule_not_converging_raises(self, monkeypatch):
+        passes = []
+
+        def stuck(M, x):  # a Newton step of 1e-6 / M at every pass
+            passes.append(M)
+            p = np.full_like(x, 1e-6)
+            return p, x * p + (1.0 - x * x)
+
+        monkeypatch.setattr(orthopoly, "_legendre_pair", stuck)
+        with pytest.raises(RuntimeError, match=r"did not converge for M = 8:"):
+            gauss_legendre.__wrapped__(8)
+        assert len(passes) == 100
 
     def test_chebyshev_rule_cached_and_read_only(self):
         rule = gauss_chebyshev(128)
