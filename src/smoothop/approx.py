@@ -12,18 +12,21 @@ Solvers by norm family:
   an equioscillation certificate.  Each step
   solves the square (n + 1)-point reference system by LU, with a
   least-squares fallback for a singular reference.
-* finite p: one lockstep least-squares driver.  The degrees of a sequence
-  run as lanes and start from one shared weighted L2 fit, one factorization
-  made at the top degree.  At p = 2 that fit is the exact discrete
-  best approximation (the projection, on a 256-point Gauss-Legendre grid),
-  and the driver stops there.  Any other p runs iteratively reweighted
-  least squares (IRLS) from it on a 1025-point Gauss-Legendre grid: one
-  stacked weighted least-squares solve per iteration for the lanes still
-  active.  Each iteration solves in
-  correction form: it adds G^{-1} V^T (w rho) to the lane's iterate c, with
-  the residual rho = f - V c the lane already holds.  A lane leaves the
-  stack when it converges, at the iteration limit, or when its normal
-  equations are singular.  `best_approx(f, n)` is a sequence of one lane.
+* finite p: one lockstep driver.  The degrees of a sequence run as lanes
+  and start from one shared weighted L2 fit, one factorization made at the
+  top degree.  At p = 2 that fit is the exact discrete best approximation
+  (the projection, on a 256-point Gauss-Legendre grid), and the driver
+  stops there.  The other p run on a 1025-point Gauss-Legendre grid, one
+  stacked factorization per iteration for the lanes still active.  p = 1
+  is a linear program, solved by a primal-dual interior-point method
+  (Mehrotra's predictor-corrector, about 20 iterations): a lane leaves when
+  its duality gap, U minus a dual feasible lower bound, is at most 1e-12
+  ||f||.  Any other p runs iteratively reweighted least squares (IRLS) in
+  correction form: each iteration adds G^{-1} V^T (w rho) to the lane's
+  iterate c, with the residual rho = f - V c the lane already holds, and a
+  lane leaves when its value settles.  Either way a lane also leaves at the
+  iteration limit, or when its normal equations are singular.
+  `best_approx(f, n)` is a sequence of one lane.
 
 Every weighted least-squares solve goes through the normal equations.  The
 Gram matrix V^T diag(w) V comes from the weighted Chebyshev moments
@@ -34,12 +37,15 @@ residual V^T (w (f - V c)) (fixed-precision iterative refinement): three
 times after a plain solve from c = 0 (the shared L2 fit every finite p
 starts from), once after an IRLS correction.  An IRLS iteration thus makes
 five products with the grid-sized design: the Gram moments, V^T (w rho),
-one refinement step (V c and V^T r), and the new residual V c.  n may not
-exceed a quarter of the solver's grid, so that V itself has full rank.
-The Gram matrix can still be numerically singular when the weights span too
-many orders of magnitude, as IRLS weights do for p >= 6; Cholesky then
-fails, and the IRLS lane stops with the flag `singular_normal_equations`
-and keeps its last iterate.
+one refinement step (V c and V^T r), and the new residual V c.  The
+interior-point steps apply their one factor, unrefined, to two right-hand
+sides.  n may not exceed a quarter of the solver's grid, so that V itself
+has full rank.  The Gram matrix can still be numerically singular when the
+weights span too many orders of magnitude, as IRLS weights do for p >= 6;
+Cholesky then fails, and the IRLS lane stops with the flag
+`singular_normal_equations` and keeps its last iterate.  An interior-point
+stack is first factored once more with its diagonals raised by 1e-13 of
+their largest entry.
 
 Even and odd inputs (finite p).  The Gauss-Legendre grid, its weights and
 (1 - x^2)^alpha are symmetric about 0 bit for bit.  When f's samples are
@@ -58,8 +64,9 @@ is left out: the sup grid is not symmetric bit for bit, and the even
 polynomials are no Haar system on [-1, 1], which the exchange needs.
 
 Scale.  Every absolute tolerance (the IRLS residual floor and stop test,
-the exchange's stop, feasibility and levelling tests, the monotonicity
-slack of a sequence) is relative to ||f|| on the solver's grid, the error
+the interior-point gap tolerance, the exchange's stop, feasibility and
+levelling tests, the monotonicity slack of a sequence) is relative to
+||f|| on the solver's grid, the error
 of the zero polynomial, so E_n(c f) equals |c| E_n(f) up to roundoff, with
 the same flags, for any c != 0.  f = 0 on the grid returns the zero
 polynomial unsolved.
@@ -98,6 +105,11 @@ _IRLS_MAX_ITER = 200
 _IRLS_RESIDUAL_FLOOR = 1e-10  # times ||f|| on the grid
 _EXCHANGE_MAX_ITER = 60
 _REFINE_STEPS = 3
+_GAP_TOL = 1e-12  # p = 1: a lane leaves at duality gap <= this times ||f||
+_NEAR_GAP = 100  # p = 1: certify a lane once b^T u is this many tolerances from U
+_STALL = 1e-100  # p = 1: a lane whose complementarity falls below this many tolerances stops
+_STEP = 0.9995  # p = 1: the share of the way to the boundary an interior-point step takes
+_GRAM_SHIFT = 1e-13  # p = 1: the diagonal raise, relative, of a stack Cholesky rejects
 _LANE_BUDGET = 1 << 18  # entries of one lockstep Gram stack, lanes x N x N (2 MB)
 _ROUNDOFF = 1e-9  # relative slack for comparisons between computed norms
 
@@ -133,6 +145,12 @@ def _grid_size(space: WeightedSpace) -> int:
     if space.is_sup:
         return _GRID_SUP
     return _GRID_P2 if space.p == 2 else _GRID_IRLS
+
+
+def _solver_name(space: WeightedSpace) -> str:
+    if space.is_sup:
+        return "exchange"
+    return {1: "interior_point", 2: "projection"}.get(space.p, "irls")
 
 
 def _require_resolvable(n: int, space: WeightedSpace) -> None:
@@ -276,6 +294,23 @@ def _tril_inverse(L: np.ndarray) -> np.ndarray:
     return X[:, :N, :N]
 
 
+def _factor(G: np.ndarray) -> np.ndarray:
+    """L^{-1} for the Cholesky factor L of each matrix of the stack G, from
+    :func:`_tril_inverse`.  Raises LinAlgError when some matrix is not
+    numerically positive definite."""
+    return _tril_inverse(np.linalg.cholesky(G))
+
+
+def _apply(L_inv: np.ndarray, rhs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """G^{-1} rhs for each lane, as L^{-T} L^{-1} rhs with L^{-1} from
+    :func:`_factor`.  Lane k keeps the first n_k entries that row k of `mask`
+    marks between the two triangular products, so a factor made at a larger
+    degree serves through its leading block, and the result is zero beyond
+    n_k."""
+    y = (L_inv @ rhs[:, :, None])[:, :, 0] * mask
+    return (L_inv.transpose(0, 2, 1) @ y[:, :, None])[:, :, 0]
+
+
 def _weighted_least_squares(
     ws: _Workspace,
     w: np.ndarray,
@@ -317,12 +352,10 @@ def _weighted_least_squares(
     definite.
     """
     V = ws.vander[:, : mask.shape[1]]
-    L_inv = _tril_inverse(np.linalg.cholesky(_gram(ws, w, off)))
-    L_inv_T = L_inv.transpose(0, 2, 1)
+    L_inv = _factor(_gram(ws, w, off))
 
     def apply(rhs: np.ndarray) -> np.ndarray:
-        y = (L_inv @ rhs[:, :, None])[:, :, 0] * mask
-        return (L_inv_T @ y[:, :, None])[:, :, 0]
+        return _apply(L_inv, rhs, mask)
 
     if start is None:
         coef = apply((w * ws.fx) @ V)  # the plain solve: from c = 0 the residual is f
@@ -341,14 +374,301 @@ def _weighted_least_squares(
     return coef
 
 
+def _factor_lanes(
+    G: np.ndarray, mask: np.ndarray, shift: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_factor` of a stack of Gram matrices, one per lane, and the
+    boolean mask of the lanes it factored.  If Cholesky rejects the stack
+    and `shift` is not 0, each matrix's diagonal is raised by `shift` times
+    its largest entry in the lane's kept block and the stack is factored
+    once more; if that fails too, the lanes are factored one by one and
+    those that fail are left out."""
+    try:
+        return _factor(G), np.ones(len(G), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    K, N, _ = G.shape
+    if shift:
+        diag = G.reshape(K, N * N)[:, :: N + 1]
+        diag += shift * np.max(diag * mask, axis=1, keepdims=True)
+        try:
+            return _factor(G), np.ones(K, dtype=bool)
+        except np.linalg.LinAlgError:
+            pass
+    factors, keep = [], np.zeros(K, dtype=bool)
+    for k in range(K):
+        try:
+            factors.append(_factor(G[k, None]))
+            keep[k] = True
+        except np.linalg.LinAlgError:
+            pass
+    return (np.concatenate(factors) if factors else np.empty((0, N, N))), keep
+
+
+def _keep_rows(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    """The rows `keep` of each array, moved to the front of the array's own
+    buffer one by one and returned as views of it: a lane set that shrinks
+    allocates nothing."""
+    rows = np.flatnonzero(keep)
+    for x in arrays:
+        for i, k in enumerate(rows):  # k >= i: each row moves up or stays
+            x[i] = x[k]
+    return [x[: rows.size] for x in arrays]
+
+
+def _interior_point(
+    ws: _Workspace, lanes: np.ndarray, coef: np.ndarray, rho: np.ndarray, finish
+) -> None:
+    """p = 1 from the shared L2 fit: Mehrotra's predictor-corrector
+    interior-point method, the lanes in lockstep.
+
+    With A = diag(w) V, b = w f and the rule's weights q, the lane of n
+    columns solves the linear program min sum q (s + t) over A c + s - t = b,
+    s, t >= 0, whose value is sum q |b - A c|, together with its dual
+    max b^T u over A^T u = 0, |u| <= q.  It starts from the L2 fit c and its
+    residual r = b - A c at s = max(r, 0) + max|r| / 10, t = s - r and u = 0.
+    The dual slacks q - u and q + u are arrays of their own, and every
+    slack is updated by a factor (s *= 1 + alpha ds / s), so none is found
+    by cancellation and none leaves (0, inf).  Each iteration factors one
+    stacked Gram A^T diag(D) A, D = 1 / (s / (q - u) + t / (q + u)), and
+    applies the factor to the predictor's and the corrector's right-hand
+    sides.  Besides the four slacks, each lane holds four grid-sized work
+    arrays, the residual among them, allocated once and reused in place.
+
+    Certificate: U is the grid norm of the lane's residual, and L = b^T u'
+    for u' the current u projected onto A^T u' = 0 and scaled into the box
+    |u'| <= q, a dual feasible point, so L <= E_n.  The projection is
+    u' = u - S A (A^T S A)^{-1} A^T u in the metric of the box slack
+    S = min(q - u, q + u): it moves u least where u is near the box, and
+    its Gram stays well conditioned where that of D, whose range grows as
+    1 / mu^2, does not.  It costs a factorization of its own, so it is made
+    only once U - b^T u, not yet a bound, is within _NEAR_GAP tolerances.
+    A lane leaves once U - L <= _GAP_TOL ||f||, reporting U - L as its gap.
+    Each other way out is flagged, and reports the lane's iterate of the
+    smallest gap so far, with that gap and the steps it took:
+    `max_iterations` at _IRLS_MAX_ITER steps, and
+    `singular_normal_equations` when :func:`_factor_lanes` cannot factor the
+    lane's Gram even with its diagonal raised, or when its complementarity
+    sum s (q - u) + t (q + u) has fallen below _STALL tolerances while its
+    gap has not: its Gram is then singular to working precision, and more
+    steps would only drive the slacks toward underflow.
+    """
+    grid = ws.grid
+    q, wgt = grid.qw, grid.wgt
+    V = ws.vander[:, : lanes.shape[1]]
+    b = wgt * ws.fx
+    w2 = wgt * wgt
+    tol = _GAP_TOL * ws.zero_error
+    pairs = 2 * q.size  # complementary pairs per lane
+
+    def dot(*xs: np.ndarray) -> np.ndarray:  # row-wise sums of products
+        return np.einsum(",".join(["ij"] * len(xs)) + "->i", *xs)[:, None]
+
+    def lower_bound(rows: np.ndarray, S, y, Ay) -> np.ndarray:
+        """L of the given lanes, computed in the first len(rows) rows of the
+        work arrays S, y and Ay; 0, itself a bound, for a lane whose Gram in
+        the slack metric cannot be factored.  The projection leaves
+        g = A^T u' at rounding level only if that Gram is well conditioned,
+        and b^T u' <= E_n + c^T g for the minimiser c, so sum |c_k| |g_k|
+        for the lane's iterate c is taken off: a projection that went wrong
+        costs the bound instead of breaking it."""
+        lower = np.zeros(len(rows))
+        S, y, Ay = S[: len(rows)], y[: len(rows)], Ay[: len(rows)]
+        np.take(zs, rows, axis=0, out=S)
+        np.take(zt, rows, axis=0, out=Ay)
+        np.subtract(Ay, S, out=y)
+        y *= 0.5  # u
+        np.minimum(S, Ay, out=S)
+        np.multiply(S, w2, out=Ay)
+        L_inv, ok = _factor_lanes(_gram(ws, Ay, off[rows]), mask[rows])
+        if not ok.all():
+            rows, S, y, Ay = _keep_rows(ok, rows.copy(), S, y, Ay)
+        np.multiply(y, wgt, out=Ay)
+        np.matmul(_apply(L_inv, Ay @ V, mask[rows]), V.T, out=Ay)
+        Ay *= wgt
+        Ay *= S
+        y -= Ay
+        np.abs(y, out=S)
+        S /= q
+        y /= np.maximum(np.max(S, axis=1, keepdims=True), 1.0)  # into the box
+        np.multiply(y, wgt, out=S)
+        slip = dot(np.abs(coef[rows]), np.abs(S @ V) * mask[rows])[:, 0]
+        lower[ok] = y @ b - slip
+        return lower
+
+    def newton(h: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The direction dc for the right-hand side h, with
+        du = D (h - A dc) written to `out`."""
+        np.multiply(D, h, out=out)
+        out *= wgt
+        dc = _apply(L_inv, out @ V + Atu, mask)
+        np.matmul(dc, V.T, out=out)
+        out *= wgt
+        np.subtract(h, out, out=out)
+        out *= D
+        return dc
+
+    e = np.multiply(wgt, rho, out=rho)  # the residual b - A c
+    s = np.maximum(e, 0.0)
+    s += 0.1 * np.max(np.abs(e), axis=1, keepdims=True)
+    t = s - e
+    zs = np.tile(q, (len(lanes), 1))  # q - u
+    zt = zs.copy()  # q + u
+    work = np.empty((3,) + e.shape)
+    lane = np.arange(len(lanes))
+    mask, off = lanes.copy(), _off_block(lanes)
+    # by lane: the smallest gap so far and its iterate, which a flagged lane reports
+    best, best_coef = np.full(len(lanes), math.inf), coef.copy()
+    best_value, best_it = np.zeros(len(lanes)), np.zeros(len(lanes), dtype=int)
+
+    def keep_best(k: np.ndarray, g: np.ndarray, it: int) -> None:
+        better = g < best[lane[k]]
+        k, i = k[better], lane[k[better]]
+        best[i], best_coef[i], best_value[i], best_it[i] = g[better], coef[k], value[k], it
+
+    for it in range(_IRLS_MAX_ITER + 1):
+        D, X, Y = work[:, : len(lane)]
+        value = np.abs(e, out=D) @ q  # the grid norm at p = 1
+        np.subtract(zt, zs, out=X)
+        X *= 0.5  # u
+        cheap = value - X @ b  # U - b^T u, no bound while A^T u != 0
+        X *= wgt
+        Atu = X @ V
+        sz, tz = dot(s, zs), dot(t, zt)  # the complementarity, pairs times mu
+        # a lane whose complementarity is far below the tolerance, its gap not,
+        # can gain nothing more in double precision
+        stalled = (sz + tz)[:, 0] <= _STALL * tol
+        last = it == _IRLS_MAX_ITER
+        near = np.flatnonzero(last | stalled | (cheap <= _NEAR_GAP * tol))
+        gap = np.full(len(lane), math.inf)
+        if near.size:
+            gap[near] = value[near] - lower_bound(near, D, X, Y)
+            keep_best(near, gap[near], it)
+        done = gap <= tol
+        leave = done | stalled | last
+        for i, ok in zip(lane[leave], done[leave]):
+            stop = "max_iterations" if last else "singular_normal_equations"
+            finish(i, best_coef[i], best_value[i], best[i], int(best_it[i]), () if ok else (stop,))
+        if leave.all():
+            return
+        if leave.any():
+            lane, coef, e, s, t, zs, zt, Atu, sz, tz, value, mask, off = _keep_rows(
+                ~leave, lane, coef, e, s, t, zs, zt, Atu, sz, tz, value, mask, off
+            )
+            D, X, Y = work[:, : len(lane)]
+        np.divide(s, zs, out=D)
+        np.divide(t, zt, out=X)
+        D += X
+        np.reciprocal(D, out=D)
+        np.multiply(D, w2, out=X)
+        L_inv, ok = _factor_lanes(_gram(ws, X, off), mask, _GRAM_SHIFT)
+        if not ok.all():
+            for k in np.flatnonzero(~ok):
+                k = np.array([k])
+                keep_best(k, value[k] - lower_bound(k, *np.empty((3, 1, q.size))), it)
+                i = lane[k[0]]
+                flags = ("singular_normal_equations",)
+                finish(i, best_coef[i], best_value[i], best[i], int(best_it[i]), flags)
+            if not ok.any():
+                return
+            lane, coef, e, s, t, zs, zt, D, Atu, sz, tz, mask, off = _keep_rows(
+                ok, lane, coef, e, s, t, zs, zt, D, Atu, sz, tz, mask, off
+            )
+            X, Y = work[1:, : len(lane)]
+        # predictor, the affine-scaling step du in X: ds / s = a - 1 and
+        # dt / t = -1 - c for a = du / (q - u) and c = du / (q + u), each in Y
+        newton(e, X)
+        np.divide(X, zs, out=Y)
+        a_lo, a_hi = Y.min(axis=1)[:, None], Y.max(axis=1)[:, None]
+        s_du, s_du_a = dot(s, X), dot(s, X, Y)
+        np.divide(X, zt, out=Y)
+        c_lo, c_hi = Y.min(axis=1)[:, None], Y.max(axis=1)[:, None]
+        t_du, t_du_c = dot(t, X), dot(t, X, Y)
+        ap = 1.0 / (1.0 + np.maximum(-a_lo, c_hi))
+        ad = 1.0 / np.maximum(np.maximum(a_hi, -c_lo), 1.0)
+        # complementarity now and after the step, each product expanded in
+        # a and c: (1 - ap + ap a) (1 - ad a) and (1 - ap - ap c) (1 + ad c)
+        mu = (sz + tz) / pairs
+        mu_aff = (
+            (1.0 - ap) * (sz + tz)
+            + (ap - (1.0 - ap) * ad) * (s_du - t_du)
+            - ap * ad * (s_du_a + t_du_c)
+        ) / pairs
+        sm = (np.maximum(mu_aff, 0.0) / mu) ** 3 * mu  # sigma mu, Mehrotra's centring
+        # corrector: h = e + sm / (q + u) - sm / (q - u) + s a (1 - a) + t c (1 + c)
+        # in the buffer of e, each term built in Y from du
+        np.subtract(zs, X, out=Y)
+        Y *= X
+        Y *= s
+        Y /= zs
+        Y /= zs
+        e += Y
+        np.add(zt, X, out=Y)
+        Y *= X
+        Y *= t
+        Y /= zt
+        Y /= zt
+        e += Y
+        np.divide(sm, zt, out=Y)
+        e += Y
+        np.divide(sm, zs, out=Y)
+        e -= Y
+        dc = newton(e, Y)  # Y = du; h and D are done with
+        # ds / s = sm / (s (q - u)) - 1 - a (1 - a) + du / (q - u) in D, with e
+        # for scratch; then dt / t = sm / (t (q + u)) - 1 + c (1 + c) - du / (q + u)
+        # in e, with X = c and c^2; then du / (q + u) in X and du / (q - u) in Y
+        rs, rt = D, e
+        np.multiply(s, zs, out=rs)
+        np.divide(sm, rs, out=rs)
+        rs -= 1.0
+        np.subtract(zs, X, out=e)
+        e *= X
+        e /= zs
+        e /= zs
+        rs -= e
+        np.divide(Y, zs, out=e)
+        rs += e
+        np.multiply(t, zt, out=rt)
+        np.divide(sm, rt, out=rt)
+        rt -= 1.0
+        X /= zt
+        rt += X
+        np.square(X, out=X)
+        rt += X
+        np.divide(Y, zt, out=X)
+        rt -= X
+        Y /= zs
+        ap = _STEP / np.maximum(np.maximum(-rs.min(axis=1), -rt.min(axis=1)), _STEP)[:, None]
+        ad = _STEP / np.maximum(np.maximum(Y.max(axis=1), -X.min(axis=1)), _STEP)[:, None]
+        coef = coef + ap * dc
+        rs *= ap
+        rs += 1.0
+        s *= rs
+        rt *= ap
+        rt += 1.0
+        t *= rt
+        Y *= -ad
+        Y += 1.0
+        zs *= Y
+        X *= ad
+        X += 1.0
+        zt *= X
+        np.matmul(coef, V.T, out=e)
+        np.subtract(ws.fx, e, out=e)
+        e *= wgt
+
+
 def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
-    """Weighted least squares for every finite p, the degrees ns as lanes.
+    """Every finite p, the degrees ns as lanes.
 
     Every p starts from the weighted L2 fit: all lanes share one weight
     vector, so one factorization at the top degree serves every n.  At
     p = 2 that fit is the discrete best approximation, returned as solver
     `projection` with the gradient norm max |V^T (w r)| over the lane's
-    columns as its gap.  Other p run IRLS from it in lockstep: each
+    columns as its gap.  p = 1 runs the interior-point method of
+    :func:`_interior_point` from it (solver `interior_point`), whose gap is
+    U - L for a dual feasible point's L <= E_n.  Other p run IRLS from it
+    in lockstep: each
     iteration makes one stacked weighted least-squares solve for the lanes
     still active.  A lane leaves the stack when its value settles, at
     _IRLS_MAX_ITER, or when Cholesky rejects its normal equations; it then
@@ -358,35 +678,38 @@ def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
     Each n counts the kept Chebyshev columns a lane fits.
     """
     p = ws.space.p
-    solver = "projection" if p == 2 else "irls"
+    solver = _solver_name(ws.space)
     lanes = _lane_mask(ns)
     V = ws.vander[:, : lanes.shape[1]]
     grid = ws.grid
     base = grid.qw * grid.wgt**2
     results: list[BestApproxResult] = [None] * len(ns)  # type: ignore[list-item]
 
-    def finish(k: int, it: int, flags: tuple[str, ...] = ()) -> None:
-        """Record lane k of the current stack."""
-        n = ns[lane[k]]
-        results[lane[k]] = BestApproxResult(
-            n, float(value[k]), coef[k, :n].copy(), solver, it, float(gap[k]), flags=flags
+    def finish(i: int, c: np.ndarray, val: float, g: float, it: int, flags=()) -> None:
+        """Record lane i of ns: its coefficients c, value, gap and iterations."""
+        n = ns[i]
+        results[i] = BestApproxResult(
+            n, float(val), c[:n].copy(), solver, it, float(g), flags=flags
         )
 
-    lane = np.arange(len(ns))  # the active lanes, in stack order
     # the weighted L2 fit: one weight vector, one factorization at the top
     # degree, whose mask is the union of the lanes'
     top = lanes.any(axis=0, keepdims=True)
     coef = _weighted_least_squares(ws, base[None], lanes, _off_block(top))
     rho = coef @ V.T  # the residual f - V c of each lane
     np.subtract(ws.fx, rho, out=rho)
+    if p == 1:
+        _interior_point(ws, lanes, coef, rho, finish)
+        return results
     e = grid.wgt * rho
     value = grid.norm(e)
     if p == 2:
         e *= grid.qw * grid.wgt  # now w rho
         gap = np.max(np.abs(e @ V) * lanes, axis=1)  # lane n's V^T (w rho) has n entries
         for k in range(len(ns)):
-            finish(k, 1)
+            finish(k, coef[k], value[k], gap[k], 1)
         return results
+    lane = np.arange(len(ns))  # the active lanes, in stack order
     gap = np.full(len(ns), math.inf)
     mask, off = lanes, _off_block(lanes)  # those of the active lanes
     for it in range(1, _IRLS_MAX_ITER + 1):
@@ -408,7 +731,7 @@ def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
                     )[0]
                 except np.linalg.LinAlgError:
                     keep[k] = False
-                    finish(k, it, ("singular_normal_equations",))
+                    finish(lane[k], coef[k], value[k], gap[k], it, ("singular_normal_equations",))
             lane, value, gap, new = lane[keep], value[keep], gap[keep], new[keep]
             rho, w, mask, off = rho[keep], w[keep], mask[keep], off[keep]
         coef = new
@@ -422,13 +745,13 @@ def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
         done = gap <= 1e-14 * ws.zero_error + 1e-13 * value
         if done.any():
             for k in np.flatnonzero(done):
-                finish(k, it)
+                finish(lane[k], coef[k], value[k], gap[k], it)
             lane, coef, rho, e = lane[~done], coef[~done], rho[~done], e[~done]
             value, gap, mask, off = value[~done], gap[~done], mask[~done], off[~done]
         if not lane.size:
             break
     for k in range(len(lane)):
-        finish(k, _IRLS_MAX_ITER, ("max_iterations",))
+        finish(lane[k], coef[k], value[k], gap[k], _IRLS_MAX_ITER, ("max_iterations",))
     return results
 
 
@@ -542,9 +865,8 @@ def _zero_polynomial(ws: _Workspace, n: int) -> BestApproxResult:
     """The zero polynomial as E_n: exact when f = 0 or no kept degree is
     below n."""
     space = ws.space
-    solver = "exchange" if space.is_sup else "projection" if space.p == 2 else "irls"
     return BestApproxResult(
-        n, ws.zero_error, np.zeros(n), solver, 0, 0.0,
+        n, ws.zero_error, np.zeros(n), _solver_name(space), 0, 0.0,
         equioscillation=True if space.is_sup else None,
     )
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orthopoly import _check_int
+from .orthopoly import _check_int, _require_finite
 from .translation import EDGE_EPS, translate_trig
 from .weighted_space import WeightedSpace, as_sampled
 
@@ -76,6 +76,7 @@ def _omegas(fn, deltas, space, t_grid, M, norm_resolution) -> list[ModulusReport
     res = grid.x.size
     if any(deltas):
         fx = fn(grid.x)
+        _require_finite(fx, grid.x)
     dist: dict[float, float] = {}
     reports = []
     for delta in deltas:

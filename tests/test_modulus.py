@@ -160,6 +160,25 @@ def test_non_finite_input_named_by_x():
             modulus_omega(bad, 0.1, space)
 
 
+def test_non_finite_sample_named_before_any_translation(monkeypatch):
+    # f is sampled on the 4097-point sup grid and checked there, before the
+    # first translate_trig batch
+    bad = SPINF._grid(4097).x[1234]
+
+    def f(x):
+        out = np.abs(x)
+        out[x == bad] = np.nan
+        return out
+
+    def no_translation(*args, **kwargs):
+        raise AssertionError("translate_trig called on a non-finite input")
+
+    monkeypatch.setattr(modulus, "translate_trig", no_translation)
+    with pytest.raises(ValueError, match="non-finite") as err:
+        modulus_curve(f, [0.1, 0.2], SPINF)
+    assert float(str(err.value).rsplit("x = ", 1)[1]) == bad
+
+
 @pytest.mark.parametrize("delta", [math.inf, math.nan])
 def test_non_finite_delta_rejected(delta):
     with pytest.raises(ValueError, match="delta = "):
