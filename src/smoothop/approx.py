@@ -526,6 +526,9 @@ def _interior_point(
         k, i = k[better], lane[k[better]]
         best[i], best_coef[i], best_value[i], best_it[i] = g[better], coef[k], value[k], it
 
+    def report(i: int, flags: tuple[str, ...]) -> None:
+        finish(i, best_coef[i], best_value[i], best[i], int(best_it[i]), flags)
+
     for it in range(_IRLS_MAX_ITER + 1):
         D, X, Y = work[:, : len(lane)]
         value = np.abs(e, out=D) @ q  # the grid norm at p = 1
@@ -546,9 +549,9 @@ def _interior_point(
             keep_best(near, gap[near], it)
         done = gap <= tol
         leave = done | stalled | last
+        stop = ("max_iterations",) if last else ("singular_normal_equations",)
         for i, ok in zip(lane[leave], done[leave]):
-            stop = "max_iterations" if last else "singular_normal_equations"
-            finish(i, best_coef[i], best_value[i], best[i], int(best_it[i]), () if ok else (stop,))
+            report(i, () if ok else stop)
         if leave.all():
             return
         if leave.any():
@@ -563,12 +566,10 @@ def _interior_point(
         np.multiply(D, w2, out=X)
         L_inv, ok = _factor_lanes(_gram(ws, X, off), mask, _GRAM_SHIFT)
         if not ok.all():
-            for k in np.flatnonzero(~ok):
-                k = np.array([k])
-                keep_best(k, value[k] - lower_bound(k, *np.empty((3, 1, q.size))), it)
-                i = lane[k[0]]
-                flags = ("singular_normal_equations",)
-                finish(i, best_coef[i], best_value[i], best[i], int(best_it[i]), flags)
+            bad = np.flatnonzero(~ok)
+            keep_best(bad, value[bad] - lower_bound(bad, *np.empty((3, bad.size, q.size))), it)
+            for i in lane[bad]:
+                report(i, ("singular_normal_equations",))
             if not ok.any():
                 return
             lane, coef, e, s, t, zs, zt, D, Atu, sz, tz, mask, off = _keep_rows(
