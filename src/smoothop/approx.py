@@ -111,6 +111,7 @@ _STALL = 1e-100  # p = 1: a lane whose complementarity falls below this many tol
 _STEP = 0.9995  # p = 1: the share of the way to the boundary an interior-point step takes
 _GRAM_SHIFT = 1e-13  # p = 1: the diagonal raise, relative, of a stack Cholesky rejects
 _LANE_BUDGET = 1 << 18  # entries of one lockstep Gram stack, lanes x N x N (2 MB)
+_IP_GRID_BUDGET = 1 << 14  # p = 1: entries of one interior-point stack's arrays, lanes x nodes
 _ROUNDOFF = 1e-9  # relative slack for comparisons between computed norms
 
 
@@ -442,11 +443,12 @@ def _interior_point(
     S = min(q - u, q + u): it moves u least where u is near the box, and
     its Gram stays well conditioned where that of D, whose range grows as
     1 / mu^2, does not.  It costs a factorization of its own, so it is made
-    only once U - b^T u, not yet a bound, is within _NEAR_GAP tolerances.
+    only once U - b^T u, not yet a bound, or the complementarity sum
+    s (q - u) + t (q + u) is within _NEAR_GAP tolerances: the latter where
+    an inexact step has left A^T u far from 0.
     A lane leaves once U - L <= _GAP_TOL ||f||, reporting U - L as its gap.
-    Each other way out is flagged, and reports the lane's iterate of the
-    smallest gap so far, with that gap and the steps it took:
-    `max_iterations` at _IRLS_MAX_ITER steps, and
+    Each other way out is flagged and reports the gap of the lane's current
+    iterate: `max_iterations` at _IRLS_MAX_ITER steps, and
     `singular_normal_equations` when :func:`_factor_lanes` cannot factor the
     lane's Gram even with its diagonal raised, or when its complementarity
     sum s (q - u) + t (q + u) has fallen below _STALL tolerances while its
@@ -517,18 +519,6 @@ def _interior_point(
     work = np.empty((3,) + e.shape)
     lane = np.arange(len(lanes))
     mask, off = lanes.copy(), _off_block(lanes)
-    # by lane: the smallest gap so far and its iterate, which a flagged lane reports
-    best, best_coef = np.full(len(lanes), math.inf), coef.copy()
-    best_value, best_it = np.zeros(len(lanes)), np.zeros(len(lanes), dtype=int)
-
-    def keep_best(k: np.ndarray, g: np.ndarray, it: int) -> None:
-        better = g < best[lane[k]]
-        k, i = k[better], lane[k[better]]
-        best[i], best_coef[i], best_value[i], best_it[i] = g[better], coef[k], value[k], it
-
-    def report(i: int, flags: tuple[str, ...]) -> None:
-        finish(i, best_coef[i], best_value[i], best[i], int(best_it[i]), flags)
-
     for it in range(_IRLS_MAX_ITER + 1):
         D, X, Y = work[:, : len(lane)]
         value = np.abs(e, out=D) @ q  # the grid norm at p = 1
@@ -542,16 +532,16 @@ def _interior_point(
         # can gain nothing more in double precision
         stalled = (sz + tz)[:, 0] <= _STALL * tol
         last = it == _IRLS_MAX_ITER
-        near = np.flatnonzero(last | stalled | (cheap <= _NEAR_GAP * tol))
+        near = np.minimum(cheap, (sz + tz)[:, 0]) <= _NEAR_GAP * tol
+        near = np.flatnonzero(near | stalled | last)
         gap = np.full(len(lane), math.inf)
         if near.size:
             gap[near] = value[near] - lower_bound(near, D, X, Y)
-            keep_best(near, gap[near], it)
         done = gap <= tol
         leave = done | stalled | last
         stop = ("max_iterations",) if last else ("singular_normal_equations",)
-        for i, ok in zip(lane[leave], done[leave]):
-            report(i, () if ok else stop)
+        for k in np.flatnonzero(leave):
+            finish(lane[k], coef[k], value[k], gap[k], it, () if done[k] else stop)
         if leave.all():
             return
         if leave.any():
@@ -567,9 +557,9 @@ def _interior_point(
         L_inv, ok = _factor_lanes(_gram(ws, X, off), mask, _GRAM_SHIFT)
         if not ok.all():
             bad = np.flatnonzero(~ok)
-            keep_best(bad, value[bad] - lower_bound(bad, *np.empty((3, bad.size, q.size))), it)
-            for i in lane[bad]:
-                report(i, ("singular_normal_equations",))
+            gaps = value[bad] - lower_bound(bad, *np.empty((3, bad.size, q.size)))
+            for k, g in zip(bad, gaps):
+                finish(lane[k], coef[k], value[k], g, it, ("singular_normal_equations",))
             if not ok.any():
                 return
             lane, coef, e, s, t, zs, zt, D, Atu, sz, tz, mask, off = _keep_rows(
@@ -881,6 +871,11 @@ def _solve(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
         solved = [_solve_exchange(ws, m) for m in sizes]
     else:
         step = max(1, _LANE_BUDGET // max(sizes, default=1) ** 2)  # lanes per stack
+        if ws.space.p == 1 and len(sizes) * ws.fx.size > _IP_GRID_BUDGET:
+            # interior-point lanes hold eight grid-sized arrays, IRLS lanes four:
+            # stacks of even size, none of whose arrays exceeds the budget
+            stacks = max(-(-len(sizes) // step), -(-len(sizes) * ws.fx.size // _IP_GRID_BUDGET))
+            step = -(-len(sizes) // stacks)
         solved = [
             r for i in range(0, len(sizes), step) for r in _solve_lockstep(ws, sizes[i : i + step])
         ]
