@@ -89,6 +89,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
+from .interior_point import _interior_point
+from .normal_equations import _apply, _factor, _gram, _lane_mask, _off_block
 from .orthopoly import _check_int
 from .weighted_space import SampledFunction, WeightedSpace, as_sampled
 
@@ -105,13 +107,8 @@ _IRLS_MAX_ITER = 200
 _IRLS_RESIDUAL_FLOOR = 1e-10  # times ||f|| on the grid
 _EXCHANGE_MAX_ITER = 60
 _REFINE_STEPS = 3
-_GAP_TOL = 1e-12  # p = 1: a lane leaves at duality gap <= this times ||f||
-_NEAR_GAP = 100  # p = 1: certify a lane once b^T u is this many tolerances from U
-_STALL = 1e-100  # p = 1: a lane whose complementarity falls below this many tolerances stops
-_STEP = 0.9995  # p = 1: the share of the way to the boundary an interior-point step takes
-_GRAM_SHIFT = 1e-13  # p = 1: the diagonal raise, relative, of a stack Cholesky rejects
 _LANE_BUDGET = 1 << 18  # entries of one lockstep Gram stack, lanes x N x N (2 MB)
-_IP_GRID_BUDGET = 1 << 14  # p = 1: entries of one interior-point stack's arrays, lanes x nodes
+_IP_GRID_BUDGET = 1 << 14  # entries of one interior-point stack's arrays, lanes x nodes
 _ROUNDOFF = 1e-9  # relative slack for comparisons between computed norms
 
 
@@ -220,98 +217,6 @@ class _Workspace:
             self.diff_idx = np.abs(d[:, None] - d) // step
 
 
-def _lane_mask(ns) -> np.ndarray:
-    """Row k marks the first ns[k] of N = max(ns) kept Chebyshev coefficients."""
-    ns = np.asarray(ns)
-    return np.arange(ns.max()) < ns[:, None]
-
-
-def _off_block(mask: np.ndarray) -> np.ndarray:
-    """Row k marks the entries of an N x N matrix outside the leading block
-    that row k of the lane mask keeps: the padding of :func:`_gram`."""
-    return ~(mask[:, :, None] & mask[:, None, :])
-
-
-def _gram(ws: _Workspace, w: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Stacked Gram matrices V^T diag(w_k) V from Chebyshev product moments.
-
-    T_i T_j = (T_{i+j} + T_{|i-j|}) / 2, so with the moments
-    m_k = sum_x w_k(x) T_k(x) of the workspace's `products`, entry (i, j)
-    for the kept degrees d_i, d_j is (m_{d_i+d_j} + m_{|d_i-d_j|}) / 2: one
-    (rows x grid) by (grid x 2N-1) product (2N when the odd degrees are
-    kept) instead of one (grid x N) design per row.  Row k's matrix is that
-    of the identity wherever row k of `off` (from :func:`_off_block`, built
-    once per lane set) is set: its kept block padded with an identity block.
-    """
-    N = off.shape[1]
-    m = w @ ws.products[:, : ws.sum_idx[N - 1, N - 1] + 1]
-    G = np.take(m, ws.sum_idx[:N, :N], axis=1)
-    G += np.take(m, ws.diff_idx[:N, :N], axis=1)
-    G *= 0.5
-    np.copyto(G, np.eye(N), where=off)
-    return G
-
-
-def _tril_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of lower-triangular matrices, by 2 x 2 block recursion.
-
-    For L = [[L11, 0], [L21, L22]] the inverse is [[X11, 0], [X21, X22]] with
-    X11 = L11^{-1}, X22 = L22^{-1} and X21 = -X22 L21 X11.  The stack is
-    padded with an identity block to a power of two, P.  Starting from the
-    reciprocal diagonal, each of the log2 P levels doubles the block size b
-    and fills the X21 blocks of the diagonal 2b x 2b blocks of every matrix;
-    blocks wholly inside the padding are skipped, as their X21 is zero.  The
-    first level's blocks are 1 x 1, so it is three elementwise products on
-    strided views, each the one product its matmul would make; every later
-    level is two batched matmuls.  Nothing above the diagonal is written, so
-    the upper triangle is exactly zero.
-    """
-    K, N, _ = L.shape
-    P = 1 << (N - 1).bit_length()
-    if P > N:
-        padded = np.zeros((K, P, P))
-        padded[:, :N, :N] = L
-        padded.reshape(K, P * P)[:, N * (P + 1) :: P + 1] = 1.0
-        L = padded
-    L = np.ascontiguousarray(L)  # its block views take the strides of X
-    X = np.zeros((K, P, P))
-    np.reciprocal(L.reshape(K, P * P)[:, :: P + 1], out=X.reshape(K, P * P)[:, :: P + 1])
-    s0, s1, s2 = X.strides
-
-    def diagonal_blocks(A: np.ndarray, size: int) -> np.ndarray:
-        """Writable view of the size x size diagonal blocks of each matrix
-        of A that reach into its first N rows."""
-        shape = (K, -(-N // size), size, size)
-        return np.ndarray(shape, A.dtype, A, 0, (s0, size * (s1 + s2), s1, s2))
-
-    b = 1
-    while b < P:
-        Xb, Lb = diagonal_blocks(X, 2 * b), diagonal_blocks(L, 2 * b)
-        if b == 1:
-            np.negative(Xb[..., 1, 1] * (Lb[..., 1, 0] * Xb[..., 0, 0]), out=Xb[..., 1, 0])
-        else:
-            np.negative(Xb[..., b:, b:] @ (Lb[..., b:, :b] @ Xb[..., :b, :b]), out=Xb[..., b:, :b])
-        b *= 2
-    return X[:, :N, :N]
-
-
-def _factor(G: np.ndarray) -> np.ndarray:
-    """L^{-1} for the Cholesky factor L of each matrix of the stack G, from
-    :func:`_tril_inverse`.  Raises LinAlgError when some matrix is not
-    numerically positive definite."""
-    return _tril_inverse(np.linalg.cholesky(G))
-
-
-def _apply(L_inv: np.ndarray, rhs: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """G^{-1} rhs for each lane, as L^{-T} L^{-1} rhs with L^{-1} from
-    :func:`_factor`.  Lane k keeps the first n_k entries that row k of `mask`
-    marks between the two triangular products, so a factor made at a larger
-    degree serves through its leading block, and the result is zero beyond
-    n_k."""
-    y = (L_inv @ rhs[:, :, None])[:, :, 0] * mask
-    return (L_inv.transpose(0, 2, 1) @ y[:, :, None])[:, :, 0]
-
-
 def _weighted_least_squares(
     ws: _Workspace,
     w: np.ndarray,
@@ -375,280 +280,6 @@ def _weighted_least_squares(
     return coef
 
 
-def _factor_lanes(
-    G: np.ndarray, mask: np.ndarray, shift: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_factor` of a stack of Gram matrices, one per lane, and the
-    boolean mask of the lanes it factored.  If Cholesky rejects the stack
-    and `shift` is not 0, each matrix's diagonal is raised by `shift` times
-    its largest entry in the lane's kept block and the stack is factored
-    once more; if that fails too, the lanes are factored one by one and
-    those that fail are left out."""
-    try:
-        return _factor(G), np.ones(len(G), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    K, N, _ = G.shape
-    if shift:
-        diag = G.reshape(K, N * N)[:, :: N + 1]
-        diag += shift * np.max(diag * mask, axis=1, keepdims=True)
-        try:
-            return _factor(G), np.ones(K, dtype=bool)
-        except np.linalg.LinAlgError:
-            pass
-    factors, keep = [], np.zeros(K, dtype=bool)
-    for k in range(K):
-        try:
-            factors.append(_factor(G[k, None]))
-            keep[k] = True
-        except np.linalg.LinAlgError:
-            pass
-    return (np.concatenate(factors) if factors else np.empty((0, N, N))), keep
-
-
-def _keep_rows(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
-    """The rows `keep` of each array, moved to the front of the array's own
-    buffer one by one and returned as views of it: a lane set that shrinks
-    allocates nothing."""
-    rows = np.flatnonzero(keep)
-    for x in arrays:
-        for i, k in enumerate(rows):  # k >= i: each row moves up or stays
-            x[i] = x[k]
-    return [x[: rows.size] for x in arrays]
-
-
-def _interior_point(
-    ws: _Workspace, lanes: np.ndarray, coef: np.ndarray, rho: np.ndarray, finish
-) -> None:
-    """p = 1 from the shared L2 fit: Mehrotra's predictor-corrector
-    interior-point method, the lanes in lockstep.
-
-    With A = diag(w) V, b = w f and the rule's weights q, the lane of n
-    columns solves the linear program min sum q (s + t) over A c + s - t = b,
-    s, t >= 0, whose value is sum q |b - A c|, together with its dual
-    max b^T u over A^T u = 0, |u| <= q.  It starts from the L2 fit c and its
-    residual r = b - A c at s = max(r, 0) + max|r| / 10, t = s - r and u = 0.
-    The dual slacks q - u and q + u are arrays of their own, and every
-    slack is updated by a factor (s *= 1 + alpha ds / s), so none is found
-    by cancellation and none leaves (0, inf).  Each iteration factors one
-    stacked Gram A^T diag(D) A, D = 1 / (s / (q - u) + t / (q + u)), and
-    applies the factor to the predictor's and the corrector's right-hand
-    sides.  Besides the four slacks, each lane holds four grid-sized work
-    arrays, the residual among them, allocated once and reused in place.
-
-    Certificate: U is the grid norm of the lane's residual, and L = b^T u'
-    for u' the current u projected onto A^T u' = 0 and scaled into the box
-    |u'| <= q, a dual feasible point, so L <= E_n.  The projection is
-    u' = u - S A (A^T S A)^{-1} A^T u in the metric of the box slack
-    S = min(q - u, q + u): it moves u least where u is near the box, and
-    its Gram stays well conditioned where that of D, whose range grows as
-    1 / mu^2, does not.  It costs a factorization of its own, so it is made
-    only once U - b^T u, not yet a bound, or the complementarity sum
-    s (q - u) + t (q + u) is within _NEAR_GAP tolerances: the latter where
-    an inexact step has left A^T u far from 0.
-    A lane leaves once U - L <= _GAP_TOL ||f||, reporting U - L as its gap.
-    Each other way out is flagged and reports the gap of the lane's current
-    iterate: `max_iterations` at _IRLS_MAX_ITER steps, and
-    `singular_normal_equations` when :func:`_factor_lanes` cannot factor the
-    lane's Gram even with its diagonal raised, or when its complementarity
-    sum s (q - u) + t (q + u) has fallen below _STALL tolerances while its
-    gap has not: its Gram is then singular to working precision, and more
-    steps would only drive the slacks toward underflow.
-    """
-    grid = ws.grid
-    q, wgt = grid.qw, grid.wgt
-    V = ws.vander[:, : lanes.shape[1]]
-    b = wgt * ws.fx
-    w2 = wgt * wgt
-    tol = _GAP_TOL * ws.zero_error
-    pairs = 2 * q.size  # complementary pairs per lane
-
-    def dot(*xs: np.ndarray) -> np.ndarray:  # row-wise sums of products
-        return np.einsum(",".join(["ij"] * len(xs)) + "->i", *xs)[:, None]
-
-    def lower_bound(rows: np.ndarray, S, y, Ay) -> np.ndarray:
-        """L of the given lanes, computed in the first len(rows) rows of the
-        work arrays S, y and Ay; 0, itself a bound, for a lane whose Gram in
-        the slack metric cannot be factored.  The projection leaves
-        g = A^T u' at rounding level only if that Gram is well conditioned,
-        and b^T u' <= E_n + c^T g for the minimiser c, so sum |c_k| |g_k|
-        for the lane's iterate c is taken off: a projection that went wrong
-        costs the bound instead of breaking it."""
-        lower = np.zeros(len(rows))
-        S, y, Ay = S[: len(rows)], y[: len(rows)], Ay[: len(rows)]
-        np.take(zs, rows, axis=0, out=S)
-        np.take(zt, rows, axis=0, out=Ay)
-        np.subtract(Ay, S, out=y)
-        y *= 0.5  # u
-        np.minimum(S, Ay, out=S)
-        np.multiply(S, w2, out=Ay)
-        L_inv, ok = _factor_lanes(_gram(ws, Ay, off[rows]), mask[rows])
-        if not ok.all():
-            rows, S, y, Ay = _keep_rows(ok, rows.copy(), S, y, Ay)
-        np.multiply(y, wgt, out=Ay)
-        np.matmul(_apply(L_inv, Ay @ V, mask[rows]), V.T, out=Ay)
-        Ay *= wgt
-        Ay *= S
-        y -= Ay
-        np.abs(y, out=S)
-        S /= q
-        y /= np.maximum(np.max(S, axis=1, keepdims=True), 1.0)  # into the box
-        np.multiply(y, wgt, out=S)
-        slip = dot(np.abs(coef[rows]), np.abs(S @ V) * mask[rows])[:, 0]
-        lower[ok] = y @ b - slip
-        return lower
-
-    def newton(h: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The direction dc for the right-hand side h, with
-        du = D (h - A dc) written to `out`."""
-        np.multiply(D, h, out=out)
-        out *= wgt
-        dc = _apply(L_inv, out @ V + Atu, mask)
-        np.matmul(dc, V.T, out=out)
-        out *= wgt
-        np.subtract(h, out, out=out)
-        out *= D
-        return dc
-
-    e = np.multiply(wgt, rho, out=rho)  # the residual b - A c
-    s = np.maximum(e, 0.0)
-    s += 0.1 * np.max(np.abs(e), axis=1, keepdims=True)
-    t = s - e
-    zs = np.tile(q, (len(lanes), 1))  # q - u
-    zt = zs.copy()  # q + u
-    work = np.empty((3,) + e.shape)
-    lane = np.arange(len(lanes))
-    mask, off = lanes.copy(), _off_block(lanes)
-    for it in range(_IRLS_MAX_ITER + 1):
-        D, X, Y = work[:, : len(lane)]
-        value = np.abs(e, out=D) @ q  # the grid norm at p = 1
-        np.subtract(zt, zs, out=X)
-        X *= 0.5  # u
-        cheap = value - X @ b  # U - b^T u, no bound while A^T u != 0
-        X *= wgt
-        Atu = X @ V
-        sz, tz = dot(s, zs), dot(t, zt)  # the complementarity, pairs times mu
-        # a lane whose complementarity is far below the tolerance, its gap not,
-        # can gain nothing more in double precision
-        stalled = (sz + tz)[:, 0] <= _STALL * tol
-        last = it == _IRLS_MAX_ITER
-        near = np.minimum(cheap, (sz + tz)[:, 0]) <= _NEAR_GAP * tol
-        near = np.flatnonzero(near | stalled | last)
-        gap = np.full(len(lane), math.inf)
-        if near.size:
-            gap[near] = value[near] - lower_bound(near, D, X, Y)
-        done = gap <= tol
-        leave = done | stalled | last
-        stop = ("max_iterations",) if last else ("singular_normal_equations",)
-        for k in np.flatnonzero(leave):
-            finish(lane[k], coef[k], value[k], gap[k], it, () if done[k] else stop)
-        if leave.all():
-            return
-        if leave.any():
-            lane, coef, e, s, t, zs, zt, Atu, sz, tz, value, mask, off = _keep_rows(
-                ~leave, lane, coef, e, s, t, zs, zt, Atu, sz, tz, value, mask, off
-            )
-            D, X, Y = work[:, : len(lane)]
-        np.divide(s, zs, out=D)
-        np.divide(t, zt, out=X)
-        D += X
-        np.reciprocal(D, out=D)
-        np.multiply(D, w2, out=X)
-        L_inv, ok = _factor_lanes(_gram(ws, X, off), mask, _GRAM_SHIFT)
-        if not ok.all():
-            bad = np.flatnonzero(~ok)
-            gaps = value[bad] - lower_bound(bad, *np.empty((3, bad.size, q.size)))
-            for k, g in zip(bad, gaps):
-                finish(lane[k], coef[k], value[k], g, it, ("singular_normal_equations",))
-            if not ok.any():
-                return
-            lane, coef, e, s, t, zs, zt, D, Atu, sz, tz, mask, off = _keep_rows(
-                ok, lane, coef, e, s, t, zs, zt, D, Atu, sz, tz, mask, off
-            )
-            X, Y = work[1:, : len(lane)]
-        # predictor, the affine-scaling step du in X: ds / s = a - 1 and
-        # dt / t = -1 - c for a = du / (q - u) and c = du / (q + u), each in Y
-        newton(e, X)
-        np.divide(X, zs, out=Y)
-        a_lo, a_hi = Y.min(axis=1)[:, None], Y.max(axis=1)[:, None]
-        s_du, s_du_a = dot(s, X), dot(s, X, Y)
-        np.divide(X, zt, out=Y)
-        c_lo, c_hi = Y.min(axis=1)[:, None], Y.max(axis=1)[:, None]
-        t_du, t_du_c = dot(t, X), dot(t, X, Y)
-        ap = 1.0 / (1.0 + np.maximum(-a_lo, c_hi))
-        ad = 1.0 / np.maximum(np.maximum(a_hi, -c_lo), 1.0)
-        # complementarity now and after the step, each product expanded in
-        # a and c: (1 - ap + ap a) (1 - ad a) and (1 - ap - ap c) (1 + ad c)
-        mu = (sz + tz) / pairs
-        mu_aff = (
-            (1.0 - ap) * (sz + tz)
-            + (ap - (1.0 - ap) * ad) * (s_du - t_du)
-            - ap * ad * (s_du_a + t_du_c)
-        ) / pairs
-        sm = (np.maximum(mu_aff, 0.0) / mu) ** 3 * mu  # sigma mu, Mehrotra's centring
-        # corrector: h = e + sm / (q + u) - sm / (q - u) + s a (1 - a) + t c (1 + c)
-        # in the buffer of e, each term built in Y from du
-        np.subtract(zs, X, out=Y)
-        Y *= X
-        Y *= s
-        Y /= zs
-        Y /= zs
-        e += Y
-        np.add(zt, X, out=Y)
-        Y *= X
-        Y *= t
-        Y /= zt
-        Y /= zt
-        e += Y
-        np.divide(sm, zt, out=Y)
-        e += Y
-        np.divide(sm, zs, out=Y)
-        e -= Y
-        dc = newton(e, Y)  # Y = du; h and D are done with
-        # ds / s = sm / (s (q - u)) - 1 - a (1 - a) + du / (q - u) in D, with e
-        # for scratch; then dt / t = sm / (t (q + u)) - 1 + c (1 + c) - du / (q + u)
-        # in e, with X = c and c^2; then du / (q + u) in X and du / (q - u) in Y
-        rs, rt = D, e
-        np.multiply(s, zs, out=rs)
-        np.divide(sm, rs, out=rs)
-        rs -= 1.0
-        np.subtract(zs, X, out=e)
-        e *= X
-        e /= zs
-        e /= zs
-        rs -= e
-        np.divide(Y, zs, out=e)
-        rs += e
-        np.multiply(t, zt, out=rt)
-        np.divide(sm, rt, out=rt)
-        rt -= 1.0
-        X /= zt
-        rt += X
-        np.square(X, out=X)
-        rt += X
-        np.divide(Y, zt, out=X)
-        rt -= X
-        Y /= zs
-        ap = _STEP / np.maximum(np.maximum(-rs.min(axis=1), -rt.min(axis=1)), _STEP)[:, None]
-        ad = _STEP / np.maximum(np.maximum(Y.max(axis=1), -X.min(axis=1)), _STEP)[:, None]
-        coef = coef + ap * dc
-        rs *= ap
-        rs += 1.0
-        s *= rs
-        rt *= ap
-        rt += 1.0
-        t *= rt
-        Y *= -ad
-        Y += 1.0
-        zs *= Y
-        X *= ad
-        X += 1.0
-        zt *= X
-        np.matmul(coef, V.T, out=e)
-        np.subtract(ws.fx, e, out=e)
-        e *= wgt
-
-
 def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
     """Every finite p, the degrees ns as lanes.
 
@@ -690,7 +321,7 @@ def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
     rho = coef @ V.T  # the residual f - V c of each lane
     np.subtract(ws.fx, rho, out=rho)
     if p == 1:
-        _interior_point(ws, lanes, coef, rho, finish)
+        _interior_point(ws, lanes, coef, rho, finish, _IRLS_MAX_ITER)
         return results
     e = grid.wgt * rho
     value = grid.norm(e)

@@ -6,18 +6,15 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
-from smoothop import approx, get_test_function
+from smoothop import approx, get_test_function, interior_point
 from smoothop.approx import (
-    _gram,
     _initial_reference,
-    _lane_mask,
-    _off_block,
-    _tril_inverse,
     _weighted_least_squares,
     _Workspace,
     best_approx,
     best_approx_sequence,
 )
+from smoothop.normal_equations import _apply, _factor, _gram, _lane_mask, _off_block, _tril_inverse
 from smoothop.cli import main
 from smoothop.modulus import modulus_curve
 from smoothop.orthopoly import gauss_legendre
@@ -320,7 +317,7 @@ class TestWeightedLeastSquares:
             rows.append(w[0].copy())
             return gram(ws_, w, off)
 
-        monkeypatch.setattr(approx, "_gram", recorded)
+        monkeypatch.setattr(interior_point, "_gram", recorded)
         best_approx(lambda x: np.abs(x - 0.1), 128, WeightedSpace(1.0, 1.0))
         monkeypatch.undo()
         designs = [ws.vander * np.sqrt(w)[:, None] for w in rows]
@@ -329,8 +326,8 @@ class TestWeightedLeastSquares:
         w, A, cond = rows[k], designs[k], conds[k]
         assert cond >= 1e6
         ref, *_ = np.linalg.lstsq(A, ws.fx * np.sqrt(w), rcond=None)
-        factor = approx._factor(_gram(ws, w[None], _off_block(mask)))
-        plain = approx._apply(factor, ((w * ws.fx) @ ws.vander)[None], mask)[0]
+        factor = _factor(_gram(ws, w[None], _off_block(mask)))
+        plain = _apply(factor, ((w * ws.fx) @ ws.vander)[None], mask)[0]
         eps = np.finfo(float).eps
         assert np.linalg.norm(plain - ref) <= 100 * eps * cond**2 * np.linalg.norm(ref)
         refined = lsq(ws, w[None], mask)[0]
@@ -535,7 +532,7 @@ class TestInteriorPoint:
         # (the difference of the two stacks rounds at 1e-16 of the diagonal)
         diagonals = np.diagonal(raised, axis1=1, axis2=2)
         for G, d, n in zip(rejected, diagonals, self.kept_sizes(rejected)):
-            assert_allclose(d, approx._GRAM_SHIFT * np.diagonal(G)[:n].max(), rtol=1e-2)
+            assert_allclose(d, interior_point._GRAM_SHIFT * np.diagonal(G)[:n].max(), rtol=1e-2)
         assert [r.flags for r in seq] == [()] * 8
         assert_allclose([r.value for r in seq], [r.value for r in expected], rtol=1e-9)
 
@@ -574,7 +571,7 @@ class TestInteriorPoint:
         f, sp = KINKS[name], WeightedSpace(1.0, 1.0)
         fnorm = weighted_norm(f, sp, approx._GRID_IRLS)
         rule = gauss_legendre(approx._GRID_IRLS)
-        monkeypatch.setattr(approx, "_NEAR_GAP", -math.inf)
+        monkeypatch.setattr(interior_point, "_NEAR_GAP", -math.inf)
         seq = best_approx_sequence(f, 16, sp)
         assert any(r.flags for r in seq) and not all(r.flags for r in seq)
         for r in seq:
@@ -589,7 +586,7 @@ class TestInteriorPoint:
         f, sp = KINKS["absshift"], WeightedSpace(1.0, 1.0)
         fnorm = weighted_norm(f, sp, approx._GRID_IRLS)
         rule = gauss_legendre(approx._GRID_IRLS)
-        monkeypatch.setattr(approx, "_STALL", 1e6)
+        monkeypatch.setattr(interior_point, "_STALL", 1e6)
         for r in best_approx_sequence(f, 4, sp):
             lp = l1_lp(f, r.n, 1.0, rule)
             assert r.flags == ("singular_normal_equations",), r.n
