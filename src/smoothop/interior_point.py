@@ -60,7 +60,9 @@ def _interior_point(
 
     Certificate: U is the grid norm of the lane's residual, and L = b^T u'
     for u' the current u projected onto A^T u' = 0 and scaled into the box
-    |u'| <= q, a dual feasible point, so L <= E_n.  The projection is
+    |u'| <= q, a dual feasible point, so L <= E_n; less sum |c_k| |g_k| for
+    the g = A^T u' that rounding leaves, with the lane's iterate c in place
+    of the minimiser (see lower_bound).  The projection is
     u' = u - S A (A^T S A)^{-1} A^T u in the metric of the box slack
     S = min(q - u, q + u): it moves u least where u is near the box, and
     its Gram stays well conditioned where that of D, whose range grows as
