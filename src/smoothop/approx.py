@@ -259,24 +259,20 @@ def _weighted_least_squares(
     """
     V = ws.vander[:, : mask.shape[1]]
     L_inv = _factor(_gram(ws, w, off))
-
-    def apply(rhs: np.ndarray) -> np.ndarray:
-        return _apply(L_inv, rhs, mask)
-
     if start is None:
-        coef = apply((w * ws.fx) @ V)  # the plain solve: from c = 0 the residual is f
+        coef = _apply(L_inv, (w * ws.fx) @ V, mask)  # the plain solve: from c = 0 the residual is f
         r = np.empty((len(mask), ws.fx.size))
         steps = _REFINE_STEPS
     else:
         coef, resid = start
         r = np.multiply(w, resid)
-        coef = coef + apply(r @ V)
+        coef = coef + _apply(L_inv, r @ V, mask)
         steps = 1
     for _ in range(steps):
         np.matmul(coef, V.T, out=r)
         np.subtract(ws.fx, r, out=r)
         r *= w
-        coef += apply(r @ V)
+        coef += _apply(L_inv, r @ V, mask)
     return coef
 
 
