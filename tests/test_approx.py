@@ -458,6 +458,7 @@ class TestIRLS:
             for r in best_approx_sequence(f, 16, sp):
                 lp = l1_lp(f, r.n, alpha, rule)
                 assert r.flags == (), (alpha, r.n)
+                assert r.value >= lp * (1 - 1e-12), (alpha, r.n)
                 assert abs(r.value - lp) <= 1e-12 * fnorm, (alpha, r.n)
                 assert r.value - r.residual_norm_gap <= lp + LP_ROUNDOFF * fnorm, (alpha, r.n)
 
