@@ -24,7 +24,10 @@ Solvers by norm family:
   ||f||.  Any other p runs iteratively reweighted least squares (IRLS) in
   correction form: each iteration adds G^{-1} V^T (w rho) to the lane's
   iterate c, with the residual rho = f - V c the lane already holds, and a
-  lane leaves when its value settles.  Either way a lane also leaves at the
+  lane leaves when its value settles.  Its weights are max(|e|, 1e-10)^(p-2)
+  of the weighted residual e relative to ||f||, so they do not carry f's
+  scale, and the power is taken as in the norm: by products and a square
+  root when 2p is an integer.  Either way a lane also leaves at the
   iteration limit, or when its normal equations are singular.
   `best_approx(f, n)` is a sequence of one lane.
 
@@ -66,9 +69,9 @@ polynomials are no Haar system on [-1, 1], which the exchange needs.
 Scale.  Every absolute tolerance (the IRLS residual floor and stop test,
 the interior-point gap tolerance, the exchange's stop, feasibility and
 levelling tests, the monotonicity slack of a sequence) is relative to
-||f|| on the solver's grid, the error
-of the zero polynomial, so E_n(c f) equals |c| E_n(f) up to roundoff, with
-the same flags, for any c != 0.  f = 0 on the grid returns the zero
+||f|| on the solver's grid, the error of the zero polynomial, so E_n(c f)
+equals |c| E_n(f) up to roundoff, with the same flags, for any c != 0
+(tested to c = 1e-150 and 1e150).  f = 0 on the grid returns the zero
 polynomial unsolved.
 
 A result whose value exceeds the error of the zero polynomial on the same
@@ -92,7 +95,7 @@ from numpy.polynomial import chebyshev as C
 from .interior_point import _interior_point
 from .normal_equations import _apply, _factor, _gram, _lane_mask, _off_block
 from .orthopoly import _check_int
-from .weighted_space import SampledFunction, WeightedSpace, as_sampled
+from .weighted_space import SampledFunction, WeightedSpace, _power, as_sampled
 
 __all__ = [
     "BestApproxResult",
@@ -104,7 +107,7 @@ _GRID_P2 = 256
 _GRID_IRLS = 1025
 _GRID_SUP = 4097
 _IRLS_MAX_ITER = 200
-_IRLS_RESIDUAL_FLOOR = 1e-10  # times ||f|| on the grid
+_IRLS_RESIDUAL_FLOOR = 1e-10  # of the residual relative to ||f|| on the grid
 _EXCHANGE_MAX_ITER = 60
 _REFINE_STEPS = 3
 _LANE_BUDGET = 1 << 18  # entries of one lockstep Gram stack, lanes x N x N (2 MB)
@@ -319,14 +322,20 @@ def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
     if p == 1:
         _interior_point(ws, lanes, coef, rho, finish, _IRLS_MAX_ITER)
         return results
-    e = grid.wgt * rho
-    value = grid.norm(e)
     if p == 2:
+        e = grid.wgt * rho
+        value = grid.norm(e)
         e *= grid.qw * grid.wgt  # now w rho
         gap = np.max(np.abs(e @ V) * lanes, axis=1)  # lane n's V^T (w rho) has n entries
         for k in range(len(ns)):
             finish(k, coef[k], value[k], gap[k], 1)
         return results
+    # IRLS runs on the weighted residual relative to ||f||, so that its
+    # weights |e|^(p-2) and its values do not carry f's scale
+    zf = ws.zero_error
+    scaled_wgt = grid.wgt / zf
+    e = scaled_wgt * rho
+    value = grid.norm(e)
     lane = np.arange(len(ns))  # the active lanes, in stack order
     gap = np.full(len(ns), math.inf)
     mask, off = lanes, _off_block(lanes)  # those of the active lanes
@@ -334,8 +343,8 @@ def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
         # residual magnitudes floored so the p-2 power cannot blow up near zeros;
         # e is recomputed below, so w takes its buffer
         w = np.abs(e, out=e)
-        np.maximum(w, _IRLS_RESIDUAL_FLOOR * ws.zero_error, out=w)
-        w **= p - 2.0
+        np.maximum(w, _IRLS_RESIDUAL_FLOOR, out=w)
+        _power(w, p - 2.0)
         w *= base
         try:
             new = _weighted_least_squares(ws, w, mask, off, (coef, rho))
@@ -349,27 +358,28 @@ def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
                     )[0]
                 except np.linalg.LinAlgError:
                     keep[k] = False
-                    finish(lane[k], coef[k], value[k], gap[k], it, ("singular_normal_equations",))
+                    finish(lane[k], coef[k], zf * value[k], zf * gap[k], it,
+                           ("singular_normal_equations",))
             lane, value, gap, new = lane[keep], value[keep], gap[keep], new[keep]
             rho, w, mask, off = rho[keep], w[keep], mask[keep], off[keep]
         coef = new
         # rho and e are recomputed in the buffers of the old residual and of w
         np.matmul(coef, V.T, out=rho)
         np.subtract(ws.fx, rho, out=rho)
-        e = np.multiply(grid.wgt, rho, out=w)
+        e = np.multiply(scaled_wgt, rho, out=w)
         new_value = grid.norm(e)
         gap = np.abs(new_value - value)
         value = new_value
-        done = gap <= 1e-14 * ws.zero_error + 1e-13 * value
+        done = gap <= 1e-14 + 1e-13 * value
         if done.any():
             for k in np.flatnonzero(done):
-                finish(lane[k], coef[k], value[k], gap[k], it)
+                finish(lane[k], coef[k], zf * value[k], zf * gap[k], it)
             lane, coef, rho, e = lane[~done], coef[~done], rho[~done], e[~done]
             value, gap, mask, off = value[~done], gap[~done], mask[~done], off[~done]
         if not lane.size:
             break
     for k in range(len(lane)):
-        finish(lane[k], coef[k], value[k], gap[k], _IRLS_MAX_ITER, ("max_iterations",))
+        finish(lane[k], coef[k], zf * value[k], zf * gap[k], _IRLS_MAX_ITER, ("max_iterations",))
     return results
 
 

@@ -11,6 +11,7 @@ weighted Chebyshev product moments, their Cholesky factors inverted by
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -47,8 +48,16 @@ def _gram(ws: _Workspace, w: np.ndarray, off: np.ndarray) -> np.ndarray:
     G = np.take(m, ws.sum_idx[:N, :N], axis=1)
     G += np.take(m, ws.diff_idx[:N, :N], axis=1)
     G *= 0.5
-    np.copyto(G, np.eye(N), where=off)
+    np.copyto(G, _identity(N), where=off)
     return G
+
+
+@lru_cache(maxsize=8)
+def _identity(N: int) -> np.ndarray:
+    """The N x N identity of :func:`_gram`'s padding, built once per size."""
+    eye = np.eye(N)
+    eye.flags.writeable = False  # shared through the cache
+    return eye
 
 
 def _tril_inverse(L: np.ndarray) -> np.ndarray:

@@ -9,6 +9,11 @@ region (together with the smoothness exponent lambda) is:
     lambda:       0 < lambda < 2
 
 The left boundary for 1 < p < inf is accepted (alpha = 1 - 1/(2p) is valid).
+
+The discrete norm raises |e| to the p-th power by products and at most one
+square root when 2p is an integer (p = 3/2, 3, ...), not by `pow`, and sums
+a row again from |e| / max |e| when its sum of p-th powers leaves
+[1e-100, 1e100], so the norm of a finite f is finite at any scale.
 """
 
 from __future__ import annotations
@@ -160,6 +165,37 @@ def sup_grid(resolution: int = 4097) -> np.ndarray:
     return grid
 
 
+_SUM_RANGE = (1e-100, 1e100)  # sums of q |e|^p that _NormGrid.norm takes as they are
+
+
+def _power(a: np.ndarray, p: float) -> np.ndarray:
+    """a ** p for a >= 0, computed in a and returned.
+
+    When 2p is an integer and 0 < |p| <= 4.5, the power is made from
+    products and at most one square root, of the reciprocal of a when p < 0,
+    with at most one temporary the size of a: within a few ulp of `pow`, and
+    cheaper.  p = 1 leaves a as it is and p = 2 squares it, as `a **= p`
+    does.  Any other p is `a **= p`.
+    """
+    k = 2.0 * p
+    if k != round(k) or not 0 < abs(k) <= 9:
+        a **= p
+        return a
+    if p < 0:
+        np.reciprocal(a, out=a)
+    m, half = divmod(int(abs(k)), 2)
+    if m == 0:
+        return np.sqrt(a, out=a)
+    t = np.sqrt(a) if half else None
+    if m == 3:  # one factor a set aside, so that squaring gives a^2 a
+        t = a.copy() if t is None else np.multiply(t, a, out=t)
+    for _ in range(m.bit_length() - 1):  # a^m for m = 1, 2, 4; a^2 for m = 3
+        a *= a
+    if t is not None:
+        a *= t
+    return a
+
+
 class _NormGrid:
     """The points the norm of a space samples a function on, with its one
     discrete norm.
@@ -192,14 +228,36 @@ class _NormGrid:
     def norm(self, e: np.ndarray):
         """The norm of each row of weighted samples e = wgt * (f at x).
 
-        Raises ValueError naming the first x with a non-finite sample.
+        For p < inf a row whose sum s of q |e|^p leaves [1e-100, 1e100] is
+        summed once more from |e| / max |e|: s may have overflowed or lost
+        its small terms, and s ** (1/p) errs by about |ln s| ulp, as 1/p is
+        rounded.  The norm of any finite row is thus finite and exact to
+        roundoff.  Raises ValueError naming the first x with a non-finite
+        sample.
         """
         a = np.abs(e)
         if self.qw is None:
             out = a.max(axis=-1)
         else:
-            a **= self.p
-            out = (a @ self.qw) ** (1.0 / self.p)
+            with np.errstate(over="ignore"):
+                s = _power(a, self.p) @ self.qw
+            out = s ** (1.0 / self.p)
+            lo, hi = _SUM_RANGE
+            # sums in range are finite; a scalar compares far cheaper than by min and max
+            if s.ndim == 0:
+                inside = lo <= s <= hi
+            else:
+                inside = not s.size or (lo <= s.min() and s.max() <= hi)
+            if inside:
+                return out
+            rows = np.abs(e).reshape(-1, e.shape[-1])
+            top = rows.max(axis=-1)
+            # a zero row keeps 0, a non-finite one its non-finite sum
+            far = ~((s >= lo) & (s <= hi)).reshape(-1) & np.isfinite(top) & (top > 0)
+            out = np.array(out, ndmin=1)
+            a = rows[far] / top[far, None]
+            out[far] = top[far] * (_power(a, self.p) @ self.qw) ** (1.0 / self.p)
+            out = out.reshape(e.shape[:-1])
         # a non-finite sample makes its row's norm non-finite, so only then is e searched
         if not np.isfinite(out).all():
             _require_finite(e, self.x)

@@ -870,16 +870,25 @@ class TestSequences:
         # every solver tolerance is relative to ||f||, so E_n(c f) = |c| E_n(f)
         # with the same flags, however small or large c is
         f = get_test_function("absshift")
-        for p in (1.0, 1.5, 2.0, 3.0, INF):
+        for p in (1.0, 1.5, 2.0, 3.0, 4.0, INF):
             sp = WeightedSpace(p, 1.0)
             base = best_approx_sequence(f, 16, sp)
-            for c in (-3.7, 1e-9, 1e9):
+            for c in (-3.7, 1e-9, 1e9, 1e-150, 1e150):
                 scaled = best_approx_sequence(lambda x: c * f(x), 16, sp)
                 assert_allclose(
                     [r.value for r in scaled], [abs(c) * r.value for r in base],
                     rtol=1e-11, err_msg=f"p={p}, c={c}",
                 )
                 assert [r.flags for r in scaled] == [r.flags for r in base], f"p={p}, c={c}"
+
+    @pytest.mark.parametrize("c", [1e-100, 1e100])
+    def test_p6_finite_at_extreme_scales(self, c):
+        # the IRLS weights |e|^4 are formed relative to ||f||, so they neither
+        # overflow nor vanish; p = 6 does not converge, and its iterates move
+        # with roundoff, so only finite values are asked for
+        f = get_test_function("abs")
+        seq = best_approx_sequence(lambda x: c * f(x), 8, WeightedSpace(6.0, 1.0))
+        assert all(math.isfinite(r.value) and r.value <= c for r in seq)
 
     def test_csv_export_columns(self, capsys):
         assert main(["best-approx", "--function", "abs", "--p", "2", "--n-max", "3"]) == 0

@@ -66,6 +66,16 @@ class TestModulusOmega:
         with pytest.raises(ValueError, match="admissible"):
             modulus_omega(np.abs, 0.1, WeightedSpace(2.0, 1.3))
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_extreme_scales(self, p):
+        # at c = 1e-150 the p-th powers of the differences underflow, at 1e150
+        # they overflow; omega is still |c| times its value at c = 1
+        sp = WeightedSpace(p, 1.0)
+        base = modulus_omega(np.abs, 0.1, sp).value
+        for c in (1e-150, 1e150):
+            got = modulus_omega(lambda x, _c=c: _c * np.abs(x), 0.1, sp).value
+            assert_allclose(got, c * base, rtol=1e-13, err_msg=f"p={p}, c={c}")
+
 
 class TestModulusCurve:
     def test_constant_curve_is_zero(self):

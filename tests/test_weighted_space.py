@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from smoothop.weighted_space import (
     ParamVerdict,
     SampledFunction,
     WeightedSpace,
+    _power,
     as_sampled,
     sup_grid,
     validate_params,
@@ -79,12 +81,15 @@ class TestWeightedNorm:
         assert_allclose(got, math.sqrt(16 / 105), rtol=1e-12)
 
     def test_homogeneity(self):
+        # at c = 1e200 the sum of q |c e|^p overflows and at 1e-200 it
+        # underflows, so those rows are summed again from |e| / max |e|
         f = lambda x: np.abs(x) + 0.3 * x
-        for sp in (WeightedSpace(1.0, 0.75), WeightedSpace(2.0, 1.0), WeightedSpace(INF, 1.0)):
+        spaces = [WeightedSpace(p, 1.0) for p in (1.5, 2.0, 3.0, INF)]
+        for sp in [WeightedSpace(1.0, 0.75), *spaces]:
             base = weighted_norm(f, sp)
-            for c in (-2.0, 0.5, 10.0):
+            for c in (-2.0, 0.5, 10.0, 1e-200, 1e200):
                 got = weighted_norm(lambda x, _c=c: _c * f(x), sp)
-                assert_allclose(got, abs(c) * base, rtol=1e-12)
+                assert_allclose(got, abs(c) * base, rtol=1e-13, err_msg=f"p={sp.p}, c={c}")
 
     def test_triangle_inequality_on_random_polynomials(self):
         rng = np.random.default_rng(42)
@@ -144,12 +149,48 @@ class TestWeightedNorm:
         diff = np.abs(half.qw @ even[right] - grid.qw @ even)
         assert np.all(diff <= 1e-15 * (grid.qw @ np.abs(even)))
 
+    def test_rescaled_rows_only(self):
+        # a stack of rows at three scales: each row's norm is that of the
+        # row alone (a stacked sum need not round as a single one does), and
+        # a zero row stays 0
+        grid = WeightedSpace(3.0, 1.0)._grid(256)
+        e = grid.wgt * np.abs(grid.x)
+        rows = np.stack([1e-200 * e, e, 1e200 * e, 0 * e])
+        got = grid.norm(rows)
+        assert_allclose(got[1], grid.norm(e), rtol=1e-15)
+        assert_allclose(got[[0, 2]], [1e-200 * got[1], 1e200 * got[1]], rtol=1e-13)
+        assert got[3] == 0.0
+
     def test_resolution_floor(self):
         sp = WeightedSpace(2.0, 1.0)
         with pytest.raises(ValueError):
             weighted_norm(lambda x: x, sp, resolution=8)
         with pytest.raises(ValueError):
             sup_grid(8)
+
+
+class TestPower:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(st.integers(-4, 9).map(lambda k: k / 2), st.floats(-5.0, 5.0)),
+        st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=40),
+    )
+    def test_matches_pow(self, p, exponents):
+        # a log-uniform in [1e-100, 1e100]
+        a = 10.0 ** np.array(exponents)
+        with np.errstate(all="ignore"):
+            ref = a**p
+            out = a.copy()
+            got = _power(out, p)
+        assert got is out  # computed in place
+        if p == 1:
+            assert np.array_equal(got, a)
+        elif p == 2:
+            assert np.array_equal(got, a * a)
+        elif 2 * p != round(2 * p):
+            assert np.array_equal(got, ref)
+        normal = np.isfinite(ref) & (ref >= np.finfo(float).tiny)
+        assert np.all(np.abs(got[normal] - ref[normal]) <= 8 * np.spacing(ref[normal]))
 
 
 class TestSampledFunction:
