@@ -44,11 +44,13 @@ one refinement step (V c and V^T r), and the new residual V c.  The
 interior-point steps apply their one factor, unrefined, to two right-hand
 sides.  n may not exceed a quarter of the solver's grid, so that V itself
 has full rank.  The Gram matrix can still be numerically singular when the
-weights span too many orders of magnitude, as IRLS weights do for p >= 6;
-Cholesky then fails, and the IRLS lane stops with the flag
-`singular_normal_equations` and keeps its last iterate.  An interior-point
-stack is first factored once more with its diagonals raised by 1e-13 of
-their largest entry.
+weights span too many orders of magnitude, as IRLS weights do for p >= 6.
+Both iterative solvers factor each stack by `_factor_lanes`, lane by lane
+once Cholesky rejects the stack: a lane it cannot factor leaves flagged
+`singular_normal_equations` (IRLS keeps its last iterate), and the others
+go on with the factors the stack gave them.  An interior-point stack is
+first factored once more with its diagonals raised by 1e-13 of their
+largest entry.
 
 Even and odd inputs (finite p).  The Gauss-Legendre grid, its weights and
 (1 - x^2)^alpha are symmetric about 0 bit for bit.  When f's samples are
@@ -93,7 +95,9 @@ import numpy as np
 from numpy.polynomial import chebyshev as C
 
 from .interior_point import _interior_point
-from .normal_equations import _apply, _factor, _gram, _lane_mask, _off_block
+from .normal_equations import (
+    _apply, _factor, _factor_lanes, _gram, _keep_rows, _lane_mask, _off_block,
+)
 from .orthopoly import _check_int
 from .weighted_space import SampledFunction, WeightedSpace, _power, as_sampled
 
@@ -224,7 +228,7 @@ def _weighted_least_squares(
     ws: _Workspace,
     w: np.ndarray,
     mask: np.ndarray,
-    off: np.ndarray,
+    L_inv: np.ndarray,
     start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Minimize sum_x w_k(x) (f(x) - (V c_k)(x))^2 for every lane k at once.
@@ -232,13 +236,10 @@ def _weighted_least_squares(
     Lane k fits the first n_k Chebyshev coefficients that row k of `mask`
     marks (see :func:`_lane_mask`); the returned (lanes x N) coefficients
     are zero beyond n_k.  `w` holds one weight row per lane, or a single
-    row that all lanes share.  `off` is :func:`_off_block` of the mask each
-    weight row is factored at: its lane's, or for a shared row the top
-    degree N's, which keeps every entry.
-
-    Each weight row's Gram matrix comes from :func:`_gram` and is factored
-    as L L^T in one stacked Cholesky; G^{-1} is applied as L^{-T} L^{-1},
-    with L^{-1} from :func:`_tril_inverse`.
+    row that all lanes share.  `L_inv` is the caller's :func:`_factor` of
+    the :func:`_gram` stack of `w`, padded at the mask each weight row is
+    factored at: its lane's, or for a shared row the top degree N's, which
+    keeps every entry.  G^{-1} is applied as L^{-T} L^{-1}.
     A shared row is factored once, at the top degree N: the leading n x n
     blocks of L and L^{-1} are the factor and its inverse for degree n, so
     lane n cuts L^{-1} r to its first n entries between the two triangular
@@ -257,11 +258,8 @@ def _weighted_least_squares(
     grows with the distance from c to the solution, so this path is for
     iterates near it; in IRLS runs to n = 128 each step stays within
     2.7e-10 relative of an SVD-based solve (README lists the figures).
-    Raises LinAlgError when some Gram matrix is not numerically positive
-    definite.
     """
     V = ws.vander[:, : mask.shape[1]]
-    L_inv = _factor(_gram(ws, w, off))
     if start is None:
         coef = _apply(L_inv, (w * ws.fx) @ V, mask)  # the plain solve: from c = 0 the residual is f
         r = np.empty((len(mask), ws.fx.size))
@@ -291,11 +289,12 @@ def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
     U - L for a dual feasible point's L <= E_n.  Other p run IRLS from it
     in lockstep: each
     iteration makes one stacked weighted least-squares solve for the lanes
-    still active.  A lane leaves the stack when its value settles, at
-    _IRLS_MAX_ITER, or when Cholesky rejects its normal equations; it then
-    keeps its last iterate and is flagged `singular_normal_equations`.
-    The lane masks and their Gram padding (:func:`_off_block`) are built
-    once and sliced with the lanes as they leave.
+    still active, factored by :func:`_factor_lanes`.  A lane leaves the
+    stack when its value settles, at _IRLS_MAX_ITER, or when Cholesky
+    rejects its own Gram matrix; it then keeps its last iterate and is
+    flagged `singular_normal_equations`.  The lane masks and their Gram
+    padding (:func:`_off_block`) are built once, and :func:`_keep_rows`
+    drops the rows of the lanes that leave, as in :func:`_interior_point`.
     Each n counts the kept Chebyshev columns a lane fits.
     """
     p = ws.space.p
@@ -316,7 +315,8 @@ def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
     # the weighted L2 fit: one weight vector, one factorization at the top
     # degree, whose mask is the union of the lanes'
     top = lanes.any(axis=0, keepdims=True)
-    coef = _weighted_least_squares(ws, base[None], lanes, _off_block(top))
+    L_inv = _factor(_gram(ws, base[None], _off_block(top)))
+    coef = _weighted_least_squares(ws, base[None], lanes, L_inv)
     rho = coef @ V.T  # the residual f - V c of each lane
     np.subtract(ws.fx, rho, out=rho)
     if p == 1:
@@ -338,7 +338,7 @@ def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
     value = grid.norm(e)
     lane = np.arange(len(ns))  # the active lanes, in stack order
     gap = np.full(len(ns), math.inf)
-    mask, off = lanes, _off_block(lanes)  # those of the active lanes
+    mask, off = lanes.copy(), _off_block(lanes)  # those of the active lanes
     for it in range(1, _IRLS_MAX_ITER + 1):
         # residual magnitudes floored so the p-2 power cannot blow up near zeros;
         # e is recomputed below, so w takes its buffer
@@ -346,23 +346,18 @@ def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
         np.maximum(w, _IRLS_RESIDUAL_FLOOR, out=w)
         _power(w, p - 2.0)
         w *= base
-        try:
-            new = _weighted_least_squares(ws, w, mask, off, (coef, rho))
-        except np.linalg.LinAlgError:  # find the singular lanes one by one
-            new, keep = coef.copy(), np.ones(len(lane), dtype=bool)
-            for k in range(len(lane)):
-                start = (coef[k, None], rho[k, None])
-                try:
-                    new[k] = _weighted_least_squares(
-                        ws, w[k, None], mask[k, None], off[k, None], start
-                    )[0]
-                except np.linalg.LinAlgError:
-                    keep[k] = False
-                    finish(lane[k], coef[k], zf * value[k], zf * gap[k], it,
-                           ("singular_normal_equations",))
-            lane, value, gap, new = lane[keep], value[keep], gap[keep], new[keep]
-            rho, w, mask, off = rho[keep], w[keep], mask[keep], off[keep]
-        coef = new
+        L_inv, ok = _factor_lanes(_gram(ws, w, off), mask)
+        if not ok.all():
+            for k in np.flatnonzero(~ok):
+                finish(lane[k], coef[k], zf * value[k], zf * gap[k], it,
+                       ("singular_normal_equations",))
+            if not ok.any():
+                return results
+            lane, coef, rho, w, value, gap, mask, off = _keep_rows(
+                ok, lane, coef, rho, w, value, gap, mask, off
+            )
+        coef = _weighted_least_squares(ws, w, mask, L_inv, (coef, rho))
+        del L_inv  # the factor stack is freed before the next one is made
         # rho and e are recomputed in the buffers of the old residual and of w
         np.matmul(coef, V.T, out=rho)
         np.subtract(ws.fx, rho, out=rho)
@@ -374,10 +369,11 @@ def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
         if done.any():
             for k in np.flatnonzero(done):
                 finish(lane[k], coef[k], zf * value[k], zf * gap[k], it)
-            lane, coef, rho, e = lane[~done], coef[~done], rho[~done], e[~done]
-            value, gap, mask, off = value[~done], gap[~done], mask[~done], off[~done]
-        if not lane.size:
-            break
+            if done.all():
+                return results
+            lane, coef, rho, e, value, gap, mask, off = _keep_rows(
+                ~done, lane, coef, rho, e, value, gap, mask, off
+            )
     for k in range(len(lane)):
         finish(lane[k], coef[k], zf * value[k], zf * gap[k], _IRLS_MAX_ITER, ("max_iterations",))
     return results

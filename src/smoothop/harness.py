@@ -356,7 +356,7 @@ def class_fit(
     omega (t_grid, M) is refused before any E_n is solved.
     """
     space.require_admissible(lam)
-    _check_int(n_max, "n_max", 4)  # a fit needs a few points
+    _check_int(n_max, "n_max", 8)  # three dyadic deltas, the fewest a fit takes
     ns = [2**k for k in range(1, 13) if 2**k <= n_max]
     deltas = [1.0 / n for n in ns]
     _check_omega_args(space, deltas, t_grid, M, None)

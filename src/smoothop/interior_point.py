@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .normal_equations import _apply, _factor_lanes, _gram, _off_block
+from .normal_equations import _apply, _factor_lanes, _gram, _keep_rows, _off_block
 
 if TYPE_CHECKING:
     from .approx import _Workspace
@@ -22,17 +22,6 @@ _NEAR_GAP = 100  # certify a lane once its gap may be within this many tolerance
 _STALL = 1e-100  # a lane whose complementarity falls below this many tolerances stops
 _STEP = 0.9995  # the share of the way to the boundary of the slacks a step takes
 _GRAM_SHIFT = 1e-13  # the diagonal raise, relative, of a stack Cholesky rejects
-
-
-def _keep_rows(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
-    """The rows `keep` of each array, moved to the front of the array's own
-    buffer one by one and returned as views of it: a lane set that shrinks
-    allocates nothing."""
-    rows = np.flatnonzero(keep)
-    for x in arrays:
-        for i, k in enumerate(rows):  # k >= i: each row moves up or stays
-            x[i] = x[k]
-    return [x[: rows.size] for x in arrays]
 
 
 def _interior_point(

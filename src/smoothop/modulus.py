@@ -70,13 +70,17 @@ def _omegas(fn, deltas, space, t_grid, M, norm_resolution) -> list[ModulusReport
     that coincide exactly are translated once, and a shared value is the one
     a separate call would compute, bit for bit.  Each delta's new t values
     are translated in one call.  Ties go to the first t of each delta's own
-    grid.  The deltas may come in any order: each report is the same.
+    grid.  A report more than 1e-12 ||fn|| (on the norm grid) below that of
+    the next smaller delta is flagged `monotonicity_violation`.  The deltas
+    may come in any order: each report is the same.
     """
     grid = _check_omega_args(space, deltas, t_grid, M, norm_resolution)
     res = grid.x.size
+    slack = 0.0  # every delta 0: every omega is 0
     if any(deltas):
         fx = fn(grid.x)
         _require_finite(fx, grid.x)
+        slack = 1e-12 * float(grid.norm(grid.wgt * fx))
     dist: dict[float, float] = {}
     reports = []
     for delta in deltas:
@@ -94,6 +98,10 @@ def _omegas(fn, deltas, space, t_grid, M, norm_resolution) -> list[ModulusReport
             if dist[t] > best:
                 best, best_t = dist[t], t
         reports.append(ModulusReport(float(delta), best, best_t, t_grid, res))
+    order = sorted(range(len(deltas)), key=deltas.__getitem__)
+    for i, j in zip(order, order[1:]):
+        if reports[j].value < reports[i].value - slack:
+            reports[j].flags += ("monotonicity_violation",)
     return reports
 
 
@@ -139,8 +147,9 @@ def modulus_curve(
 ) -> list[ModulusReport]:
     """omega(f, delta) along an ascending list of positive deltas.
 
-    The sup over a nested family is non-decreasing; a decrease beyond 1e-12
-    is a grid-resolution failure and flags the offending report.
+    The sup over a nested family is non-decreasing; a decrease beyond
+    1e-12 ||f||, with ||f|| on the norm's grid, is a grid-resolution failure
+    and flags the offending report, so c f is flagged as f is for any c != 0.
     """
     deltas = [float(d) for d in deltas]
     if not deltas:
@@ -149,8 +158,4 @@ def modulus_curve(
         raise ValueError(f"deltas must be positive, got {min(deltas)}")
     if any(b <= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly ascending")
-    reports = _omegas(as_sampled(f), deltas, space, t_grid, M, norm_resolution)
-    for prev, rep in zip(reports, reports[1:]):
-        if rep.value < prev.value - 1e-12:
-            rep.flags = rep.flags + ("monotonicity_violation",)
-    return reports
+    return _omegas(as_sampled(f), deltas, space, t_grid, M, norm_resolution)

@@ -6,7 +6,8 @@ at once, one per lane, each fitting the first n_k of N kept Chebyshev
 columns.  This module holds what they share: the lane masks and the
 identity padding of each lane's Gram matrix, the Gram matrices from
 weighted Chebyshev product moments, their Cholesky factors inverted by
-2 x 2 block recursion, and the application of those inverses.
+2 x 2 block recursion, the application of those inverses, and the
+retirement of lanes: those Cholesky rejects, and those that leave.
 """
 
 from __future__ import annotations
@@ -150,3 +151,13 @@ def _factor_lanes(
             pass
     return (np.concatenate(factors) if factors else np.empty((0, N, N))), keep
 
+
+def _keep_rows(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    """The rows `keep` of each array, moved to the front of the array's own
+    buffer one by one and returned as views of it: a lane set that shrinks
+    allocates nothing, and a lane that leaves is to be recorded first."""
+    rows = np.flatnonzero(keep)
+    for x in arrays:
+        for i, k in enumerate(rows):  # k >= i: each row moves up or stays
+            x[i] = x[k]
+    return [x[: rows.size] for x in arrays]

@@ -130,10 +130,10 @@ class TestProjection:
 
 
 def lsq(ws, w, mask, start=None):
-    """_weighted_least_squares with the padding of each weight row built
-    here: that of its lane, or of the top degree for a shared row."""
+    """_weighted_least_squares with the factor of each weight row built
+    here, padded as its lane, or as the top degree for a shared row."""
     factored = mask if len(w) == len(mask) else mask.any(axis=0, keepdims=True)
-    return _weighted_least_squares(ws, w, mask, _off_block(factored), start)
+    return _weighted_least_squares(ws, w, mask, _factor(_gram(ws, w, _off_block(factored))), start)
 
 
 def p1_irls_weights(n):
@@ -427,8 +427,8 @@ class TestIRLS:
         for p, n_top in [(1.5, 16), (3.0, 16)]:
             deviations = []
 
-            def svd_driven(ws, w, mask, off, start=None):
-                coef = solve(ws, w, mask, off, start)
+            def svd_driven(ws, w, mask, L_inv, start=None):
+                coef = solve(ws, w, mask, L_inv, start)
                 ref = np.zeros_like(coef)
                 for k, lane in enumerate(mask):
                     n, s = int(lane.sum()), np.sqrt(w[min(k, len(w) - 1)])
@@ -641,49 +641,79 @@ class TestLockstep:
         assert any("singular_normal_equations" in r.flags for r in seq)
         assert len({r.iterations for r in seq}) > 1
 
+    def test_injected_singular_lane_leaves_alone(self, monkeypatch):
+        # every stack that holds the lane of 3 columns is rejected, as in
+        # TestInteriorPoint: at p = 1.5 that lane leaves at the first IRLS
+        # iteration with the L2 fit, and the others go on from the factors the
+        # stack gave them, one Gram stack per iteration
+        f, sp = KINKS["absshift"], WeightedSpace(1.5, 1.0)
+        expected = best_approx_sequence(f, 8, sp)
+        cholesky, gram, grams = np.linalg.cholesky, approx._gram, []
+
+        def reject_lane_3(G):
+            if G.ndim == 3 and G.shape[-1] > 3 and 3 in TestInteriorPoint.kept_sizes(G):
+                raise np.linalg.LinAlgError("injected")
+            return cholesky(G)
+
+        def counted(ws, w, off):
+            grams.append(len(w))
+            return gram(ws, w, off)
+
+        monkeypatch.setattr(np.linalg, "cholesky", reject_lane_3)
+        monkeypatch.setattr(approx, "_gram", counted)
+        seq = best_approx_sequence(f, 8, sp)
+        monkeypatch.undo()
+        ws = _Workspace(as_sampled(f), sp, 8)
+        grid, mask = ws.grid, _lane_mask(range(1, 9))
+        l2 = lsq(ws, (grid.qw * grid.wgt**2)[None], mask)[2, :3]
+        l2_value = grid.norm(grid.wgt * (ws.fx - ws.vander[:, :3] @ l2))
+        for r, e in zip(seq, expected):
+            if r.n == 3:
+                assert (r.flags, r.iterations) == (("singular_normal_equations",), 1)
+                assert np.array_equal(r.coefficients, l2)
+                assert_allclose(r.value, l2_value, rtol=1e-14)
+            else:
+                assert r.flags == () == e.flags, r.n
+                assert_allclose(r.value, e.value, rtol=1e-10, err_msg=f"n={r.n}")
+        # the shared L2 fit, then one stack of the active lanes per iteration
+        last = max(r.iterations for r in seq)
+        assert grams == [1] + [sum(r.iterations >= it for r in seq) for it in range(1, last + 1)]
+
     def test_p6_lanes_leave_with_their_own_masks(self, monkeypatch):
         # |x| at p = 6 to n = 32: the even columns give lanes of 1..16 kept
         # coefficients; some stop at the iteration limit, the others turn
-        # singular at several iterations (5 to 25).  Every solve must get the masks of
-        # exactly the lanes still active, each with its own padding, and each
-        # lane's flags and iteration count must be those its solves gave it.
+        # singular at several iterations (5 to 13).  Every factorization must get the
+        # masks of exactly the lanes still active, each Gram padded by its
+        # own mask, and each lane's flags and iteration count must be those
+        # its factorizations gave it: it leaves singular at the iteration
+        # _factor_lanes rejects it, and only then.
         # (Lanes are not compared with one-degree solves: BLAS rounds a row
         # of a stacked product differently for other row counts, and p = 6
         # stops amplify that.)
-        solve, log = _weighted_least_squares, []
+        factor_lanes, log = approx._factor_lanes, []
 
-        def logged(ws, w, mask, off, start=None):
-            factored = mask if len(w) == len(mask) else mask.any(axis=0, keepdims=True)
-            assert np.array_equal(off, _off_block(factored))
-            sizes = mask.sum(axis=1).tolist()
-            try:
-                coef = solve(ws, w, mask, off, start)
-            except np.linalg.LinAlgError:
-                log.append((sizes, False))
-                raise
-            log.append((sizes, True))
-            return coef
+        def logged(G, mask):
+            off = _off_block(mask)
+            assert np.array_equal(G[off], np.broadcast_to(np.eye(mask.shape[1]), G.shape)[off])
+            L_inv, ok = factor_lanes(G, mask)
+            log.append((mask.sum(axis=1).tolist(), ok.tolist()))
+            return L_inv, ok
 
-        monkeypatch.setattr(approx, "_weighted_least_squares", logged)
+        monkeypatch.setattr(approx, "_factor_lanes", logged)
         seq = best_approx_sequence(np.abs, 32, WeightedSpace(6.0, 1.0))
         lanes = {(r.n + 1) // 2: r for r in seq}  # n = 2m - 1 and 2m keep m columns
         stop = {m: r.iterations for m, r in lanes.items()}
         singular = {m for m, r in lanes.items() if "singular_normal_equations" in r.flags}
         assert len({stop[m] for m in singular}) >= 3
         assert approx._IRLS_MAX_ITER in stop.values()
-        assert log.pop(0) == (list(range(1, 17)), True)  # the shared L2 fit
         for it in range(1, approx._IRLS_MAX_ITER + 1):
             active = [m for m in range(1, 17) if stop[m] >= it]
             if not active:
                 break
-            sizes, solved = log.pop(0)
+            sizes, ok = log.pop(0)
             assert sizes == active, it
-            leaving = {m for m in active if stop[m] == it and m in singular}
-            # a stacked failure can also leave every lane solvable alone
-            assert not (solved and leaving), it
-            if not solved:  # the lanes one by one
-                assert log[: len(active)] == [([m], m not in leaving) for m in active], it
-                del log[: len(active)]
+            rejected = [m for m, good in zip(active, ok) if not good]
+            assert rejected == [m for m in active if stop[m] == it and m in singular], it
         assert log == []
         for m, r in lanes.items():
             flag = "max_iterations" if stop[m] == approx._IRLS_MAX_ITER else None

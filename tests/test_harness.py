@@ -229,6 +229,14 @@ class TestClassFit:
         assert smooth.lambda_best_approx > rough.lambda_best_approx
         assert smooth.lambda_modulus > rough.lambda_modulus
 
+    @pytest.mark.parametrize("n_max", [4, 5, 6, 7])
+    def test_two_dyadic_points_rejected(self, n_max, capsys):
+        # delta = 1/2 and 1/4 alone leave the omega fit degenerate whatever f is
+        with pytest.raises(ValueError, match="n_max must be >= 8"):
+            class_fit(np.abs, SP2, n_max)
+        assert main(["class-fit", "--function", "abs", "--p", "2", "--n-max", str(n_max)]) == 2
+        assert "n_max must be >= 8" in capsys.readouterr().err
+
     def test_lambda_hypothesis_validated(self):
         with pytest.raises(ValueError, match="λ"):
             class_fit(np.abs, SP2, 16, lam=2.5)

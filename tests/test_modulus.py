@@ -9,6 +9,7 @@ from smoothop import modulus
 from smoothop.cli import main
 from smoothop.harness import converse_table, get_test_function
 from smoothop.modulus import modulus_curve, modulus_omega
+from smoothop.orthopoly import JACOBI_22, jacobi_eval
 from smoothop.translation import translate_trig
 from smoothop.weighted_space import WeightedSpace, weighted_norm
 
@@ -119,6 +120,18 @@ class TestModulusCurve:
         shuffled = modulus._omegas(np.abs, deltas, SP2, 9, None, None)
         ascending = modulus._omegas(np.abs, sorted(deltas), SP2, 9, None, None)
         assert shuffled == [ascending[sorted(deltas).index(d)] for d in deltas]
+
+    @pytest.mark.parametrize("c", [1.0, 1e-20, 1e20])
+    def test_flags_do_not_depend_on_the_scale_of_f(self, c):
+        # on a 3-point t grid omega of the degree-6 (2, 2) Jacobi polynomial
+        # falls by 37% at delta = 1.6 and 2.4; a slack of 1e-12 not relative
+        # to ||f|| hid both falls at c = 1e-20
+        def f(x):
+            return c * jacobi_eval(JACOBI_22, 6, x)
+
+        reps = modulus_curve(f, [0.8, 1.2, 1.6, 2.0, 2.4], SP2, t_grid=3)
+        flag = ("monotonicity_violation",)
+        assert [(r.delta, r.flags) for r in reps if r.flags] == [(1.6, flag), (2.4, flag)]
 
     def test_rejects_bad_delta_lists(self):
         with pytest.raises(ValueError):
