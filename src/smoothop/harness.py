@@ -25,9 +25,9 @@ import numpy as np
 from numpy.polynomial import chebyshev as C
 
 from .approx import best_approx_sequence
-from .modulus import _check_omega_args, _omegas
-from .orthopoly import JACOBI_22, _check_int, fourier_jacobi_series, jacobi_eval
-from .translation import default_multiplier, multiplier_eval, translate
+from .modulus import _check_omega_args, _omegas_and_norm
+from .orthopoly import JACOBI_22, _check_int, _jacobi_rows, fourier_jacobi_series
+from .translation import _translate_jacobi, default_multiplier, multiplier_eval, translate
 from .weighted_space import (
     SampledFunction,
     WeightedSpace,
@@ -78,12 +78,13 @@ TEST_FUNCTION_NAMES = tuple(_LIBRARY)
 
 def get_test_function(spec: str, seed: int = 0) -> SampledFunction:
     """Resolve a test function by name, or parse comma-separated Chebyshev
-    coefficients (e.g. "0.5,0,1" for T_0/2 + T_2)."""
+    coefficients (e.g. "0.5,0,1" for T_0/2 + T_2), each finite."""
     _check_int(seed, "seed", 0)
     if spec in _LIBRARY:
         return _LIBRARY[spec](seed)
+    tokens = spec.split(",")
     try:
-        coeffs = np.array([float(c) for c in spec.split(",")])
+        coeffs = np.array([float(c) for c in tokens])
     except ValueError:
         raise ValueError(
             f"unknown function {spec!r}; known names: {', '.join(TEST_FUNCTION_NAMES)} "
@@ -91,6 +92,10 @@ def get_test_function(spec: str, seed: int = 0) -> SampledFunction:
         ) from None
     if coeffs.size == 0:
         raise ValueError("empty coefficient list")
+    finite = np.isfinite(coeffs)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"Chebyshev coefficient {i} must be finite, got {tokens[i].strip()}")
     return SampledFunction(C.Chebyshev(coeffs), name=f"cheb{coeffs.tolist()}", degree=coeffs.size - 1)
 
 
@@ -146,22 +151,18 @@ def verify_lemma1(n_max: int = 20, grid: int = 24, seed: int = 0) -> Lemma1Repor
         resid = max(resid, float(np.max(np.abs(lhs - rhs))))
     checks.append(PropertyCheck("linearity", resid, 1e-12))
 
-    # property 2: T_1 is the identity
-    resid = 0.0
-    for d in range(n_max + 1):
-        pd = SampledFunction(lambda x, _d=d: jacobi_eval(JACOBI_22, _d, x), degree=d)
-        vals = translate(pd, 1.0, xg)
-        resid = max(resid, float(np.max(np.abs(vals - pd(xg)))))
+    # property 2: T_1 is the identity, on p_0 .. p_n_max in one family translation
+    profiles = _jacobi_rows(JACOBI_22, n_max, xg)
+    resid = float(np.max(np.abs(_translate_jacobi(n_max, 1.0, xg) - profiles)))
     checks.append(PropertyCheck("identity", resid, 1e-10))
 
     # property 3: rank-1 action on the Jacobi family
     resid = 0.0
-    for n in range(min(n_max, 12) + 1):
-        pn = SampledFunction(lambda x, _n=n: jacobi_eval(JACOBI_22, _n, x), degree=n)
-        A = np.ascontiguousarray(translate(pn, yg, xg).T)  # column j is y = yg[j], in C order
+    shifted = _translate_jacobi(min(n_max, 12), yg, xg)
+    for profile, T in zip(profiles, shifted):
+        A = np.ascontiguousarray(T.T)  # column j is y = yg[j], in C order
         sv = np.linalg.svd(A, compute_uv=False)
         sv_ratio = float(sv[1] / sv[0]) if sv[0] > 0 else 0.0
-        profile = pn(xg)
         coef = profile @ A / (profile @ profile)
         dev = float(np.linalg.norm(A - np.outer(profile, coef)) / np.linalg.norm(A))
         resid = max(resid, sv_ratio, dev)
@@ -233,12 +234,12 @@ def converse_table(
             )
     e = np.array([r.value for r in seq])
     nu = np.arange(1, len(e) + 1)
+    reports, fnorm = _omegas_and_norm(fn, deltas, space, t_grid, M, norm_resolution)
     # Noise floor for the degenerate case (f itself a polynomial): both sides
     # of the ratio are then pure roundoff and the ratio is reported as 0.
-    floor = 1e-10 * weighted_norm(fn, space, norm_resolution)
-    omegas = [r.value for r in _omegas(fn, deltas, space, t_grid, M, norm_resolution)]
+    floor = 1e-10 * fnorm
     rows = []
-    for n, omega in zip(n_list, omegas):
+    for n, omega in zip(n_list, (r.value for r in reports)):
         rhs = float(nu[:n] @ e[:n])
         if omega <= floor and rhs <= floor * n * (n + 1) / 2:
             ratio = 0.0
@@ -365,10 +366,9 @@ def class_fit(
     seq = best_approx_sequence(fn, n_max, space)
     e = np.array([r.value for r in seq])
     nu = np.arange(1, n_max + 1)
-    fnorm = weighted_norm(fn, space)
+    reports, fnorm = _omegas_and_norm(fn, deltas, space, t_grid, M, None)
     mask = e > 1e-12 * fnorm
-
-    omegas = np.array([r.value for r in _omegas(fn, deltas, space, t_grid, M, None)])
+    omegas = np.array([r.value for r in reports])
     wmask = omegas > 1e-14 * fnorm
 
     degenerate = int(mask.sum()) < 3 or int(wmask.sum()) < 3

@@ -61,8 +61,9 @@ def _check_omega_args(space: WeightedSpace, deltas, t_grid: int, M, norm_resolut
     return grid
 
 
-def _omegas(fn, deltas, space, t_grid, M, norm_resolution) -> list[ModulusReport]:
-    """omega(fn, delta) for each delta, translating each distinct t once.
+def _omegas_and_norm(fn, deltas, space, t_grid, M, norm_resolution) -> tuple[list[ModulusReport], float]:
+    """omega(fn, delta) for each delta, translating each distinct t once, and
+    ||fn|| on the norm grid (0.0 when every delta is 0: fn is then not sampled).
 
     The t grids of nested deltas overlap: every other point of
     linspace(-d, d, k) is, up to rounding, a point of linspace(-2d, 2d, k).
@@ -76,11 +77,11 @@ def _omegas(fn, deltas, space, t_grid, M, norm_resolution) -> list[ModulusReport
     """
     grid = _check_omega_args(space, deltas, t_grid, M, norm_resolution)
     res = grid.x.size
-    slack = 0.0  # every delta 0: every omega is 0
+    fnorm = 0.0  # every delta 0: every omega is 0
     if any(deltas):
         fx = fn(grid.x)
         _require_finite(fx, grid.x)
-        slack = 1e-12 * float(grid.norm(grid.wgt * fx))
+        fnorm = float(grid.norm(grid.wgt * fx))
     dist: dict[float, float] = {}
     reports = []
     for delta in deltas:
@@ -100,9 +101,14 @@ def _omegas(fn, deltas, space, t_grid, M, norm_resolution) -> list[ModulusReport
         reports.append(ModulusReport(float(delta), best, best_t, t_grid, res))
     order = sorted(range(len(deltas)), key=deltas.__getitem__)
     for i, j in zip(order, order[1:]):
-        if reports[j].value < reports[i].value - slack:
+        if reports[j].value < reports[i].value - 1e-12 * fnorm:
             reports[j].flags += ("monotonicity_violation",)
-    return reports
+    return reports, fnorm
+
+
+def _omegas(fn, deltas, space, t_grid, M, norm_resolution) -> list[ModulusReport]:
+    """The reports of :func:`_omegas_and_norm`."""
+    return _omegas_and_norm(fn, deltas, space, t_grid, M, norm_resolution)[0]
 
 
 def modulus_omega(

@@ -158,12 +158,21 @@ def jacobi_eval(basis: JacobiBasis, n: int, x):
     _check_int(n, "n", 0)
     xs = np.asarray(x, dtype=float)
     _check_domain(xs, "x")
-    for vals in _jacobi_standard(basis, n, xs):
-        pass
-    vals = vals / basis.endpoint_value(n)
+    vals = _jacobi_rows(basis, n, xs, n)[0]
     if np.ndim(x) == 0:
         return float(vals)
     return vals
+
+
+def _jacobi_rows(basis: JacobiBasis, n: int, x: np.ndarray, lo: int = 0) -> np.ndarray:
+    """Degrees lo..n of `basis` at the points x, normalized to 1 at x = 1, one
+    row each from one pass of the recurrence: shape (n + 1 - lo,) + x.shape.
+    x is not checked against [-1, 1]."""
+    out = np.empty((n + 1 - lo,) + np.shape(x))
+    for d, vals in enumerate(_jacobi_standard(basis, n, np.asarray(x, dtype=float))):
+        if d >= lo:
+            np.divide(vals, basis.endpoint_value(d), out=out[d - lo, ...])
+    return out
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from .orthopoly import (
     JacobiBasis,
     _check_domain,
     _check_int,
+    _jacobi_rows,
     _require_finite,
-    fourier_jacobi_coeff,
     gauss_chebyshev,
     gauss_legendre,
     jacobi_eval,
@@ -108,7 +108,33 @@ def _check_translate_args(x: np.ndarray, y: np.ndarray, M: int) -> None:
 _CHUNK = 16384
 
 
-def _translate(f, y, sy_root, x, M: int | None):
+def _x_runs(n: int, M: int, rows: int) -> list[tuple[int, int]]:
+    """The x-row ranges [lo, hi) of the passes over n x-rows, at most `rows`
+    to a pass while 5 rows fit.
+
+    A one-function call takes chunks of max(1, _CHUNK // M) rows.  A family
+    that cannot hold such a chunk in one pass cuts it into runs of whole
+    4-row blocks, and a lone last row joins the 4 before it.  The BLAS
+    matrix-vector product (OpenBLAS) rounds a row alike in any run of whole
+    blocks and in the 2- or 3-row tail after them, but not as a lone row,
+    which numpy hands to a dot product; so each member of a family keeps
+    the rounding of its one-function call.
+    """
+    single = max(1, _CHUNK // M)
+    run = single if rows >= single else max(4, rows - rows % 4)
+    out: list[tuple[int, int]] = []
+    for lo in range(0, n, single):
+        hi = min(lo + single, n)
+        cuts = list(range(lo, hi, run))
+        if len(cuts) > 1 and hi - cuts[-1] == 1:  # the lone last row joins 4 others
+            cuts[-1] -= 4
+            if cuts[-1] == cuts[-2]:
+                cuts.pop()
+        out += zip(cuts, cuts[1:] + [hi])
+    return out
+
+
+def _translate(f, y, sy_root, x, M: int | None, members: int | None = None):
     """(T_y f)(x) for a scalar or 1-d y, with sy_root = sqrt(1 - y^2) given
     by the caller; the result has shape y.shape + x.shape.
 
@@ -121,6 +147,13 @@ def _translate(f, y, sy_root, x, M: int | None):
     and only on failure are the passes of its non-finite entries evaluated
     again and searched in order: ValueError names the first point where f
     is not finite.
+
+    With `members` = k, f is a family of k functions: it returns one row of
+    samples per member, shape (k, N) for N points, and is called once per
+    pass for all of them.  The result then has shape (k,) + y.shape +
+    x.shape, each member its own one-function call bit for bit (see
+    :func:`_x_runs` where x is split), and a pass holds at most _CHUNK
+    elements across its k rows while 5 x-rows fit.
     """
     if M is None:
         M = _default_quad_size(f)
@@ -139,13 +172,15 @@ def _translate(f, y, sy_root, x, M: int | None):
     sx = 1.0 - xs * xs
     rx = np.sqrt(sx)
     xy = np.multiply.outer(ys, xs)
-    out = np.empty((ys.size, xs.size))
-    step = max(1, _CHUNK // M)  # x-rows per pass
-    per_pass = max(1, step // max(1, xs.size))  # y per pass; 1 unless a y's rows fit
+    lead = () if members is None else (members,)
+    out = np.empty((members or 1, ys.size, xs.size))
+    rows = max(1, _CHUNK // ((members or 1) * M))  # x-rows a pass may hold
+    per_pass = max(1, rows // max(1, xs.size))  # y per pass; 1 unless a y's rows fit
+    runs = _x_runs(xs.size, M, rows)
 
-    def arguments(i: int, lo: int) -> np.ndarray:
-        """R, the arguments of f on the pass over y from i and x-rows from lo."""
-        j, hi = min(i + per_pass, ys.size), lo + step
+    def arguments(i: int, lo: int, hi: int) -> np.ndarray:
+        """R, the arguments of f on the pass over y from i and x-rows lo:hi."""
+        j = min(i + per_pass, ys.size)
         r = rx[lo:hi, None] * zs[i:j, None]
         np.subtract(xy[i:j, lo:hi, None], r, out=r)
         return np.clip(r, -1.0, 1.0, out=r)
@@ -154,24 +189,27 @@ def _translate(f, y, sy_root, x, M: int | None):
     with np.errstate(invalid="ignore"):
         for i in range(0, ys.size, per_pass):
             j = min(i + per_pass, ys.size)
-            for lo in range(0, xs.size, step):
-                hi = lo + step
-                r = arguments(i, lo)
+            for lo, hi in runs:
+                r = arguments(i, lo, hi)
                 k = sx[lo:hi, None] * c[i:j, None]
                 k += a[i:j, None]
                 k -= r * r
-                k *= np.asarray(f(r.ravel()), dtype=float).reshape(r.shape)
-                # one matrix-vector product per y, each the shape of a scalar
-                # call's pass, so a row's rounding does not depend on the batch
-                out[i:j, lo:hi] = k @ rule.weights
+                # dropped here: a name would keep f's samples alive into the next pass
+                fr = np.asarray(f(r.ravel()), dtype=float).reshape(lead + r.shape)
+                k = np.multiply(k, fr, out=None if lead else k)
+                del fr
+                # one matrix-vector product per member and y over the run's x-rows,
+                # so a row's rounding does not depend on the batch (see _x_runs)
+                out[:, i:j, lo:hi] = k @ rule.weights
         if not np.isfinite(out).all():
             # finite samples can overflow too, so each such pass is searched in turn
-            yi, xi = np.nonzero(~np.isfinite(out))
-            for i, lo in dict.fromkeys(zip(yi - yi % per_pass, xi - xi % step)):
-                r = arguments(int(i), int(lo)).ravel()
+            yi, xi = np.nonzero(~np.isfinite(out).all(axis=0))
+            run = np.searchsorted([lo for lo, _ in runs], xi, side="right") - 1
+            for i, n in dict.fromkeys(zip(yi - yi % per_pass, run)):
+                r = arguments(int(i), *runs[n]).ravel()
                 _require_finite(np.asarray(f(r), dtype=float), r)
     out /= np.pi * sx
-    out = out.reshape(np.shape(y) + np.shape(x))
+    out = out.reshape(lead + np.shape(y) + np.shape(x))
     return float(out) if out.ndim == 0 else out
 
 
@@ -199,11 +237,16 @@ def translate(f, y, x, M: int | None = None):
     A non-finite sample of f raises ValueError naming the point it was
     taken at.
     """
+    return _translate(f, *_y_args(y), x, M)
+
+
+def _y_args(y) -> tuple[np.ndarray, np.ndarray]:
+    """y as a scalar or 1-d float array, with sqrt(1 - y^2)."""
     y = np.asarray(y, dtype=float)
     if y.ndim > 1:
         raise ValueError(f"translation parameter y must be a scalar or 1-d, got shape {y.shape}")
     # the maximum keeps sqrt real for |y| within the domain slack beyond 1
-    return _translate(f, y, np.sqrt(np.maximum(0.0, 1.0 - y * y)), x, M)
+    return y, np.sqrt(np.maximum(0.0, 1.0 - y * y))
 
 
 def translate_trig(f, t, x, M: int | None = None):
@@ -217,6 +260,11 @@ def translate_trig(f, t, x, M: int | None = None):
     t is a scalar or a 1-d array; the result has shape t.shape + x.shape, and
     row i of a 1-d t is the scalar call at t[i], bit for bit.
     """
+    return _translate(f, *_t_args(t), x, M)
+
+
+def _t_args(t) -> tuple[np.ndarray, np.ndarray]:
+    """cos t and |sin t| for a finite scalar or 1-d t."""
     t = np.asarray(t, dtype=float)
     if t.ndim > 1:
         raise ValueError(f"translation angle t must be a scalar or 1-d, got shape {t.shape}")
@@ -227,7 +275,18 @@ def translate_trig(f, t, x, M: int | None = None):
     ts = t.ravel().tolist()
     cos_t = np.array([math.cos(v) for v in ts]).reshape(t.shape)
     sin_t = np.array([abs(math.sin(v)) for v in ts]).reshape(t.shape)
-    return _translate(f, cos_t, sin_t, x, M)
+    return cos_t, sin_t
+
+
+def _translate_jacobi(n: int, y, x, M: int | None = None, lo: int = 0):
+    """T_y p_d at x for the (2, 2) Jacobi polynomials p_lo .. p_n, normalized
+    to 1 at x = 1, from one family translation: shape (n + 1 - lo,) +
+    y.shape + x.shape, row d - lo the call translate(p_d, y, x, M) bit for
+    bit.  M defaults to the rule exact for degree n, and so for every row."""
+    if M is None:
+        M = _exact_quad_size(n)
+    rows = partial(_jacobi_rows, JACOBI_22, n, lo=lo)
+    return _translate(rows, *_y_args(y), x, M, members=n + 1 - lo)
 
 
 @dataclass
@@ -267,28 +326,39 @@ def multiplier_eval(mult: Multiplier, n: int, y):
     return float(out) if out.ndim == 0 else out
 
 
+def _multipliers(n: int, y, M: int | None = None, lo: int = 0) -> np.ndarray:
+    """R_lo(y) .. R_n(y) measured from the operator as a_d(T_y p_d) / a_d(p_d),
+    shape (n + 1 - lo,) + y.shape.
+
+    One family translation of p_lo .. p_n (z-quadrature of M nodes, default
+    exact for degree n) at the nodes of one Gauss-Legendre rule of 2(n + 8)
+    nodes gives every coefficient, exactly: T_y p_d p_d (1 - x^2)^2 has
+    degree 2d + 4 <= 2n + 4.
+    """
+    rule = gauss_legendre(2 * (n + 8))
+    x = rule.nodes
+    s = 1.0 - x * x
+    p = _jacobi_rows(JACOBI_22, n, x, lo)
+    shifted = _translate_jacobi(n, y, x, M, lo)
+    p_rows = p.reshape(p.shape[:1] + (1,) * np.ndim(y) + p.shape[1:])
+    numer = (shifted * p_rows * s * s) @ rule.weights
+    denom = (p * p * s * s) @ rule.weights
+    return numer / denom.reshape(p_rows.shape[:-1])
+
+
 def fit_multiplier(n: int, y, M: int | None = None):
     """Measure R_n(y) directly from the operator as a_n(T_y p_n) / a_n(p_n).
 
     y is a scalar or a 1-d array; an array gives one fit per entry from one
-    translation call, with a_n(p_n) computed once.  The translation's
-    z-quadrature uses M nodes (default exact for the degree-n integrand);
-    the two coefficient integrals share one Gauss-Legendre grid sized to be
-    exact as well.
+    translation call.  The translation's z-quadrature uses M nodes (default
+    exact for the degree-n integrand); the two coefficient integrals share
+    one Gauss-Legendre grid sized to be exact as well.  This is the
+    computation of :func:`calibrate_multiplier` at n_max = n, for degree n
+    alone.
     """
     _check_int(n, "n", 0)
-    if M is None:
-        M = _exact_quad_size(n)
-
-    def pn(x):
-        return jacobi_eval(JACOBI_22, n, x)
-
-    m_coeff = 2 * (n + 8)
-    denom = fourier_jacobi_coeff(pn, n, M=m_coeff)
-    if abs(denom) < 1e-300:
-        raise ZeroDivisionError(f"vanishing reference coefficient a_{n}(p_{n})")
-    numer = fourier_jacobi_coeff(lambda x: translate(pn, y, x, M=M), n, M=m_coeff)
-    return numer / denom
+    out = _multipliers(n, y, M, lo=n)[0]
+    return float(out) if out.ndim == 0 else out
 
 
 def _candidate_key(cand: tuple[tuple[float, float], tuple[float, float]]) -> str:
@@ -307,7 +377,10 @@ def calibrate_multiplier(
     family).  A candidate validates when
 
         max over n <= n_max, y in y_grid of
-            |candidate R_n(y) - fit_multiplier(n, y)| <= 1e-8.
+            |candidate R_n(y) - measured R_n(y)| <= 1e-8,
+
+    with every R_n measured as :func:`fit_multiplier` measures
+    R_{n_max}: one family translation of p_0 .. p_{n_max} on one grid.
 
     Returns the winning candidate as a validated Multiplier; if none (or
     several) validate, returns the best-scoring candidate with
@@ -328,7 +401,7 @@ def calibrate_multiplier(
     if not y_grid.size:
         raise ValueError("y_grid must be non-empty")
 
-    measured = np.array([fit_multiplier(n, y_grid) for n in range(n_max + 1)])
+    measured = _multipliers(n_max, y_grid)
 
     table: dict[str, float] = {}
     results = []

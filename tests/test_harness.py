@@ -66,6 +66,18 @@ class TestFunctionLibrary:
         with pytest.raises(ValueError, match="unknown function"):
             get_test_function("nope")
 
+    @pytest.mark.parametrize("spec, index, text", [
+        ("nan", 0, "nan"), ("inf", 0, "inf"), ("1e400", 0, "1e400"), ("1,nan", 1, "nan"),
+    ])
+    def test_non_finite_coefficient_named(self, spec, index, text, capsys):
+        with pytest.raises(ValueError, match=f"coefficient {index} must be finite, got {text}"):
+            get_test_function(spec)
+        code = main(["best-approx", "--function", spec, "--p", "2", "--n-max", "4"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"Chebyshev coefficient {index} must be finite, got {text}" in err
+        assert "sample" not in err
+
 
 class TestVerifyLemma1:
     def test_all_properties_pass(self):
@@ -165,6 +177,18 @@ class TestConverseTable:
         assert len(calls) == len(n_list)
         monkeypatch.undo()
         assert [r.omega for r in rows] == [modulus_omega(np.abs, 1.0 / n, SP2).value for n in n_list]
+
+    def test_f_sampled_once_per_grid_use(self):
+        # once by the solver's workspace, once for omega and the noise floor
+        sizes = []
+
+        def f(x):
+            sizes.append(np.size(x))
+            return np.abs(x)
+
+        rows = converse_table(f, [4, 8, 16], WeightedSpace(2, 1))
+        assert sizes.count(256) == 2
+        assert [r.ratio for r in rows] == [r.ratio for r in converse_table(np.abs, [4, 8, 16], SP2)]
 
     def test_norm_grid_does_not_refuse_a_valid_table(self):
         # E_1 of an odd f equals ||f|| on the 4097-point solver grid, which

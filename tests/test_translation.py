@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 from hypothesis import given, settings, strategies as st
 
-from smoothop.orthopoly import JACOBI_22, jacobi_eval
+from smoothop.orthopoly import JACOBI_22, JacobiBasis, fourier_jacobi_coeff, jacobi_eval
 from smoothop import translation
 from smoothop.translation import (
     DEFAULT_CANDIDATES,
@@ -227,6 +227,110 @@ class TestArrayT:
             translate_trig(np.abs, [0.1, math.nan, 0.3], XGRID)
 
 
+class TestFamily:
+    """The translation core on a family: an f returning one row per member."""
+
+    CS = np.linspace(-0.5, 0.5, 7)
+
+    @classmethod
+    def member(cls, i):
+        return lambda v: np.abs(v - cls.CS[i % cls.CS.size]) ** 1.5 + i * v
+
+    @classmethod
+    def family(cls, k, sizes=None):
+        def f(v):
+            if sizes is not None:
+                sizes.append(v.size)
+            return np.stack([cls.member(i)(v) for i in range(k)])
+        return f
+
+    @staticmethod
+    def y_family(f, k, y, x, M):
+        return translation._translate(f, *translation._y_args(y), x, M, members=k)
+
+    @pytest.mark.parametrize("X, M, k", [
+        (21, 16, 7),     # every y in one pass
+        (40, 128, 3),    # one y per pass
+        (333, 37, 2),    # the one-function call's single chunk cut in two runs
+        (4097, 128, 2),  # x-row chunks cut into runs of 64 rows
+        (4097, 128, 3),  # runs of 40 rows, the last of each chunk 8
+        (145, 64, 7),    # runs of 36 rows; the lone last row joins the 4 before it
+        (41, 128, 150),  # runs of 4 rows, above _CHUNK; the lone last row as well
+    ])
+    def test_members_equal_single_calls_bit_for_bit(self, X, M, k):
+        x = np.linspace(-0.97, 0.97, X)
+        ys = [0.3, TestArrayY.YS] if X * M < 100_000 else [0.3]
+        for y in ys:
+            got = self.y_family(self.family(k), k, y, x, M)
+            for i in range(k):
+                assert np.array_equal(got[i], translate(self.member(i), y, x, M=M))
+
+    def test_trig_members_equal_single_calls_bit_for_bit(self):
+        k, x = 5, np.linspace(-0.97, 0.97, 256)
+        got = translation._translate(self.family(k), *translation._t_args(TestArrayT.TS), x, 16,
+                                     members=k)
+        for i in range(k):
+            assert np.array_equal(got[i], translate_trig(self.member(i), TestArrayT.TS, x, M=16))
+
+    def test_output_shapes(self):
+        f = self.family(3)
+        assert self.y_family(f, 3, 0.2, 0.25, 16).shape == (3,)
+        assert self.y_family(f, 3, [0.2, 0.5], 0.25, 16).shape == (3, 2)
+        assert self.y_family(f, 3, 0.2, XGRID, 16).shape == (3, XGRID.size)
+        assert self.y_family(f, 3, [0.2], XGRID, 16).shape == (3, 1, XGRID.size)
+        assert self.y_family(f, 3, np.empty(0), XGRID, 16).shape == (3, 0, XGRID.size)
+        assert self.y_family(f, 3, np.empty(0), 0.25, 16).shape == (3, 0)
+
+    def test_non_finite_member_sample_named(self):
+        def f(v):
+            rows = np.stack([v, v * v])
+            rows[1, v > 0.5] = np.nan
+            return rows
+
+        with pytest.raises(ValueError, match=r"non-finite sample value nan at x = 0\.5"):
+            self.y_family(f, 2, [0.9, 1.0], XGRID, 16)
+
+    @pytest.mark.parametrize("X, M, k", [
+        (21, 16, 13), (24, 16, 21), (4097, 128, 3), (145, 64, 7), (41, 128, 150), (3, 9000, 2),
+    ])
+    def test_pass_sizes_stay_within_chunk(self, X, M, k):
+        sizes = []
+        self.y_family(self.family(k, sizes), k, TestArrayY.YS[:3], np.linspace(-0.97, 0.97, X), M)
+        assert sum(sizes) == 3 * X * M
+        for n in sizes:
+            # a pass holds at most _CHUNK elements across its k rows, unless
+            # 5 x-rows alone exceed that (see translation._x_runs)
+            assert k * n <= translation._CHUNK or (n <= 5 * M and 5 * k * M > translation._CHUNK)
+
+    @pytest.mark.parametrize("trig", [False, True])
+    @pytest.mark.parametrize("X, M", [(21, 16), (40, 128), (4097, 128), (3, 9000)])
+    def test_single_function_passes_unchanged(self, trig, X, M):
+        # f sees the grid R = clip(x y - z sqrt(1 - x^2) sqrt(1 - y^2)) in passes
+        # of whole y-blocks of _CHUNK // M x-rows, or of x-row chunks of one y
+        seen = []
+
+        def f(v):
+            seen.append(v.copy())
+            return TestArrayY.F(v)
+
+        x = np.linspace(-0.97, 0.97, X)
+        if trig:
+            y, sy = translation._t_args(TestArrayT.TS[:4])
+            translate_trig(f, TestArrayT.TS[:4], x, M=M)
+        else:
+            y, sy = translation._y_args(TestArrayY.YS[:4])
+            translate(f, TestArrayY.YS[:4], x, M=M)
+        z = translation.gauss_chebyshev(M).nodes
+        grid = np.clip(np.multiply.outer(y, x)[..., None]
+                       - np.sqrt(1.0 - x * x)[:, None] * (z * sy[:, None])[:, None], -1.0, 1.0)
+        step = max(1, translation._CHUNK // M)
+        per_pass = max(1, step // X)
+        expected = [grid[i:i + per_pass, lo:lo + step].ravel()
+                    for i in range(0, y.size, per_pass) for lo in range(0, X, step)]
+        assert len(seen) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
+
+
 class TestMultiplier:
     def test_fit_degree_zero_is_constant_one(self):
         for y in (-0.8, 0.5, 1.0):
@@ -272,6 +376,33 @@ class TestMultiplier:
             calibrate_multiplier(n_max=-1)
         with pytest.raises(ValueError, match="y_grid must be non-empty"):
             calibrate_multiplier(y_grid=np.empty(0))
+
+    @pytest.mark.parametrize("y_grid", [None, np.linspace(-1.0, 1.0, 17)])
+    def test_family_calibration_matches_per_degree_fits(self, y_grid):
+        ys = np.linspace(-0.9, 0.9, 7) if y_grid is None else y_grid
+        # per degree: one translation and two coefficient integrals on its own grid
+        per_degree = []
+        for n in range(9):
+            pn = lambda x, n=n: jacobi_eval(JACOBI_22, n, x)
+            M = translation._exact_quad_size(n)
+            numer = fourier_jacobi_coeff(lambda x: translate(pn, ys, x, M=M), n)
+            per_degree.append(numer / fourier_jacobi_coeff(pn, n))
+        per_degree = np.array(per_degree)
+        measured = translation._multipliers(8, ys)
+        assert np.max(np.abs(measured - per_degree)) <= 1e-14
+        fits = np.array([fit_multiplier(n, ys) for n in range(9)])
+        assert np.max(np.abs(measured - fits)) <= 1e-14
+        # the per-degree table singles out the same candidate
+        resid = []
+        for (a1, b1), (a2, b2) in DEFAULT_CANDIDATES:
+            trial = Multiplier(JacobiBasis(a1, b1), JacobiBasis(a2, b2), validated=True)
+            resid.append(max(float(np.max(np.abs(multiplier_eval(trial, n, ys) - per_degree[n])))
+                             for n in range(9)))
+        m = calibrate_multiplier(y_grid=y_grid)
+        (a1, b1), (a2, b2) = DEFAULT_CANDIDATES[int(np.argmin(resid))]
+        assert (m.first_term_basis, m.second_term_basis) == (JacobiBasis(a1, b1), JacobiBasis(a2, b2))
+        assert m.validated == (sum(r <= 1e-8 for r in resid) == 1)
+        assert m.validated
 
     def test_calibrated_form_tracks_fit_off_grid(self):
         m = default_multiplier()
