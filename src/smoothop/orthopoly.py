@@ -47,11 +47,13 @@ class JacobiBasis:
             )
 
     def endpoint_value(self, n: int) -> float:
-        """Standard (unnormalized) Jacobi value at x = +1, binom(n + alpha, n)."""
+        """Standard (unnormalized) Jacobi value at x = +1, binom(n + alpha, n):
+        exact for an integer alpha, else the product of (k + alpha) / k over
+        k = 1 .. n, finite where gamma(n + alpha + 1) overflows."""
         a = self.alpha_idx
-        if float(a).is_integer() and a >= 0:
+        if float(a).is_integer():
             return float(math.comb(n + int(a), n))
-        return math.gamma(n + a + 1) / (math.gamma(a + 1) * math.factorial(n))
+        return math.prod((k + a) / k for k in range(1, n + 1))
 
 
 JACOBI_22 = JacobiBasis(2.0, 2.0)
@@ -322,44 +324,42 @@ class CoefficientSequence:
         return float(self.values[k])
 
 
-def fourier_jacobi_coeff(f, n: int, M: int | None = None):
-    """Coefficient a_n(f) = integral of f(x) P_n^(2,2)(x) (1 - x^2)^2 dx.
+def _coefficients(f, n: int, lo: int = 0) -> np.ndarray:
+    """a_lo(f) .. a_n(f), the package's one analysis rule: shape (n + 1 - lo,)
+    + f's leading row shape, for an f that returns rows of samples.
 
-    The integral is taken with a Gauss-Legendre rule of size M
-    (default 2 * (n + 8), exact whenever f is a polynomial of degree
-    <= 2M - 5 - n).  No normalization by the square norm of the basis
-    polynomial is applied.  An f that returns one row of samples per
-    function, shape (k, M), gets one coefficient per row.  A non-finite
-    sample raises ValueError naming its x.
+    a_k(f) is the integral of f p_k (1 - x^2)^2, p_k the (2, 2) Jacobi
+    polynomial normalized to 1 at x = 1, taken as one product of the weighted
+    samples with the row of p_k on 2(n + 8) Gauss-Legendre nodes: exact for
+    a polynomial f of degree <= 3n + 27.  A non-finite sample raises
+    ValueError naming its x, a finite f that overflows a_k one naming k.
     """
-    _check_int(n, "n", 0)
-    if M is None:
-        M = 2 * (n + 8)
-    rule = gauss_legendre(M)
+    rule = gauss_legendre(2 * (n + 8))
     x = rule.nodes
-    s = 1.0 - x * x
-    pn = jacobi_eval(JACOBI_22, n, x)
     fx = np.asarray(f(x), dtype=float)
     _require_finite(fx, x)
-    out = (fx * pn * s * s) @ rule.weights
+    base = rule.weights * fx * (1.0 - x * x) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned of
+        out = np.array([base @ row for row in _jacobi_rows(JACOBI_22, n, x, lo)])
+    bad = np.nonzero(~np.isfinite(out))[0]  # degrees, the lowest first
+    if bad.size:
+        raise ValueError(f"f's samples overflow the degree-{lo + bad[0]} coefficient")
+    return out
+
+
+def fourier_jacobi_coeff(f, n: int):
+    """Coefficient a_n(f) = integral of f(x) P_n^(2,2)(x) (1 - x^2)^2 dx: entry
+    n of fourier_jacobi_series(f, n), bit for bit.  An f that returns one row
+    of samples per function, shape (k, M), gets one coefficient per row."""
+    n = _check_int(n, "n", 0)
+    out = _coefficients(f, n, lo=n)[0]
     return float(out) if out.ndim == 0 else out
 
 
-def fourier_jacobi_series(f, k_max: int, M: int | None = None) -> CoefficientSequence:
+def fourier_jacobi_series(f, k_max: int) -> CoefficientSequence:
     """All coefficients a_0(f) .. a_{k_max}(f) on one shared quadrature grid.
 
-    A non-finite sample raises ValueError naming its x.
+    A non-finite sample raises ValueError naming its x, and a finite f that
+    overflows a coefficient one naming its degree.
     """
-    _check_int(k_max, "k_max", 0)
-    if M is None:
-        M = 2 * (k_max + 8)
-    rule = gauss_legendre(M)
-    x = rule.nodes
-    s2 = (1.0 - x * x) ** 2
-    fx = np.asarray(f(x), dtype=float)
-    _require_finite(fx, x)
-    base = rule.weights * fx * s2
-    coeffs = np.empty(k_max + 1)
-    for k, pk in enumerate(_jacobi_standard(JACOBI_22, k_max, x)):
-        coeffs[k] = base @ (pk / JACOBI_22.endpoint_value(k))
-    return CoefficientSequence(coeffs)
+    return CoefficientSequence(_coefficients(f, _check_int(k_max, "k_max", 0)))

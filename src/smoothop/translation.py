@@ -27,11 +27,10 @@ from .orthopoly import (
     JacobiBasis,
     _check_domain,
     _check_int,
+    _coefficients,
     _jacobi_rows,
     _require_finite,
     gauss_chebyshev,
-    gauss_legendre,
-    jacobi_eval,
 )
 
 __all__ = [
@@ -317,33 +316,32 @@ def multiplier_eval(mult: Multiplier, n: int, y):
             "multiplier has not been validated by calibration; "
             "run calibrate_multiplier first"
         )
-    _check_int(n, "n", 0)
+    n = _check_int(n, "n", 0)
     ya = np.asarray(y, dtype=float)
     _check_domain(ya, "y")
-    first = jacobi_eval(mult.first_term_basis, n + COMPANION_DEGREE_SHIFT, ya)
-    second = jacobi_eval(mult.second_term_basis, n, ya)
-    out = first + 1.5 * (1.0 - ya * ya) * second
+    out = _closed_form(mult.first_term_basis, mult.second_term_basis, n, ya, lo=n)[0]
     return float(out) if out.ndim == 0 else out
+
+
+def _closed_form(first: JacobiBasis, second: JacobiBasis, n: int, y, lo: int = 0) -> np.ndarray:
+    """R_lo(y) .. R_n(y) of the :class:`Multiplier` form with families `first`
+    and `second`, shape (n + 1 - lo,) + y.shape; y is not checked."""
+    upper = _jacobi_rows(first, n + COMPANION_DEGREE_SHIFT, y, lo + COMPANION_DEGREE_SHIFT)
+    return upper + 1.5 * (1.0 - y * y) * _jacobi_rows(second, n, y, lo)
 
 
 def _multipliers(n: int, y, M: int | None = None, lo: int = 0) -> np.ndarray:
     """R_lo(y) .. R_n(y) measured from the operator as a_d(T_y p_d) / a_d(p_d),
     shape (n + 1 - lo,) + y.shape.
 
-    One family translation of p_lo .. p_n (z-quadrature of M nodes, default
-    exact for degree n) at the nodes of one Gauss-Legendre rule of 2(n + 8)
-    nodes gives every coefficient, exactly: T_y p_d p_d (1 - x^2)^2 has
-    degree 2d + 4 <= 2n + 4.
+    The coefficients of one family translation of p_lo .. p_n (z-quadrature
+    of M nodes, default exact for degree n) and of the family itself; their
+    rule is exact for every a_d(T_y p_d), whose integrand has degree 2d + 4.
     """
-    rule = gauss_legendre(2 * (n + 8))
-    x = rule.nodes
-    s = 1.0 - x * x
-    p = _jacobi_rows(JACOBI_22, n, x, lo)
-    shifted = _translate_jacobi(n, y, x, M, lo)
-    p_rows = p.reshape(p.shape[:1] + (1,) * np.ndim(y) + p.shape[1:])
-    numer = (shifted * p_rows * s * s) @ rule.weights
-    denom = (p * p * s * s) @ rule.weights
-    return numer / denom.reshape(p_rows.shape[:-1])
+    d = np.arange(n + 1 - lo)
+    numer = _coefficients(lambda x: _translate_jacobi(n, y, x, M, lo), n, lo)[d, d]
+    denom = _coefficients(partial(_jacobi_rows, JACOBI_22, n, lo=lo), n, lo)[d, d]
+    return numer / denom.reshape(denom.shape + (1,) * np.ndim(y))
 
 
 def fit_multiplier(n: int, y, M: int | None = None):
@@ -407,13 +405,8 @@ def calibrate_multiplier(
     results = []
     for cand in candidates:
         (a1, b1), (a2, b2) = cand
-        first = JacobiBasis(a1, b1)
-        second = JacobiBasis(a2, b2)
-        trial = Multiplier(first, second, validated=True)
-        resid = 0.0
-        for n in range(n_max + 1):
-            model = multiplier_eval(trial, n, y_grid)
-            resid = max(resid, float(np.max(np.abs(model - measured[n]))))
+        model = _closed_form(JacobiBasis(a1, b1), JacobiBasis(a2, b2), n_max, y_grid)
+        resid = float(np.max(np.abs(model - measured)))
         table[_candidate_key(cand)] = resid
         results.append((resid, cand))
 

@@ -63,8 +63,9 @@ class TestFunctionLibrary:
         assert f.degree == 2
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown function"):
-            get_test_function("nope")
+        for spec in ("nope", "", ","):
+            with pytest.raises(ValueError, match="unknown function"):
+                get_test_function(spec)
 
     @pytest.mark.parametrize("spec, index, text", [
         ("nan", 0, "nan"), ("inf", 0, "inf"), ("1e400", 0, "1e400"), ("1,nan", 1, "nan"),
@@ -98,6 +99,17 @@ class TestVerifyLemma1:
     def test_degree_cap(self):
         with pytest.raises(ValueError):
             verify_lemma1(n_max=21)
+
+    def test_multiplier_check_translates_once_over_all_y(self, monkeypatch):
+        sizes = []
+
+        def counting(f, y, x, M=None):
+            sizes.append(np.size(y))
+            return translate(f, y, x, M=M)
+
+        monkeypatch.setattr(harness, "translate", counting)
+        assert verify_lemma1(n_max=4, grid=12).all_passed
+        assert len(sizes) == 8 and sizes[-1] == 9
 
     @pytest.mark.parametrize("grid", [1, 0, -3])
     def test_degenerate_grid_rejected(self, grid):

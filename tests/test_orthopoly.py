@@ -1,12 +1,13 @@
 import math
 import re
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from hypothesis import given, settings, strategies as st
-from scipy.special import eval_jacobi, jn_zeros
+from scipy.special import binom, eval_jacobi, jn_zeros
 
 from smoothop import orthopoly
 from smoothop.approx import best_approx, best_approx_sequence
@@ -197,6 +198,19 @@ class TestJacobiEval:
             expected = eval_jacobi(n, a, b, x) / eval_jacobi(n, a, b, 1.0)
             assert np.max(np.abs(jacobi_eval(basis, n, x) - expected)) <= 1e-13
 
+    @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.5])
+    def test_endpoint_value_of_non_integer_alpha_past_the_gamma_range(self, alpha):
+        # gamma(n + alpha + 1) overflows from n + alpha = 171 on
+        basis = JacobiBasis(alpha, 0.0)
+        ns = np.arange(1001)
+        got = np.array([basis.endpoint_value(int(n)) for n in ns])
+        # scipy's binom itself errs by up to 2e-12 relative at these n
+        assert_allclose(got, binom(ns + alpha, ns), rtol=5e-12)
+        for n in (170, 171, 200, 1000):
+            exact = math.prod((k + Fraction(alpha)) / k for k in range(1, n + 1))
+            assert_allclose(got[n], float(exact), rtol=1e-14)
+            assert_allclose(jacobi_eval(basis, n, 1.0), 1.0, rtol=1e-10)
+
 
 class TestQuadrature:
     def test_chebyshev_single_node(self):
@@ -367,6 +381,19 @@ class TestFourierJacobi:
         base = rule.weights * f(x) * (1.0 - x * x) ** 2
         reference = [base @ jacobi_eval(JACOBI_22, k, x) for k in range(k_max + 1)]
         assert np.array_equal(fourier_jacobi_series(f, k_max).values, reference)
+
+    @pytest.mark.parametrize("n", [3, 10, 20])
+    def test_coeff_is_series_entry_bit_for_bit(self, n):
+        f = get_test_function("randpoly")
+        assert fourier_jacobi_coeff(f, n) == fourier_jacobi_series(f, n)[n]
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_samples_overflowing_a_coefficient_named(self):
+        huge = lambda x: np.full_like(x, 1.7e308)
+        with pytest.raises(ValueError, match="samples overflow the degree-0 coefficient"):
+            fourier_jacobi_coeff(huge, 0)
+        with pytest.raises(ValueError, match="samples overflow the degree-0 coefficient"):
+            fourier_jacobi_series(huge, 3)
 
     def test_non_finite_sample_named_by_x(self):
         x0 = gauss_legendre(2 * (3 + 8)).nodes[0]

@@ -370,6 +370,15 @@ class TestMultiplier:
         assert not m.validated
         assert all(v >= 1e-4 for v in m.residual_table.values())
 
+    def test_closed_form_is_the_per_degree_formula_bit_for_bit(self):
+        ys = np.linspace(-1.0, 1.0, 17)
+        for (a1, b1), (a2, b2) in DEFAULT_CANDIDATES:
+            first, second = JacobiBasis(a1, b1), JacobiBasis(a2, b2)
+            rows = translation._closed_form(first, second, 8, ys)
+            for n in range(9):
+                second_term = 1.5 * (1.0 - ys * ys) * jacobi_eval(second, n, ys)
+                assert np.array_equal(rows[n], jacobi_eval(first, n + 2, ys) + second_term)
+
     def test_calibration_sizes_checked(self):
         # an empty table would score every candidate a residual of 0.0
         with pytest.raises(ValueError, match="n_max must be >= 0"):
