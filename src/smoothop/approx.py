@@ -393,7 +393,11 @@ def _initial_reference(ws: _Workspace, n: int) -> np.ndarray:
 
 def _alternating_candidates(e: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Local extrema of the weighted error merged with the current reference,
-    compressed to one strongest representative per sign run."""
+    compressed to one strongest representative per sign run.
+
+    Samples where e = 0 are dropped; each run keeps its first sample of
+    largest |e|.
+    """
     mag = np.abs(e)
     interior = np.flatnonzero(
         (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:])
@@ -401,15 +405,13 @@ def _alternating_candidates(e: np.ndarray, ref: np.ndarray) -> np.ndarray:
     cand = np.unique(np.concatenate([interior, ref]))
     signs = np.sign(e[cand])
     cand = cand[signs != 0]
-    signs = np.sign(e[cand])
-    keep = []
-    run_start = 0
-    for i in range(1, cand.size + 1):
-        if i == cand.size or signs[i] != signs[run_start]:
-            run = cand[run_start:i]
-            keep.append(run[np.argmax(mag[run])])
-            run_start = i
-    return np.asarray(keep, dtype=int)
+    signs = signs[signs != 0]
+    mag = mag[cand]
+    starts = np.diff(signs, prepend=np.nan) != 0  # the first candidate and each sign change
+    run = np.cumsum(starts) - 1  # the run of each candidate
+    peak = np.maximum.reduceat(mag, np.flatnonzero(starts))[run]
+    top = np.flatnonzero(~(mag < peak))  # each run's maxima (and a NaN, always a run of its own)
+    return cand[top[np.diff(run[top], prepend=-1) != 0]]  # the first of each run
 
 
 def _select_window(cand: np.ndarray, e: np.ndarray, n: int) -> np.ndarray:
@@ -419,8 +421,6 @@ def _select_window(cand: np.ndarray, e: np.ndarray, n: int) -> np.ndarray:
     exchange must absorb the global error maximum to make progress); among
     those the min |e| over the window is maximized.
     """
-    if cand.size == n + 1:
-        return cand
     mag = np.abs(e[cand])
     g = int(np.argmax(mag))
     lo = max(0, g - n)

@@ -82,10 +82,6 @@ def _emit(args, name: str, table, payload) -> None:
         _note(args, f"wrote {path}")
 
 
-def _space(args) -> WeightedSpace:
-    return WeightedSpace(args.p, args.alpha)
-
-
 _OPTIONS = {
     "p": dict(type=_parse_p, default=2.0, help="integrability exponent (or 'inf')"),
     "alpha": dict(type=float, default=1.0, help="weight exponent"),
@@ -181,8 +177,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_best_approx(args) -> int:
-    f = harness.get_test_function(args.function, seed=args.seed)
-    results = best_approx_sequence(f, args.n_max, _space(args))
+    results = best_approx_sequence(args.f, args.n_max, args.space)
     rows = [(r.n, r.value, r.solver, r.iterations, r.residual_norm_gap) for r in results]
     table = ("ν,E_ν,solver,iterations,gap", rows, ("", ".16e", "", "", ".3e"))
     _emit(args, "best-approx", table, results)
@@ -193,9 +188,8 @@ def _cmd_best_approx(args) -> int:
 
 
 def _cmd_modulus(args) -> int:
-    f = harness.get_test_function(args.function, seed=args.seed)
     deltas = _parse_list(args.deltas, float)
-    reports = modulus_curve(f, deltas, _space(args), t_grid=args.t_grid, M=args.quad_size)
+    reports = modulus_curve(args.f, deltas, args.space, t_grid=args.t_grid, M=args.quad_size)
     rows = [(r.delta, r.value, r.argmax_t) for r in reports]
     _emit(args, "modulus", ("δ,ω,argmax_t", rows, (".16e",) * 3), reports)
     flagged = [r for r in reports if r.flags]
@@ -205,9 +199,8 @@ def _cmd_modulus(args) -> int:
 
 
 def _cmd_converse(args) -> int:
-    f = harness.get_test_function(args.function, seed=args.seed)
     rows = harness.converse_table(
-        f, _parse_list(args.n_list, int), _space(args),
+        args.f, _parse_list(args.n_list, int), args.space,
         t_grid=args.t_grid, M=args.quad_size,
     )
     table = ("n,omega,rhs_sum,ratio", [(r.n, r.omega, r.rhs_sum, r.ratio) for r in rows],
@@ -224,8 +217,7 @@ def _cmd_converse(args) -> int:
 
 
 def _cmd_dyadic(args) -> int:
-    f = harness.get_test_function(args.function, seed=args.seed)
-    dec = harness.dyadic_bound(f, args.n, _space(args))
+    dec = harness.dyadic_bound(args.f, args.n, args.space)
     _note(args, f"n={dec.n}  N={dec.N}  (n/2 < 2^N <= n+1)")
     for k, q in enumerate(dec.blocks):
         _note(args, f"  ||Q_{k}|| = {q:.6e}")
@@ -238,9 +230,8 @@ def _cmd_dyadic(args) -> int:
 
 
 def _cmd_class_fit(args) -> int:
-    f = harness.get_test_function(args.function, seed=args.seed)
     res = harness.class_fit(
-        f, _space(args), args.n_max, lam=args.lam,
+        args.f, args.space, args.n_max, lam=args.lam,
         t_grid=args.t_grid, M=args.quad_size,
     )
     if res.degenerate:
@@ -274,6 +265,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if "function" in args:  # the commands on a test function in a weighted space
+            args.f = harness.get_test_function(args.function, seed=args.seed)
+            args.space = WeightedSpace(args.p, args.alpha)
         return _HANDLERS[args.cmd](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as C
 
 from .approx import best_approx_sequence
-from .modulus import _check_omega_args, _omegas_and_norm
+from .modulus import _check_omega_args, _omegas
 from .orthopoly import JACOBI_22, _check_int, _coefficients, _jacobi_rows, fourier_jacobi_series
 from .translation import _translate_jacobi, default_multiplier, multiplier_eval, translate
 from .weighted_space import (
@@ -187,6 +187,35 @@ def verify_lemma1(n_max: int = 20, grid: int = 24, seed: int = 0) -> Lemma1Repor
 # ---------------------------------------------------------------------------
 # converse-inequality table
 
+def _usable_sequence(fn: SampledFunction, n_max: int, space: WeightedSpace):
+    """E_1, ..., E_{n_max}, each a usable best approximation: raises ValueError
+    naming the first nu whose solver flags `reference_collapse`, or
+    `exceeds_zero_polynomial` (E_nu above ||f|| on the solver's own grid)."""
+    seq = best_approx_sequence(fn, n_max, space)
+    for r in seq:
+        if {"reference_collapse", "exceeds_zero_polynomial"} & set(r.flags):
+            raise ValueError(
+                f"best approximation at nu = {r.n} is unusable: E_nu = {r.value:.3e}, "
+                f"solver flags {r.flags}"
+            )
+    return seq
+
+
+def _converse_inputs(f, n_max: int, deltas, space: WeightedSpace, t_grid, M, norm_resolution):
+    """The values E_1, ..., E_{n_max}, omega(f, delta) for each delta, and
+    ||f|| on the norm grid.
+
+    Each step refuses before the next, dearer one runs: the parameters of
+    omega are checked before any E_nu is solved, and every E_nu is checked
+    usable before any omega is computed.
+    """
+    _check_omega_args(space, deltas, t_grid, M, norm_resolution)
+    fn = as_sampled(f)
+    e = np.array([r.value for r in _usable_sequence(fn, n_max, space)])
+    reports, fnorm = _omegas(fn, deltas, space, t_grid, M, norm_resolution)
+    return e, [r.value for r in reports], fnorm
+
+
 @dataclass
 class ConverseTableRow:
     n: int
@@ -209,33 +238,20 @@ def converse_table(
     inequality bounds the ratio by a constant independent of f and n.
 
     Raises ValueError before any E_nu is solved for a bad parameter of omega
-    (t_grid, M, norm_resolution).  Raises ValueError, before any omega is
-    computed, when some E_nu is not a usable best approximation: its solver
-    flags `reference_collapse`, or `exceeds_zero_polynomial` (E_nu above
-    ||f|| on the solver's own grid).
+    (t_grid, M, norm_resolution), and before any omega is computed for an
+    E_nu that is no usable best approximation.
     """
-    space.require_admissible()
     n_list = [_check_int(n, f"n_list[{i}]", 1) for i, n in enumerate(n_list)]
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"n_list must be non-empty and strictly ascending, got {n_list}")
-    deltas = [1.0 / n for n in n_list]
-    _check_omega_args(space, deltas, t_grid, M, norm_resolution)
-    fn = as_sampled(f)
-    seq = best_approx_sequence(fn, max(n_list), space)
-    for r in seq:
-        if {"reference_collapse", "exceeds_zero_polynomial"} & set(r.flags):
-            raise ValueError(
-                f"best approximation at nu = {r.n} is unusable: E_nu = {r.value:.3e}, "
-                f"solver flags {r.flags}"
-            )
-    e = np.array([r.value for r in seq])
+    e, omegas, fnorm = _converse_inputs(f, n_list[-1], [1.0 / n for n in n_list], space,
+                                        t_grid, M, norm_resolution)
     nu = np.arange(1, len(e) + 1)
-    reports, fnorm = _omegas_and_norm(fn, deltas, space, t_grid, M, norm_resolution)
     # Noise floor for the degenerate case (f itself a polynomial): both sides
     # of the ratio are then pure roundoff and the ratio is reported as 0.
     floor = 1e-10 * fnorm
     rows = []
-    for n, omega in zip(n_list, (r.value for r in reports)):
+    for n, omega in zip(n_list, omegas):
         rhs = float(nu[:n] @ e[:n])
         if omega <= floor and rhs <= floor * n * (n + 1) / 2:
             ratio = 0.0
@@ -281,11 +297,11 @@ def dyadic_bound(f, n: int, space: WeightedSpace) -> DyadicDecomposition:
     * triangle step: ||Q_k|| <= E_{2^(k-1)} + E_{2^k} + 2 gap;
     * block-sum step: 2^(2(mu-1)) E_{2^mu} <= sum_{nu=2^(mu-1)}^{2^mu-1} nu
       E_nu, which follows from monotonicity of E_nu.
+
+    Raises ValueError for an E_nu that is no usable best approximation.
     """
-    space.require_admissible()
-    fn = as_sampled(f)
     N = choose_block_level(n)
-    seq = best_approx_sequence(fn, 2**N, space)
+    seq = _usable_sequence(as_sampled(f), 2**N, space)
     e = np.array([r.value for r in seq])
     gap = max(r.residual_norm_gap for r in seq)
 
@@ -350,21 +366,16 @@ def class_fit(
     relative to ||f|| are left out of the fits, so c f fits as f does;
     with fewer than three points left (polynomial input) the fit is
     degenerate, which is reported, not raised.  A bad parameter of
-    omega (t_grid, M) is refused before any E_n is solved.
+    omega (t_grid, M) is refused before any E_n is solved, and an E_n that
+    is no usable best approximation before any omega is computed.
     """
     space.require_admissible(lam)
     _check_int(n_max, "n_max", 8)  # three dyadic deltas, the fewest a fit takes
-    ns = [2**k for k in range(1, 13) if 2**k <= n_max]
-    deltas = [1.0 / n for n in ns]
-    _check_omega_args(space, deltas, t_grid, M, None)
-    fn = as_sampled(f)
-
-    seq = best_approx_sequence(fn, n_max, space)
-    e = np.array([r.value for r in seq])
+    deltas = [1.0 / 2**k for k in range(1, 13) if 2**k <= n_max]
+    e, omegas, fnorm = _converse_inputs(f, n_max, deltas, space, t_grid, M, None)
     nu = np.arange(1, n_max + 1)
-    reports, fnorm = _omegas_and_norm(fn, deltas, space, t_grid, M, None)
     mask = e > 1e-12 * fnorm
-    omegas = np.array([r.value for r in reports])
+    omegas = np.array(omegas)
     wmask = omegas > 1e-14 * fnorm
 
     degenerate = int(mask.sum()) < 3 or int(wmask.sum()) < 3

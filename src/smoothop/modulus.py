@@ -61,7 +61,7 @@ def _check_omega_args(space: WeightedSpace, deltas, t_grid: int, M, norm_resolut
     return grid
 
 
-def _omegas_and_norm(fn, deltas, space, t_grid, M, norm_resolution) -> tuple[list[ModulusReport], float]:
+def _omegas(fn, deltas, space, t_grid, M, norm_resolution) -> tuple[list[ModulusReport], float]:
     """omega(fn, delta) for each delta, translating each distinct t once, and
     ||fn|| on the norm grid (0.0 when every delta is 0: fn is then not sampled).
 
@@ -106,11 +106,6 @@ def _omegas_and_norm(fn, deltas, space, t_grid, M, norm_resolution) -> tuple[lis
     return reports, fnorm
 
 
-def _omegas(fn, deltas, space, t_grid, M, norm_resolution) -> list[ModulusReport]:
-    """The reports of :func:`_omegas_and_norm`."""
-    return _omegas_and_norm(fn, deltas, space, t_grid, M, norm_resolution)[0]
-
-
 def modulus_omega(
     f,
     delta: float,
@@ -140,7 +135,7 @@ def modulus_omega(
     norm_resolution : int, optional
         Grid size of the norm (defaults of :func:`~smoothop.weighted_norm`).
     """
-    return _omegas(as_sampled(f), [delta], space, t_grid, M, norm_resolution)[0]
+    return _omegas(as_sampled(f), [delta], space, t_grid, M, norm_resolution)[0][0]
 
 
 def modulus_curve(
@@ -164,4 +159,4 @@ def modulus_curve(
         raise ValueError(f"deltas must be positive, got {min(deltas)}")
     if any(b <= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly ascending")
-    return _omegas(as_sampled(f), deltas, space, t_grid, M, norm_resolution)
+    return _omegas(as_sampled(f), deltas, space, t_grid, M, norm_resolution)[0]

@@ -349,7 +349,44 @@ class TestWeightedLeastSquares:
         assert np.linalg.norm(started - cold) <= 1e-12 * np.linalg.norm(cold)
 
 
+def candidates_by_loop(e, ref):
+    """approx._alternating_candidates as a plain loop: local maxima of |e| and
+    the reference, zeros dropped, the first largest |e| of each sign run kept."""
+    mag = np.abs(e)
+    local = {i for i in range(1, e.size - 1) if mag[i] >= max(mag[i - 1], mag[i + 1])}
+    keep = []
+    for i in sorted(local | set(ref.tolist())):
+        if e[i] == 0:
+            continue
+        if keep and np.sign(e[i]) == np.sign(e[keep[-1]]):
+            if mag[i] > mag[keep[-1]]:
+                keep[-1] = i
+        else:
+            keep.append(i)
+    return keep
+
+
 class TestExchange:
+    @pytest.mark.parametrize("e, expected", [
+        # a tie inside a run goes to its first maximum; single-sample runs stay
+        ([1, 2, 2, 0, -1, 3, 0, -2, 5, 5], [1, 4, 5, 7, 8]),
+        # a zero between samples of one sign does not split their run
+        ([1, 0, 3, -1], [2, 3]),
+        ([0, 0, 0], []),
+    ])
+    def test_candidates_examples(self, e, expected):
+        e = np.array(e, dtype=float)
+        assert approx._alternating_candidates(e, np.arange(e.size)).tolist() == expected
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_candidates_match_a_plain_loop(self, seed):
+        # errors in {-3, ..., 3} hold exact zeros, ties inside runs and
+        # single-sample runs; normal errors hold none of them
+        rng = np.random.default_rng(seed)
+        for e in (rng.integers(-3, 4, 80).astype(float), rng.standard_normal(80)):
+            ref = np.sort(rng.choice(e.size, 9, replace=False))
+            assert approx._alternating_candidates(e, ref).tolist() == candidates_by_loop(e, ref)
+
     def test_matches_linear_program(self):
         # same grid, same discrete problem, independent solver
         fs = {"abs": np.abs, "absshift": lambda x: np.abs(x - 0.25)}

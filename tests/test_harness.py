@@ -247,6 +247,12 @@ class TestDyadic:
         with pytest.raises(ValueError):
             dyadic_bound(np.abs, 1, SP2)
 
+    def test_unusable_best_approximation_refused(self, collapse_exchange_from):
+        # the exchange collapses from nu = 3 on: no block may be built from it
+        collapse_exchange_from(3)
+        with pytest.raises(ValueError, match="nu = 3 is unusable"):
+            dyadic_bound(np.abs, 8, SPINF)
+
 
 class TestClassFit:
     def test_polynomial_is_degenerate(self):
@@ -272,6 +278,19 @@ class TestClassFit:
             class_fit(np.abs, SP2, n_max)
         assert main(["class-fit", "--function", "abs", "--p", "2", "--n-max", str(n_max)]) == 2
         assert "n_max must be >= 8" in capsys.readouterr().err
+
+    def test_unusable_best_approximation_refused_before_any_omega(
+        self, monkeypatch, collapse_exchange_from
+    ):
+        # the exchange collapses from nu = 3 on: no exponent may be fitted to it
+        collapse_exchange_from(3)
+
+        def no_omega(*args, **kwargs):
+            raise AssertionError("omega computed for a fit that must be refused")
+
+        monkeypatch.setattr(modulus, "translate_trig", no_omega)
+        with pytest.raises(ValueError, match="nu = 3 is unusable"):
+            class_fit(np.abs, SPINF, 8)
 
     def test_lambda_hypothesis_validated(self):
         with pytest.raises(ValueError, match="λ"):
