@@ -69,12 +69,12 @@ is left out: the sup grid is not symmetric bit for bit, and the even
 polynomials are no Haar system on [-1, 1], which the exchange needs.
 
 Scale.  Every absolute tolerance (the IRLS residual floor and stop test,
-the interior-point gap tolerance, the exchange's stop, feasibility and
-levelling tests, the monotonicity slack of a sequence) is relative to
-||f|| on the solver's grid, the error of the zero polynomial, so E_n(c f)
-equals |c| E_n(f) up to roundoff, with the same flags, for any c != 0
-(tested to c = 1e-150 and 1e150).  f = 0 on the grid returns the zero
-polynomial unsolved.
+the interior-point gap tolerance, the exchange's stop test and its
+certificate's levelling and feasibility clauses, the monotonicity slack of
+a sequence) is relative to ||f|| on the solver's grid, the error of the
+zero polynomial, so E_n(c f) equals |c| E_n(f) up to roundoff, with the
+same flags, for any c != 0 (tested to c = 1e-150 and 1e150).  f = 0 on the
+grid returns the zero polynomial unsolved.
 
 A result whose value exceeds the error of the zero polynomial on the same
 grid (up to roundoff) is no best approximation.  It is flagged
@@ -392,17 +392,17 @@ def _initial_reference(ws: _Workspace, n: int) -> np.ndarray:
 
 
 def _alternating_candidates(e: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Local extrema of the weighted error merged with the current reference,
+    """Peaks of the weighted error merged with the current reference,
     compressed to one strongest representative per sign run.
 
-    Samples where e = 0 are dropped; each run keeps its first sample of
-    largest |e|.
+    A peak is a sample with |e| at least that of each neighbour it has, the
+    grid's two ends included, so the maximum of |e| is always a candidate.
+    Samples where e = 0 are dropped; each run keeps its first largest |e|.
     """
     mag = np.abs(e)
-    interior = np.flatnonzero(
-        (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:])
-    ) + 1
-    cand = np.unique(np.concatenate([interior, ref]))
+    pad = np.pad(mag, 1, constant_values=-1.0)  # an end sample has one neighbour
+    peaks = np.flatnonzero((mag >= pad[:-2]) & (mag >= pad[2:]))
+    cand = np.unique(np.concatenate([peaks, ref]))
     signs = np.sign(e[cand])
     cand = cand[signs != 0]
     signs = signs[signs != 0]
@@ -452,33 +452,24 @@ def _solve_exchange(ws: _Workspace, n: int) -> BestApproxResult:
         e = (F - V[:, :n] @ coef) * W
         emax = float(ws.grid.norm(e))
         gap = emax - abs(h)
-        if emax <= 1e-14 * ws.zero_error:
-            equi = True  # f is feasible; the zero error trivially levels
-            gap = 0.0
-            break
+        # the one converged exit, which a feasible f (emax <= 1e-14 ||f||) takes too;
+        # its certificate: alternation with |e| within 1e-6 ||f|| of the value on
+        # every reference point
         if gap <= 1e-12 * ws.zero_error + 1e-9 * emax:
-            equi = True
+            e_ref = e[ref]
+            leveled = bool(np.max(np.abs(np.abs(e_ref) - emax)) <= 1e-6 * ws.zero_error)
+            alternating = bool(np.all(e_ref[1:] * e_ref[:-1] < 0)) or emax <= 1e-14 * ws.zero_error
+            equi = leveled and alternating
+            if not equi:
+                flags.append("no_certificate")
             break
         cand = _alternating_candidates(e, ref)
         if cand.size < n + 1:
             flags.append("reference_collapse")
             break
-        new_ref = _select_window(cand, e, n)
-        if np.array_equal(new_ref, ref):
-            flags.append("stalled_reference")
-            break
-        ref = new_ref
+        ref = _select_window(cand, e, n)
     else:
         flags.append("max_iterations")
-    if equi:
-        # alternation with |e| within 1e-6 ||f|| of the value on every reference point;
-        # without the certificate the loop ended on one of its three stop flags
-        e_ref = e[ref]
-        leveled = bool(np.max(np.abs(np.abs(e_ref) - emax)) <= 1e-6 * ws.zero_error)
-        alternating = bool(np.all(e_ref[1:] * e_ref[:-1] < 0)) or emax <= 1e-14 * ws.zero_error
-        equi = leveled and alternating
-        if not equi:
-            flags.append("no_certificate")
     return BestApproxResult(
         n, emax, coef, "exchange", iters, max(gap, 0.0),
         equioscillation=equi, flags=tuple(flags),

@@ -30,8 +30,15 @@ def _parse_p(text: str) -> float:
     return float(text)
 
 
-def _parse_list(text: str, cast):
-    return [cast(tok) for tok in text.split(",") if tok.strip()]
+def _list_of(cast):
+    """The argparse type of a comma-separated list of `cast` values: a bad
+    entry is an error that names the option."""
+    def parse(text: str) -> list:
+        try:
+            return [cast(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _jsonable(obj):
@@ -132,11 +139,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = _add_options(subs.add_parser("modulus", help="modulus-of-smoothness curve"),
                      *_FUNCTION, *_MODULUS, *_OUTPUT)
-    s.add_argument("--deltas", default="0.1,0.2,0.4", help="ascending positive deltas")
+    s.add_argument("--deltas", type=_list_of(float), default="0.1,0.2,0.4",
+                   help="ascending positive deltas")
 
     s = _add_options(subs.add_parser("converse-table", help="converse-inequality ratios"),
                      *_FUNCTION, *_MODULUS, *_OUTPUT)
-    s.add_argument("--n-list", default="4,8,16,32,64", help="ascending n values")
+    s.add_argument("--n-list", type=_list_of(int), default="4,8,16,32,64",
+                   help="ascending n values")
 
     s = _add_options(subs.add_parser("dyadic", help="dyadic proof mechanics"),
                      *_FUNCTION, *_OUTPUT)
@@ -188,8 +197,7 @@ def _cmd_best_approx(args) -> int:
 
 
 def _cmd_modulus(args) -> int:
-    deltas = _parse_list(args.deltas, float)
-    reports = modulus_curve(args.f, deltas, args.space, t_grid=args.t_grid, M=args.quad_size)
+    reports = modulus_curve(args.f, args.deltas, args.space, t_grid=args.t_grid, M=args.quad_size)
     rows = [(r.delta, r.value, r.argmax_t) for r in reports]
     _emit(args, "modulus", ("δ,ω,argmax_t", rows, (".16e",) * 3), reports)
     flagged = [r for r in reports if r.flags]
@@ -200,7 +208,7 @@ def _cmd_modulus(args) -> int:
 
 def _cmd_converse(args) -> int:
     rows = harness.converse_table(
-        args.f, _parse_list(args.n_list, int), args.space,
+        args.f, args.n_list, args.space,
         t_grid=args.t_grid, M=args.quad_size,
     )
     table = ("n,omega,rhs_sum,ratio", [(r.n, r.omega, r.rhs_sum, r.ratio) for r in rows],

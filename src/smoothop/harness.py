@@ -201,18 +201,19 @@ def _usable_sequence(fn: SampledFunction, n_max: int, space: WeightedSpace):
     return seq
 
 
-def _converse_inputs(f, n_max: int, deltas, space: WeightedSpace, t_grid, M, norm_resolution):
+def _converse_inputs(f, n_max: int, deltas, space: WeightedSpace, t_grid, M, norm_resolution,
+                     lam: float | None = None):
     """The values E_1, ..., E_{n_max}, omega(f, delta) for each delta, and
     ||f|| on the norm grid.
 
     Each step refuses before the next, dearer one runs: the parameters of
-    omega are checked before any E_nu is solved, and every E_nu is checked
-    usable before any omega is computed.
+    omega (and lambda, if given) are checked before any E_nu is solved, and
+    every E_nu is checked usable before any omega is computed.
     """
-    _check_omega_args(space, deltas, t_grid, M, norm_resolution)
+    grid = _check_omega_args(space, deltas, t_grid, M, norm_resolution, lam)
     fn = as_sampled(f)
     e = np.array([r.value for r in _usable_sequence(fn, n_max, space)])
-    reports, fnorm = _omegas(fn, deltas, space, t_grid, M, norm_resolution)
+    reports, fnorm = _omegas(fn, deltas, grid, t_grid, M)
     return e, [r.value for r in reports], fnorm
 
 
@@ -365,14 +366,13 @@ def class_fit(
     is the desk-scale check.  E_n and omega values at roundoff level
     relative to ||f|| are left out of the fits, so c f fits as f does;
     with fewer than three points left (polynomial input) the fit is
-    degenerate, which is reported, not raised.  A bad parameter of
-    omega (t_grid, M) is refused before any E_n is solved, and an E_n that
-    is no usable best approximation before any omega is computed.
+    degenerate, which is reported, not raised.  A bad lambda or parameter
+    of omega (t_grid, M) is refused before any E_n is solved, and an E_n
+    that is no usable best approximation before any omega is computed.
     """
-    space.require_admissible(lam)
     _check_int(n_max, "n_max", 8)  # three dyadic deltas, the fewest a fit takes
     deltas = [1.0 / 2**k for k in range(1, 13) if 2**k <= n_max]
-    e, omegas, fnorm = _converse_inputs(f, n_max, deltas, space, t_grid, M, None)
+    e, omegas, fnorm = _converse_inputs(f, n_max, deltas, space, t_grid, M, None, lam)
     nu = np.arange(1, n_max + 1)
     mask = e > 1e-12 * fnorm
     omegas = np.array(omegas)

@@ -35,12 +35,13 @@ class ModulusReport:
     flags: tuple[str, ...] = ()
 
 
-def _check_omega_args(space: WeightedSpace, deltas, t_grid: int, M, norm_resolution):
-    """Check every parameter of the omega computations at `deltas`; returns
-    the norm grid.  Cheap, so a driver that first solves for best
-    approximations checks here before it solves.
+def _check_omega_args(space: WeightedSpace, deltas, t_grid: int, M, norm_resolution,
+                      lam: float | None = None):
+    """Check every parameter of the omega computations at `deltas`, and
+    lambda if given; returns the norm grid.  Cheap, so a driver that first
+    solves for best approximations checks here before it solves.
     """
-    space.require_admissible()
+    space.require_admissible(lam)
     for delta in deltas:
         if not 0 <= delta < math.inf:  # NaN fails the comparison too
             raise ValueError(f"delta must be finite and >= 0, got delta = {delta}")
@@ -61,9 +62,11 @@ def _check_omega_args(space: WeightedSpace, deltas, t_grid: int, M, norm_resolut
     return grid
 
 
-def _omegas(fn, deltas, space, t_grid, M, norm_resolution) -> tuple[list[ModulusReport], float]:
+def _omegas(fn, deltas, grid, t_grid, M) -> tuple[list[ModulusReport], float]:
     """omega(fn, delta) for each delta, translating each distinct t once, and
     ||fn|| on the norm grid (0.0 when every delta is 0: fn is then not sampled).
+    `grid` is the norm grid :func:`_check_omega_args` returned for these
+    parameters.
 
     The t grids of nested deltas overlap: every other point of
     linspace(-d, d, k) is, up to rounding, a point of linspace(-2d, 2d, k).
@@ -75,7 +78,6 @@ def _omegas(fn, deltas, space, t_grid, M, norm_resolution) -> tuple[list[Modulus
     the next smaller delta is flagged `monotonicity_violation`.  The deltas
     may come in any order: each report is the same.
     """
-    grid = _check_omega_args(space, deltas, t_grid, M, norm_resolution)
     res = grid.x.size
     fnorm = 0.0  # every delta 0: every omega is 0
     if any(deltas):
@@ -135,7 +137,8 @@ def modulus_omega(
     norm_resolution : int, optional
         Grid size of the norm (defaults of :func:`~smoothop.weighted_norm`).
     """
-    return _omegas(as_sampled(f), [delta], space, t_grid, M, norm_resolution)[0][0]
+    grid = _check_omega_args(space, [delta], t_grid, M, norm_resolution)
+    return _omegas(as_sampled(f), [delta], grid, t_grid, M)[0][0]
 
 
 def modulus_curve(
@@ -159,4 +162,5 @@ def modulus_curve(
         raise ValueError(f"deltas must be positive, got {min(deltas)}")
     if any(b <= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly ascending")
-    return _omegas(as_sampled(f), deltas, space, t_grid, M, norm_resolution)[0]
+    grid = _check_omega_args(space, deltas, t_grid, M, norm_resolution)
+    return _omegas(as_sampled(f), deltas, grid, t_grid, M)[0]

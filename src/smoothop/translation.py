@@ -88,6 +88,7 @@ def _exact_quad_size(deg: int) -> int:
 
 def _default_quad_size(f) -> int:
     deg = getattr(f, "degree", None)
+    deg = deg() if callable(deg) else deg  # a numpy polynomial's degree is a method
     return 128 if deg is None else _exact_quad_size(int(deg))
 
 
@@ -225,8 +226,9 @@ def translate(f, y, x, M: int | None = None):
         Evaluation points with |x| <= 1 - EDGE_EPS.
     M : int, optional
         Number of Chebyshev nodes.  Defaults to max(16, ceil((deg + 5) / 2))
-        when f exposes a polynomial degree, else 128; that default is exact
-        (to roundoff) for polynomials.
+        when f exposes a polynomial degree (an attribute, or a method as on
+        numpy polynomials), else 128; that default is exact (to roundoff)
+        for polynomials.
 
     Returns
     -------

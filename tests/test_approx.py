@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
-from smoothop import approx, get_test_function, interior_point
+from smoothop import approx, converse_table, get_test_function, interior_point
 from smoothop.approx import (
     _initial_reference,
     _weighted_least_squares,
@@ -350,10 +350,11 @@ class TestWeightedLeastSquares:
 
 
 def candidates_by_loop(e, ref):
-    """approx._alternating_candidates as a plain loop: local maxima of |e| and
-    the reference, zeros dropped, the first largest |e| of each sign run kept."""
+    """approx._alternating_candidates as a plain loop: the peaks of |e| (each
+    end sample compared with its one neighbour) and the reference, zeros
+    dropped, the first largest |e| of each sign run kept."""
     mag = np.abs(e)
-    local = {i for i in range(1, e.size - 1) if mag[i] >= max(mag[i - 1], mag[i + 1])}
+    local = {i for i in range(e.size) if mag[i] >= mag[max(i - 1, 0) : i + 2].max()}
     keep = []
     for i in sorted(local | set(ref.tolist())):
         if e[i] == 0:
@@ -397,6 +398,20 @@ class TestExchange:
             r = best_approx(fs[name], n, SPINF)
             assert_allclose(r.value, lp, rtol=1e-9, err_msg=f"{name}, n={n}")
 
+    @pytest.mark.parametrize("f", [
+        lambda x: 1 / (1 - x**2), lambda x: x / (1 - x**2), lambda x: (x - 0.25) / (1 - x**2),
+    ], ids=["one", "x", "x-1/4"])
+    def test_end_peaked_errors_are_certified(self, f):
+        # the weighted f is 1, x or x - 1/4, so the weighted error of a low
+        # degree peaks at a grid end; with interior peaks alone as candidates
+        # every n <= 24 stopped flagged, up to 3.6e-5 relative above the LP optimum
+        seq = best_approx_sequence(f, 24, SPINF)
+        assert [(r.n, r.flags) for r in seq if r.flags] == []
+        assert all(r.equioscillation for r in seq)
+        grid = sup_grid(4097)
+        for n in (1, 2, 3, 5, 8):
+            assert_allclose(seq[n - 1].value, minimax_lp(f, n, 1.0, grid), rtol=1e-9, err_msg=n)
+
     def test_seed_is_n_plus_1_increasing_grid_indices(self):
         ws = _Workspace(as_sampled(np.abs), SPINF, 1)
         last = ws.grid.x.size - 1
@@ -432,6 +447,54 @@ class TestExchange:
         for f in (np.abs, lambda x: np.sign(x) * np.abs(x) ** 1.5):
             r = best_approx(f, 1, SPINF)
             assert r.value <= weighted_norm(f, SPINF) + 1e-10
+
+
+class TestExchangeExits:
+    """Each exit the exchange keeps, reached by an injected fault, for |x|
+    at n = 8, whose first reference does not level."""
+
+    def test_singular_reference_falls_back_to_least_squares(self, monkeypatch):
+        solve = np.linalg.solve
+
+        def singular_once(A, b):
+            monkeypatch.setattr(np.linalg, "solve", solve)  # the next solve succeeds
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular_once)
+        r = best_approx(np.abs, 8, SPINF)
+        assert np.isfinite(r.value) and np.all(np.isfinite(r.coefficients))
+        assert r.flags == ("degenerate_reference",)
+
+    def test_too_few_candidates_collapse_the_reference(self, monkeypatch):
+        candidates = approx._alternating_candidates
+
+        def short(e, ref):  # n + 1 = ref.size; one candidate short from n = 4 on
+            cand = candidates(e, ref)
+            return cand[: ref.size - 1] if ref.size > 4 else cand
+
+        monkeypatch.setattr(approx, "_alternating_candidates", short)
+        r = best_approx(np.abs, 8, SPINF)
+        assert "reference_collapse" in r.flags and r.equioscillation is False
+        with pytest.raises(ValueError, match="nu = 4 is unusable"):
+            converse_table(np.abs, [4, 8], SPINF)
+
+    def test_iteration_limit(self, monkeypatch):
+        monkeypatch.setattr(approx, "_EXCHANGE_MAX_ITER", 1)
+        r = best_approx(np.abs, 8, SPINF)
+        assert (r.flags, r.iterations, r.equioscillation) == (("max_iterations",), 1, False)
+
+    def test_unlevelled_stop_has_no_certificate(self, monkeypatch):
+        # a level |h| of 10 max |f w| passes the gap test on the first reference
+        solve = np.linalg.solve
+
+        def inflated_level(A, b):
+            sol = solve(A, b)
+            sol[-1] = 10 * np.max(np.abs(b))
+            return sol
+
+        monkeypatch.setattr(np.linalg, "solve", inflated_level)
+        r = best_approx(np.abs, 8, SPINF)
+        assert (r.flags, r.iterations, r.equioscillation) == (("no_certificate",), 1, False)
 
 
 class TestIRLS:

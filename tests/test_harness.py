@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from smoothop import approx, harness, modulus
+from smoothop import approx, harness, modulus, weighted_space
 from smoothop.cli import _parse_p, main
 from smoothop.harness import (
     TEST_FUNCTION_NAMES,
@@ -17,7 +17,7 @@ from smoothop.harness import (
     get_test_function,
     verify_lemma1,
 )
-from smoothop.modulus import modulus_omega
+from smoothop.modulus import modulus_curve, modulus_omega
 from smoothop.translation import translate, translate_trig
 from smoothop.weighted_space import WeightedSpace
 
@@ -340,6 +340,39 @@ def test_omega_parameters_refused_before_any_solve(monkeypatch, call, message):
         call()
 
 
+@pytest.mark.parametrize("call, verdicts", [
+    pytest.param(lambda: class_fit(np.abs, SP2, 8, lam=1.0), 2, id="class_fit"),
+    pytest.param(lambda: converse_table(np.abs, [4, 8], SP2), 2, id="converse_table"),
+    pytest.param(lambda: modulus_curve(np.abs, [0.1, 0.2], SP2), 1, id="modulus_curve"),
+    pytest.param(lambda: modulus_omega(np.abs, 0.1, SP2), 1, id="modulus_omega"),
+])
+def test_parameters_checked_once_per_call(monkeypatch, call, verdicts):
+    # omega's gate runs once; a driver's second verdict is best_approx_sequence's,
+    # which checks its space itself as a public entry point
+    counts = {"verdict": 0, "gate": 0}
+    verdict, gate = weighted_space.validate_params, modulus._check_omega_args
+
+    def counted_verdict(*args):
+        counts["verdict"] += 1
+        return verdict(*args)
+
+    def counted_gate(*args):
+        counts["gate"] += 1
+        return gate(*args)
+
+    monkeypatch.setattr(weighted_space, "validate_params", counted_verdict)
+    for namespace in (modulus, harness):
+        monkeypatch.setattr(namespace, "_check_omega_args", counted_gate)
+    call()
+    assert counts == {"verdict": verdicts, "gate": 1}
+
+
+def test_class_fit_checks_n_max_before_lambda():
+    # lambda is checked with omega's parameters, after n_max picks the deltas
+    with pytest.raises(ValueError, match="n_max must be >= 8"):
+        class_fit(np.abs, SP2, 4, lam=2.5)
+
+
 class TestCLI:
     def test_verify_lemma1_exit_zero(self, capsys):
         code = main(["verify-lemma1", "--n-max", "6", "--grid", "12"])
@@ -402,6 +435,17 @@ class TestCLI:
                      "--alpha", "9", "--n-max", "2"]) == 2
         assert main(["no-such-command"]) == 2
         assert main(["modulus", "--function", "nope", "--p", "2", "--alpha", "1"]) == 2
+
+    @pytest.mark.parametrize("argv, option", [
+        (["modulus", "--function", "abs", "--deltas", "0.1,x"], "--deltas"),
+        (["converse-table", "--function", "abs", "--n-list", "4,8.5"], "--n-list"),
+    ], ids=["deltas", "n-list"])
+    def test_malformed_list_names_its_option(self, argv, option, capsys):
+        assert main(argv + ["--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {option}: " in err
+        assert "Traceback" not in err
 
     def test_unread_option_is_a_usage_error(self, capsys):
         assert main(["calibrate-multiplier", "--p", "0.1"]) == 2

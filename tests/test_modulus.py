@@ -117,8 +117,8 @@ class TestModulusCurve:
     def test_deltas_in_any_order(self):
         # omega per delta does not depend on the deltas translated before it
         deltas = [0.05, 0.4, 0.1, 0.2]
-        shuffled = modulus._omegas(np.abs, deltas, SP2, 9, None, None)[0]
-        ascending = modulus._omegas(np.abs, sorted(deltas), SP2, 9, None, None)[0]
+        shuffled = modulus._omegas(np.abs, deltas, SP2._grid(None), 9, None)[0]
+        ascending = modulus._omegas(np.abs, sorted(deltas), SP2._grid(None), 9, None)[0]
         assert shuffled == [ascending[sorted(deltas).index(d)] for d in deltas]
 
     @pytest.mark.parametrize("c", [1.0, 1e-20, 1e20])

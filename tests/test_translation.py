@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from smoothop.orthopoly import JACOBI_22, JacobiBasis, fourier_jacobi_coeff, jacobi_eval
 from smoothop import translation
+from smoothop.weighted_space import SampledFunction
 from smoothop.translation import (
     DEFAULT_CANDIDATES,
     EDGE_EPS,
@@ -127,6 +128,17 @@ class TestTranslateTrig:
         for f in fs:
             for t in (1e-9, 0.015625, 0.3, 1.2, 2.5, math.pi):
                 assert np.array_equal(translate_trig(f, t, XGRID), translate_trig(f, -t, XGRID))
+
+
+@pytest.mark.parametrize("poly", [
+    np.polynomial.Chebyshev([1.0, 2.0, 3.0]), np.polynomial.Polynomial([1.0, -2.0, 0.5, 3.0]),
+], ids=["Chebyshev", "Polynomial"])
+def test_numpy_polynomial_sets_the_exact_rule(poly):
+    # a numpy polynomial's degree is a method, called for the default M
+    marked = SampledFunction(poly, degree=poly.degree())
+    assert np.array_equal(translate(poly, 0.3, XGRID), translate(marked, 0.3, XGRID))
+    t = [0.2, 1.1]
+    assert np.array_equal(translate_trig(poly, t, XGRID), translate_trig(marked, t, XGRID))
 
 
 def test_multi_pass_call_matches_single_point_calls():
