@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
-from .approx import best_approx_sequence
+from .approx import _grid_size, best_approx_sequence
 from .modulus import _check_omega_args, _omegas
 from .orthopoly import JACOBI_22, _check_int, _coefficients, _jacobi_rows, fourier_jacobi_series
 from .translation import _translate_jacobi, default_multiplier, multiplier_eval, translate
@@ -56,9 +56,7 @@ __all__ = [
 
 def _randpoly(seed: int) -> SampledFunction:
     rng = np.random.default_rng(seed)
-    coeffs = rng.uniform(-1.0, 1.0, 11)
-    poly = C.Chebyshev(coeffs)
-    return SampledFunction(poly, name=f"randpoly(seed={seed})", degree=10)
+    return SampledFunction(C.Chebyshev(rng.uniform(-1.0, 1.0, 11)), name=f"randpoly(seed={seed})")
 
 
 _LIBRARY = {
@@ -94,7 +92,7 @@ def get_test_function(spec: str, seed: int = 0) -> SampledFunction:
     if not finite.all():
         i = int(np.argmin(finite))
         raise ValueError(f"Chebyshev coefficient {i} must be finite, got {tokens[i].strip()}")
-    return SampledFunction(C.Chebyshev(coeffs), name=f"cheb{coeffs.tolist()}", degree=coeffs.size - 1)
+    return SampledFunction(C.Chebyshev(coeffs), name=f"cheb{coeffs.tolist()}")
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +289,8 @@ class DyadicDecomposition:
 
 def dyadic_bound(f, n: int, space: WeightedSpace) -> DyadicDecomposition:
     """Dyadic block decomposition Q_k = P_{2^k} - P_{2^(k-1)} behind the
-    converse inequality, with its two combinatorial proof steps.
+    converse inequality, with its two combinatorial proof steps.  Each
+    ||Q_k|| is taken on the grid the E_nu are solved on.
 
     Checks, with the solver gap added to the tolerance budget:
 
@@ -307,11 +306,11 @@ def dyadic_bound(f, n: int, space: WeightedSpace) -> DyadicDecomposition:
     gap = max(r.residual_norm_gap for r in seq)
 
     polys = {k: seq[2**k - 1].polynomial() for k in range(N + 1)}
+    res = _grid_size(space)  # the triangle step holds within one discrete norm
     blocks = np.empty(N + 1)
-    blocks[0] = weighted_norm(polys[0], space)
+    blocks[0] = weighted_norm(polys[0], space, res)
     for k in range(1, N + 1):
-        dk = polys[k] - polys[k - 1]
-        blocks[k] = weighted_norm(dk, space)
+        blocks[k] = weighted_norm(polys[k] - polys[k - 1], space, res)
 
     checks = []
     tri = 0.0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orthopoly import _check_int, _require_finite
+from .orthopoly import _check_int
 from .translation import EDGE_EPS, translate_trig
 from .weighted_space import WeightedSpace, as_sampled
 
@@ -81,8 +81,7 @@ def _omegas(fn, deltas, grid, t_grid, M) -> tuple[list[ModulusReport], float]:
     res = grid.x.size
     fnorm = 0.0  # every delta 0: every omega is 0
     if any(deltas):
-        fx = fn(grid.x)
-        _require_finite(fx, grid.x)
+        fx = fn(grid.x)  # a non-finite sample is named by the norm
         fnorm = float(grid.norm(grid.wgt * fx))
     dist: dict[float, float] = {}
     reports = []

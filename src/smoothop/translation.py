@@ -12,6 +12,10 @@ T_y acts diagonally on the (2, 2) Jacobi family: T_y p_n = p_n(x) R_n(y) with a
 multiplier sequence R_n that this module measures numerically and matches
 against closed-form candidates.  The prefactor is singular at x = +-1, so all
 evaluations stay inside the band |x| <= 1 - EDGE_EPS.
+
+The module also holds the package's one input contract for f,
+:class:`SampledFunction` and :func:`as_sampled`, which every entry point
+shares (weighted_space re-exports both).
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -86,10 +91,52 @@ def _exact_quad_size(deg: int) -> int:
     return max(16, (deg + 6) // 2)
 
 
-def _default_quad_size(f) -> int:
+def _degree(f) -> int | None:
+    """The polynomial degree f declares, or None: its `degree` attribute,
+    called when it is a method, as on numpy's polynomials."""
     deg = getattr(f, "degree", None)
-    deg = deg() if callable(deg) else deg  # a numpy polynomial's degree is a method
+    return deg() if callable(deg) else deg
+
+
+def _default_quad_size(f) -> int:
+    deg = _degree(f)
     return 128 if deg is None else _exact_quad_size(int(deg))
+
+
+@dataclass
+class SampledFunction:
+    """A real function on [-1, 1], vectorized over its argument; a
+    constant-valued evaluator is broadcast to the shape of x.
+
+    `degree` marks exact polynomials (it tightens quadrature defaults in
+    this module); left None, it is read from the evaluator's own `degree`,
+    as on numpy's polynomials, and stays None for black-box functions.
+    """
+
+    evaluator: Callable[[np.ndarray], np.ndarray]
+    name: str = "f"
+    degree: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.degree is None:
+            self.degree = _degree(self.evaluator)
+
+    def __call__(self, x):
+        xs = np.asarray(x, dtype=float)
+        vals = np.asarray(self.evaluator(xs), dtype=float)
+        vals = np.broadcast_to(vals, xs.shape).copy() if vals.shape != xs.shape else vals
+        if np.ndim(x) == 0:
+            return float(vals)
+        return vals
+
+
+def as_sampled(f) -> SampledFunction:
+    """The one input contract for f: a plain callable is wrapped, with its
+    degree read by :class:`SampledFunction`; SampledFunction inputs pass
+    through unchanged."""
+    if isinstance(f, SampledFunction):
+        return f
+    return SampledFunction(f)
 
 
 def _check_translate_args(x: np.ndarray, y: np.ndarray, M: int) -> None:
@@ -218,8 +265,9 @@ def translate(f, y, x, M: int | None = None):
 
     Parameters
     ----------
-    f : callable
-        Real function on [-1, 1], vectorized over its argument.
+    f : SampledFunction or callable
+        Real function on [-1, 1], vectorized over its argument, taken
+        through :func:`as_sampled`; a constant-valued f is broadcast.
     y : float or 1-d array_like
         Translation parameter(s) in [-1, 1].
     x : float or array_like
@@ -238,7 +286,7 @@ def translate(f, y, x, M: int | None = None):
     A non-finite sample of f raises ValueError naming the point it was
     taken at.
     """
-    return _translate(f, *_y_args(y), x, M)
+    return _translate(as_sampled(f), *_y_args(y), x, M)
 
 
 def _y_args(y) -> tuple[np.ndarray, np.ndarray]:
@@ -261,7 +309,7 @@ def translate_trig(f, t, x, M: int | None = None):
     t is a scalar or a 1-d array; the result has shape t.shape + x.shape, and
     row i of a 1-d t is the scalar call at t[i], bit for bit.
     """
-    return _translate(f, *_t_args(t), x, M)
+    return _translate(as_sampled(f), *_t_args(t), x, M)
 
 
 def _t_args(t) -> tuple[np.ndarray, np.ndarray]:

@@ -21,12 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
 
 import numpy as np
 
 from .orthopoly import _check_int, _require_finite, gauss_legendre
-from .translation import EDGE_EPS
+from .translation import EDGE_EPS, SampledFunction, as_sampled
 
 __all__ = [
     "WeightedSpace",
@@ -120,34 +119,6 @@ def validate_params(space: WeightedSpace, lam: float | None = None) -> ParamVerd
     return ParamVerdict(True, None)
 
 
-@dataclass
-class SampledFunction:
-    """A real function on [-1, 1], vectorized over its argument.
-
-    `degree` marks exact polynomials (it tightens quadrature defaults in the
-    translation module); leave it None for black-box functions.
-    """
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    name: str = "f"
-    degree: int | None = None
-
-    def __call__(self, x):
-        xs = np.asarray(x, dtype=float)
-        vals = np.asarray(self.evaluator(xs), dtype=float)
-        vals = np.broadcast_to(vals, xs.shape).copy() if vals.shape != xs.shape else vals
-        if np.ndim(x) == 0:
-            return float(vals)
-        return vals
-
-
-def as_sampled(f, name: str = "f", degree: int | None = None) -> SampledFunction:
-    """Wrap a plain callable; SampledFunction inputs pass through unchanged."""
-    if isinstance(f, SampledFunction):
-        return f
-    return SampledFunction(f, name=name, degree=degree)
-
-
 @lru_cache(maxsize=8, typed=True)  # typed: a float is refused, not served from the cache
 def sup_grid(resolution: int = 4097) -> np.ndarray:
     """Chebyshev-extrema-distributed grid, scaled into |x| <= 1 - EDGE_EPS.
@@ -178,7 +149,7 @@ def _power(a: np.ndarray, p: float) -> np.ndarray:
     does.  Any other p is `a **= p`.
     """
     k = 2.0 * p
-    if k != round(k) or not 0 < abs(k) <= 9:
+    if not 0 < abs(k) <= 9 or k != round(k):  # first, as round(inf) raises
         a **= p
         return a
     if p < 0:

@@ -243,6 +243,21 @@ class TestDyadic:
         assert_allclose(dec.blocks[1], math.sqrt(16 / 105), rtol=1e-8)
         assert np.all(dec.blocks[2:] <= 1e-9)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_blocks_on_the_grid_of_the_e_values(self, p):
+        # the triangle step holds within one discrete norm: each ||Q_k|| is
+        # taken on the grid whose norm of f - P_nu is E_nu, not the default one
+        sp = WeightedSpace(p, 1.0)
+        fn = get_test_function("absshift")
+        dec = dyadic_bound(fn, 8, sp)
+        grid = sp._grid(approx._grid_size(sp))
+        fits = [r.polynomial() for r in approx.best_approx_sequence(fn, 8, sp)]
+        for e, fit in zip(dec.e_values, fits):
+            assert_allclose(grid.norm(grid.wgt * (fn(grid.x) - fit(grid.x))), e, rtol=1e-9)
+        P = [fits[2**k - 1] for k in range(dec.N + 1)]
+        Q = [P[0]] + [b - a for a, b in zip(P, P[1:])]
+        assert_allclose(dec.blocks, [grid.norm(grid.wgt * q(grid.x)) for q in Q], rtol=1e-13)
+
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             dyadic_bound(np.abs, 1, SP2)

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from smoothop import modulus
+from smoothop import modulus, translation
 from smoothop.cli import main
 from smoothop.harness import converse_table, get_test_function
 from smoothop.modulus import modulus_curve, modulus_omega
 from smoothop.orthopoly import JACOBI_22, jacobi_eval
 from smoothop.translation import translate_trig
-from smoothop.weighted_space import WeightedSpace, weighted_norm
+from smoothop.weighted_space import SampledFunction, WeightedSpace, weighted_norm
 
 SP2 = WeightedSpace(2.0, 1.0)
 SPINF = WeightedSpace(math.inf, 1.0)
@@ -237,3 +237,31 @@ def test_bad_norm_resolution_named(entry, size, message, space):
     }[entry]
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("poly", [
+    np.polynomial.Chebyshev([1.0, 2.0, 3.0]), np.polynomial.Polynomial([1.0, -2.0, 0.5, 3.0]),
+], ids=["Chebyshev", "Polynomial"])
+def test_numpy_polynomial_translated_at_its_exact_rule(poly, monkeypatch):
+    # omega's entry points read a numpy polynomial's degree as translate does:
+    # each translation uses the exact rule, and omega is that of the marked f
+    exact = translation._default_quad_size(poly)
+    rule = translation.gauss_chebyshev
+    sizes = []
+
+    def recording(M):
+        sizes.append(M)
+        return rule(M)
+
+    monkeypatch.setattr(translation, "gauss_chebyshev", recording)
+    marked = SampledFunction(poly, degree=poly.degree())
+    calls = [
+        lambda f: modulus_omega(f, 0.3, SPINF).value,
+        lambda f: [r.value for r in modulus_curve(f, [0.1, 0.2], SP2)],
+        lambda f: [r.omega for r in converse_table(f, [2, 4], SP2)],
+    ]
+    for call in calls:
+        sizes.clear()
+        got = call(poly)
+        assert sizes and set(sizes) == {exact}
+        assert got == call(marked)

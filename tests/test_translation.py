@@ -141,6 +141,19 @@ def test_numpy_polynomial_sets_the_exact_rule(poly):
     assert np.array_equal(translate_trig(poly, t, XGRID), translate_trig(marked, t, XGRID))
 
 
+@pytest.mark.parametrize("y", [0.3, [0.3, -0.4]], ids=["scalar", "1-d"])
+@pytest.mark.parametrize("x", [0.5, [0.1, 0.5, -0.7]], ids=["scalar-x", "1-d-x"])
+def test_constant_valued_callable(y, x):
+    # a callable that returns one number is broadcast, as in every entry point
+    shape = np.shape(y) + np.shape(x)
+    got = translate(lambda x: 1.0, y, x)
+    assert np.shape(got) == shape
+    assert_allclose(got, 1.0, rtol=1e-12)
+    got = translate_trig(lambda x: 2.0, y, x)
+    assert np.shape(got) == shape
+    assert_allclose(got, 2.0, rtol=1e-12)
+
+
 def test_multi_pass_call_matches_single_point_calls():
     # 4097 x 128 grid points span several passes of the translation core
     x = np.linspace(-0.999, 0.999, 4097)

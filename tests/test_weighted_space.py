@@ -1,10 +1,13 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from smoothop.modulus import modulus_omega
 from smoothop.weighted_space import (
     ParamVerdict,
     SampledFunction,
@@ -192,6 +195,17 @@ class TestPower:
         normal = np.isfinite(ref) & (ref >= np.finfo(float).tiny)
         assert np.all(np.abs(got[normal] - ref[normal]) <= 8 * np.spacing(ref[normal]))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.floats(0.0, math.log10(1.79e308)).map(lambda e: 10.0**e), st.just(INF)))
+    @example(sys.float_info.max)
+    def test_huge_p_stays_finite(self, p):
+        # from p = 2^1023 on, 2p overflows to inf, which takes the pow branch
+        sp = WeightedSpace(p, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(weighted_norm(np.abs, sp))
+            assert math.isfinite(modulus_omega(np.abs, 0.1, sp, t_grid=5).value)
+
 
 class TestSampledFunction:
     def test_scalar_round_trip(self):
@@ -208,3 +222,9 @@ class TestSampledFunction:
         out = fn(np.linspace(-1, 1, 5))
         assert out.shape == (5,)
         assert_allclose(out, 1.0)
+
+    def test_degree_read_from_the_evaluator(self):
+        # a numpy polynomial's degree is a method; a black box has none
+        assert as_sampled(np.polynomial.Chebyshev([1, 2, 3])).degree == 2
+        assert SampledFunction(np.polynomial.Chebyshev([1, 2, 3]), degree=5).degree == 5
+        assert as_sampled(lambda x: 2.0 * x).degree is None
