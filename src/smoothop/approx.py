@@ -5,18 +5,23 @@ E_n(f) is the infimum of ||f - P|| over algebraic polynomials P of degree
 infimum is replaced by minimization over a fixed discretization of the norm;
 each solver reports its optimality gap rather than hiding it.
 
-Solvers by norm family:
+Each norm family has one solver and one grid, both named by one table,
+`_solver(space)`: the exchange on the sup grid at p = inf, the projection
+at p = 2, the interior-point method at p = 1 and IRLS at any other p, the
+last three on Gauss-Legendre grids (the p = 2 grid is the smallest).
+`_Workspace` reads the table once and runs the gate of E_n before f is
+sampled: the space must be admissible and n at most a quarter of the
+grid's nodes, so that the Chebyshev design on the grid has full rank.
 
 * p = inf: Remez-style exchange iteration on the weighted error over the
-  4097-point sup grid, seeded at the n + 1 interior Chebyshev points, with
+  sup grid, seeded at the n + 1 interior Chebyshev points, with
   an equioscillation certificate.  Each step
   solves the square (n + 1)-point reference system by LU, with a
   least-squares fallback for a singular reference.
 * finite p: one lockstep driver.  The degrees of a sequence run as lanes
   and start from one shared weighted L2 fit, one factorization made at the
   top degree.  At p = 2 that fit is the exact discrete best approximation
-  (the projection, on a 256-point Gauss-Legendre grid), and the driver
-  stops there.  The other p run on a 1025-point Gauss-Legendre grid, one
+  (the projection), and the driver stops there.  The other p run one
   stacked factorization per iteration for the lanes still active.  p = 1
   is a linear program, solved by a primal-dual interior-point method
   (Mehrotra's predictor-corrector, about 20 iterations): a lane leaves when
@@ -42,11 +47,10 @@ starts from), once after an IRLS correction.  An IRLS iteration thus makes
 five products with the grid-sized design: the Gram moments, V^T (w rho),
 one refinement step (V c and V^T r), and the new residual V c.  The
 interior-point steps apply their one factor, unrefined, to two right-hand
-sides.  n may not exceed a quarter of the solver's grid, so that V itself
-has full rank.  The Gram matrix can still be numerically singular when the
-weights span too many orders of magnitude, as IRLS weights do for p >= 6.
-Both iterative solvers factor each stack by `_factor_lanes`, lane by lane
-once Cholesky rejects the stack: a lane it cannot factor leaves flagged
+sides.  The Gram matrix can be numerically singular when the weights
+span too many orders of magnitude, as IRLS weights do for p >= 6.  Both
+iterative solvers factor each stack by `_factor_lanes`, lane by lane once
+Cholesky rejects the stack: a lane it cannot factor leaves flagged
 `singular_normal_equations` (IRLS keeps its last iterate), and the others
 go on with the factors the stack gave them.  An interior-point stack is
 first factored once more with its diagonals raised by 1e-13 of their
@@ -62,11 +66,12 @@ columns, and each distinct count of kept degrees below n is solved once;
 an odd f at n = 1 has none and gets the zero polynomial.  Within one parity
 every sum the solve takes (the Gram moments, V^T (w rho), the norm) has an
 even summand, so the solve runs on the half x >= 0 of the grid, with each
-weight doubled but that of the node x = 0 of an odd-sized rule: 513 of
-1025 nodes, 128 of 256 at p = 2.  Its sums equal the full grid's up to the
-order of addition.  Any other f keeps every column and every node.  p = inf
-is left out: the sup grid is not symmetric bit for bit, and the even
-polynomials are no Haar system on [-1, 1], which the exchange needs.
+weight doubled but that of the node x = 0 of an odd-sized rule: (X + 1) / 2
+of X nodes, X / 2 of the even-sized p = 2 rule.  Its sums equal the full
+grid's up to the order of addition.  Any other f keeps every column and
+every node.  p = inf is left out: the sup grid is not symmetric bit for
+bit, and the even polynomials are no Haar system on [-1, 1], which the
+exchange needs.
 
 Scale.  Every absolute tolerance (the IRLS residual floor and stop test,
 the interior-point gap tolerance, the exchange's stop test and its
@@ -107,15 +112,12 @@ __all__ = [
     "best_approx_sequence",
 ]
 
-_GRID_P2 = 256
-_GRID_IRLS = 1025
-_GRID_SUP = 4097
 _IRLS_MAX_ITER = 200
 _IRLS_RESIDUAL_FLOOR = 1e-10  # of the residual relative to ||f|| on the grid
 _EXCHANGE_MAX_ITER = 60
 _REFINE_STEPS = 3
 _LANE_BUDGET = 1 << 18  # entries of one lockstep Gram stack, lanes x N x N (2 MB)
-_IP_GRID_BUDGET = 1 << 14  # entries of one interior-point stack's arrays, lanes x nodes
+_IP_NODE_BUDGET = 1 << 14  # entries of one interior-point stack's arrays, lanes x nodes
 _ROUNDOFF = 1e-9  # relative slack for comparisons between computed norms
 
 
@@ -146,26 +148,13 @@ class BestApproxResult:
         return C.Chebyshev(self.coefficients)
 
 
-def _grid_size(space: WeightedSpace) -> int:
+def _solver(space: WeightedSpace) -> tuple[str, int]:
+    """The E_n solver of the space's norm family and the nodes of its grid."""
     if space.is_sup:
-        return _GRID_SUP
-    return _GRID_P2 if space.p == 2 else _GRID_IRLS
-
-
-def _solver_name(space: WeightedSpace) -> str:
-    if space.is_sup:
-        return "exchange"
-    return {1: "interior_point", 2: "projection"}.get(space.p, "irls")
-
-
-def _require_resolvable(n: int, space: WeightedSpace) -> None:
-    """Reject degree bounds the solver's grid cannot resolve."""
-    grid = _grid_size(space)
-    if n > grid // 4:
-        raise ValueError(
-            f"degree bound n = {n} exceeds {grid // 4}, a quarter of the "
-            f"{grid}-point grid of the p = {space.p} solver"
-        )
+        return "exchange", 4097
+    if space.p == 2:
+        return "projection", 256
+    return ("interior_point" if space.p == 1 else "irls"), 1025
 
 
 def _parity(fx: np.ndarray) -> int | None:
@@ -179,8 +168,9 @@ def _parity(fx: np.ndarray) -> int | None:
 
 
 class _Workspace:
-    """Grid data shared by every degree of one (f, space) problem: the
-    space's norm grid and f sampled on it.
+    """Grid data shared by every degree of one (f, space) problem: the grid
+    of the space's `solver`, both read from :func:`_solver` once E_n's gate
+    has passed, and f sampled on it.
 
     `degrees` holds the Chebyshev degrees the solve uses and `vander` their
     columns on the grid.  For finite p it also keeps the moments matrix
@@ -199,8 +189,17 @@ class _Workspace:
     """
 
     def __init__(self, f: SampledFunction, space: WeightedSpace, n_top: int):
+        # the E_n gate, before f is sampled: an admissible space, and a degree
+        # bound its solver's grid resolves
+        space.require_admissible()
+        self.solver, nodes = _solver(space)
+        if n_top > nodes // 4:
+            raise ValueError(
+                f"degree bound n = {n_top} exceeds {nodes // 4}, a quarter of the "
+                f"{nodes}-point grid of the p = {space.p} solver"
+            )
         self.space = space
-        self.grid = grid = space._grid(_grid_size(space))
+        self.grid = grid = space._grid(nodes)
         self.fx = f(grid.x)
         # E_0, the error of the zero polynomial: an upper bound on every E_n
         # (the norm also rejects non-finite samples)
@@ -298,7 +297,6 @@ def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
     Each n counts the kept Chebyshev columns a lane fits.
     """
     p = ws.space.p
-    solver = _solver_name(ws.space)
     lanes = _lane_mask(ns)
     V = ws.vander[:, : lanes.shape[1]]
     grid = ws.grid
@@ -309,7 +307,7 @@ def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
         """Record lane i of ns: its coefficients c, value, gap and iterations."""
         n = ns[i]
         results[i] = BestApproxResult(
-            n, float(val), c[:n].copy(), solver, it, float(g), flags=flags
+            n, float(val), c[:n].copy(), ws.solver, it, float(g), flags=flags
         )
 
     # the weighted L2 fit: one weight vector, one factorization at the top
@@ -479,10 +477,9 @@ def _solve_exchange(ws: _Workspace, n: int) -> BestApproxResult:
 def _zero_polynomial(ws: _Workspace, n: int) -> BestApproxResult:
     """The zero polynomial as E_n: exact when f = 0 or no kept degree is
     below n."""
-    space = ws.space
     return BestApproxResult(
-        n, ws.zero_error, np.zeros(n), _solver_name(space), 0, 0.0,
-        equioscillation=True if space.is_sup else None,
+        n, ws.zero_error, np.zeros(n), ws.solver, 0, 0.0,
+        equioscillation=True if ws.space.is_sup else None,
     )
 
 
@@ -495,10 +492,10 @@ def _solve(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
         solved = [_solve_exchange(ws, m) for m in sizes]
     else:
         step = max(1, _LANE_BUDGET // max(sizes, default=1) ** 2)  # lanes per stack
-        if ws.space.p == 1 and len(sizes) * ws.fx.size > _IP_GRID_BUDGET:
+        if ws.space.p == 1 and len(sizes) * ws.fx.size > _IP_NODE_BUDGET:
             # interior-point lanes hold eight grid-sized arrays, IRLS lanes four:
             # stacks of even size, none of whose arrays exceeds the budget
-            stacks = max(-(-len(sizes) // step), -(-len(sizes) * ws.fx.size // _IP_GRID_BUDGET))
+            stacks = max(-(-len(sizes) // step), -(-len(sizes) * ws.fx.size // _IP_NODE_BUDGET))
             step = -(-len(sizes) // stacks)
         solved = [
             r for i in range(0, len(sizes), step) for r in _solve_lockstep(ws, sizes[i : i + step])
@@ -531,8 +528,6 @@ def best_approx(f, n: int, space: WeightedSpace) -> BestApproxResult:
     through `flags` and the gap, not raised.
     """
     _check_int(n, "n", 1)
-    space.require_admissible()
-    _require_resolvable(n, space)
     ws = _Workspace(as_sampled(f), space, n)
     return _solve(ws, [n])[0]
 
@@ -546,8 +541,6 @@ def best_approx_sequence(f, n_max: int, space: WeightedSpace) -> list[BestApprox
     :func:`best_approx`.
     """
     _check_int(n_max, "n_max", 1)
-    space.require_admissible()
-    _require_resolvable(n_max, space)
     ws = _Workspace(as_sampled(f), space, n_max)
     results = _solve(ws, list(range(1, n_max + 1)))
     for i in range(1, len(results)):

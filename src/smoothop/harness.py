@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
-from .approx import _grid_size, best_approx_sequence
+from .approx import _solver, best_approx_sequence
 from .modulus import _check_omega_args, _omegas
 from .orthopoly import JACOBI_22, _check_int, _coefficients, _jacobi_rows, fourier_jacobi_series
 from .translation import _translate_jacobi, default_multiplier, multiplier_eval, translate
@@ -140,11 +140,10 @@ def verify_lemma1(n_max: int = 20, grid: int = 24, seed: int = 0) -> Lemma1Repor
     f2 = C.Chebyshev(rng.uniform(-1, 1, 8))
     a, b = 1.7, -0.6
     combo = lambda x: a * f1(x) + b * f2(x)
-    resid = 0.0
-    for y in (0.3, -0.8):
-        lhs = translate(combo, y, xg, M=16)
-        rhs = a * translate(f1, y, xg, M=16) + b * translate(f2, y, xg, M=16)
-        resid = max(resid, float(np.max(np.abs(lhs - rhs))))
+    y2 = np.array([0.3, -0.8])
+    lhs = translate(combo, y2, xg, M=16)
+    rhs = a * translate(f1, y2, xg, M=16) + b * translate(f2, y2, xg, M=16)
+    resid = float(np.max(np.abs(lhs - rhs)))
     checks.append(PropertyCheck("linearity", resid, 1e-12))
 
     # property 2: T_1 is the identity, on p_0 .. p_n_max in one family translation
@@ -306,7 +305,7 @@ def dyadic_bound(f, n: int, space: WeightedSpace) -> DyadicDecomposition:
     gap = max(r.residual_norm_gap for r in seq)
 
     polys = {k: seq[2**k - 1].polynomial() for k in range(N + 1)}
-    res = _grid_size(space)  # the triangle step holds within one discrete norm
+    res = _solver(space)[1]  # the triangle step holds within one discrete norm
     blocks = np.empty(N + 1)
     blocks[0] = weighted_norm(polys[0], space, res)
     for k in range(1, N + 1):

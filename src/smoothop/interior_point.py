@@ -134,7 +134,7 @@ def _interior_point(
     mask, off = lanes.copy(), _off_block(lanes)
     for it in range(max_iter + 1):
         D, X, Y = work[:, : len(lane)]
-        value = np.abs(e, out=D) @ q  # the grid norm at p = 1
+        value = grid.norm(e)
         np.subtract(zt, zs, out=X)
         X *= 0.5  # u
         cheap = value - X @ b  # U - b^T u, no bound while A^T u != 0

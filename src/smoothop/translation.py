@@ -193,7 +193,8 @@ def _translate(f, y, sy_root, x, M: int | None, members: int | None = None):
     of f makes its (y, x) entry non-finite, so the result is checked once,
     and only on failure are the passes of its non-finite entries evaluated
     again and searched in order: ValueError names the first point where f
-    is not finite.
+    is not finite, or, when every sample is finite, the x and y of the
+    first entry that overflows.
 
     With `members` = k, f is a family of k functions: it returns one row of
     samples per member, shape (k, N) for N points, and is called once per
@@ -232,8 +233,9 @@ def _translate(f, y, sy_root, x, M: int | None, members: int | None = None):
         np.subtract(xy[i:j, lo:hi, None], r, out=r)
         return np.clip(r, -1.0, 1.0, out=r)
 
-    # a non-finite sample of f is named by the check below, not warned of
-    with np.errstate(invalid="ignore"):
+    # a non-finite sample of f, or a finite one that overflows, is named by
+    # the check below, not warned of
+    with np.errstate(invalid="ignore", over="ignore"):
         for i in range(0, ys.size, per_pass):
             j = min(i + per_pass, ys.size)
             for lo, hi in runs:
@@ -248,6 +250,7 @@ def _translate(f, y, sy_root, x, M: int | None, members: int | None = None):
                 # one matrix-vector product per member and y over the run's x-rows,
                 # so a row's rounding does not depend on the batch (see _x_runs)
                 out[:, i:j, lo:hi] = k @ rule.weights
+        out /= np.pi * sx
         if not np.isfinite(out).all():
             # finite samples can overflow too, so each such pass is searched in turn
             yi, xi = np.nonzero(~np.isfinite(out).all(axis=0))
@@ -255,7 +258,9 @@ def _translate(f, y, sy_root, x, M: int | None, members: int | None = None):
             for i, n in dict.fromkeys(zip(yi - yi % per_pass, run)):
                 r = arguments(int(i), *runs[n]).ravel()
                 _require_finite(np.asarray(f(r), dtype=float), r)
-    out /= np.pi * sx
+            raise ValueError(
+                f"f's samples overflow the translate at x = {xs[xi[0]]}, y = {ys[yi[0]]}"
+            )
     out = out.reshape(lead + np.shape(y) + np.shape(x))
     return float(out) if out.ndim == 0 else out
 
@@ -284,7 +289,8 @@ def translate(f, y, x, M: int | None = None):
     scalar call at y[i], bit for bit.
 
     A non-finite sample of f raises ValueError naming the point it was
-    taken at.
+    taken at, and finite samples whose translate overflows one naming its
+    x and y.
     """
     return _translate(as_sampled(f), *_y_args(y), x, M)
 

@@ -551,10 +551,10 @@ class TestIRLS:
         # abs is solved on the even columns, signabs32 on the odd ones and
         # absshift on all of them; every degree is certified, and its value and
         # its lower bound value - gap bracket the LP optimum
-        f, rule = get_test_function(name), gauss_legendre(approx._GRID_IRLS)
+        f, rule = get_test_function(name), gauss_legendre(approx._solver(SP1)[1])
         for alpha in (0.75, 1.0):
             sp = WeightedSpace(1.0, alpha)
-            fnorm = weighted_norm(f, sp, approx._GRID_IRLS)
+            fnorm = weighted_norm(f, sp, approx._solver(sp)[1])
             for r in best_approx_sequence(f, 16, sp):
                 lp = l1_lp(f, r.n, alpha, rule)
                 assert r.flags == (), (alpha, r.n)
@@ -587,8 +587,8 @@ class TestInteriorPoint:
         def f(x):
             return np.abs(x - c)
 
-        sp, rule = WeightedSpace(1.0, alpha), gauss_legendre(approx._GRID_IRLS)
-        fnorm = weighted_norm(f, sp, approx._GRID_IRLS)
+        sp, rule = WeightedSpace(1.0, alpha), gauss_legendre(approx._solver(SP1)[1])
+        fnorm = weighted_norm(f, sp, approx._solver(sp)[1])
         seq = best_approx_sequence(f, n_max, sp)
         for r in seq:
             lp = l1_lp(f, r.n, alpha, rule)
@@ -642,7 +642,7 @@ class TestInteriorPoint:
         # not: that lane leaves flagged with the gap of its iterate, and the
         # others, factored one by one at that iteration, still certify
         f, sp = KINKS["absshift"], WeightedSpace(1.0, 1.0)
-        fnorm = weighted_norm(f, sp, approx._GRID_IRLS)
+        fnorm = weighted_norm(f, sp, approx._solver(sp)[1])
         cholesky = np.linalg.cholesky
 
         def reject_lane_3(G):
@@ -653,7 +653,7 @@ class TestInteriorPoint:
         monkeypatch.setattr(np.linalg, "cholesky", reject_lane_3)
         seq = best_approx_sequence(f, 6, sp)
         monkeypatch.undo()
-        rule = gauss_legendre(approx._GRID_IRLS)
+        rule = gauss_legendre(approx._solver(sp)[1])
         for r in seq:
             if r.n == 3:
                 # no step was taken: the L2 fit, with a bound of 0 or better
@@ -670,8 +670,8 @@ class TestInteriorPoint:
         # must still leave value - gap a lower bound, and an unflagged lane a
         # certified one
         f, sp = KINKS[name], WeightedSpace(1.0, 1.0)
-        fnorm = weighted_norm(f, sp, approx._GRID_IRLS)
-        rule = gauss_legendre(approx._GRID_IRLS)
+        fnorm = weighted_norm(f, sp, approx._solver(sp)[1])
+        rule = gauss_legendre(approx._solver(sp)[1])
         monkeypatch.setattr(interior_point, "_NEAR_GAP", -math.inf)
         seq = best_approx_sequence(f, 16, sp)
         assert any(r.flags for r in seq) and not all(r.flags for r in seq)
@@ -685,8 +685,8 @@ class TestInteriorPoint:
         # a stall threshold far above the tolerance stops every lane before
         # its certificate: each is flagged, with a gap that still brackets E_n
         f, sp = KINKS["absshift"], WeightedSpace(1.0, 1.0)
-        fnorm = weighted_norm(f, sp, approx._GRID_IRLS)
-        rule = gauss_legendre(approx._GRID_IRLS)
+        fnorm = weighted_norm(f, sp, approx._solver(sp)[1])
+        rule = gauss_legendre(approx._solver(sp)[1])
         monkeypatch.setattr(interior_point, "_STALL", 1e6)
         for r in best_approx_sequence(f, 4, sp):
             lp = l1_lp(f, r.n, 1.0, rule)
@@ -836,7 +836,7 @@ class TestParity:
             ws = _Workspace(f, sp, 16)
             assert ws.degrees.tolist() == list(range(first, 16, step)), p
             # an even or odd f is solved on the half grid x >= 0
-            X = approx._grid_size(sp)
+            X = approx._solver(sp)[1]
             assert ws.grid.x.size == ((X + 1) // 2 if step == 2 else X), p
             assert ws.fx.size == ws.grid.x.size
             full = np.polynomial.chebyshev.chebvander(ws.grid.x, 15)
@@ -858,7 +858,7 @@ class TestParity:
         monkeypatch.setattr(approx, "_parity", lambda fx: None)
         full = best_approx_sequence(f, n_max, sp)  # every column on the full grid
         # x2 is reproduced from n = 3 on: both values are then roundoff
-        atol = 1e-15 * weighted_norm(f, sp, approx._grid_size(sp))
+        atol = 1e-15 * weighted_norm(f, sp, approx._solver(sp)[1])
         assert_allclose([r.value for r in seq], [r.value for r in full], rtol=1e-12, atol=atol)
         assert [r.flags for r in seq] == [r.flags for r in full]
         # an odd f at n = 1 gets the zero polynomial without a solve
@@ -867,7 +867,7 @@ class TestParity:
             # the interior-point paths differ in their roundoff, and with it in
             # the iteration a lane's gap first meets the tolerance (16 against
             # 17-18 at n = 13-16 of abs): both must certify every degree
-            tol = 1e-12 * weighted_norm(f, sp, approx._GRID_IRLS)
+            tol = 1e-12 * weighted_norm(f, sp, approx._solver(sp)[1])
             assert all(r.residual_norm_gap <= tol for r in seq + full)
         else:
             assert [r.iterations for r in seq[first:]] == [r.iterations for r in full[first:]]
@@ -882,7 +882,7 @@ class TestParity:
         # NaN at one node fails the parity test; +-inf at mirrored nodes
         # passes it, as an even or an odd f; both are rejected by name
         sp = WeightedSpace(p, 1.0)
-        x = sp._grid(approx._grid_size(sp)).x
+        x = sp._grid(approx._solver(sp)[1]).x
         bad = x[index % x.size]
 
         def f(t):
@@ -912,7 +912,7 @@ class TestParity:
         # smallest t grid, whose t = 0 row samples f at the grid itself); the
         # grid is not symmetric bit for bit, so the mirrored point is the one
         # at the mirrored index
-        x = SPINF._grid(approx._grid_size(SPINF)).x
+        x = SPINF._grid(approx._solver(SPINF)[1]).x
         bad = x[[index, x.size - 1 - index]]
 
         def f(t):
@@ -944,7 +944,7 @@ class TestParity:
     def test_odd_function_at_n1_is_the_zero_polynomial(self, p):
         f, sp = KINKS["signabs32"], WeightedSpace(p, 1.0)
         r = best_approx(f, 1, sp)
-        assert r.value == weighted_norm(f, sp, approx._grid_size(sp))
+        assert r.value == weighted_norm(f, sp, approx._solver(sp)[1])
         assert (r.flags, r.iterations, r.coefficients.tolist()) == ((), 0, [0.0])
 
 
@@ -968,7 +968,7 @@ def test_no_value_above_the_zero_polynomial(name, collapse_exchange_from):
 def test_value_is_the_norm_of_the_space(p):
     """Every solver's E_n is weighted_norm of its error on the solver's grid."""
     space = WeightedSpace(p, 1.0)
-    grid = approx._grid_size(space)
+    grid = approx._solver(space)[1]
     for name in ("abs", "absshift", "signabs32"):
         f = get_test_function(name)
         for r in best_approx_sequence(f, 16, space):
@@ -1044,3 +1044,19 @@ def test_degree_beyond_a_quarter_of_the_grid_rejected(space, n):
         best_approx(np.abs, n, space)
     with pytest.raises(ValueError, match=f"n = {n} exceeds"):
         best_approx_sequence(np.abs, n, space)
+
+
+def _unsampled(x):
+    raise AssertionError("f sampled before E_n's gate")
+
+
+@pytest.mark.parametrize("p, quarter", [(1.5, 256), (2.0, 64), (INF, 1024)])
+def test_degree_gate_runs_before_f_is_sampled(p, quarter):
+    with pytest.raises(ValueError, match=f"n = {quarter + 1} exceeds {quarter}, a quarter"):
+        best_approx_sequence(_unsampled, quarter + 1, WeightedSpace(p, 1.0))
+
+
+@pytest.mark.parametrize("space", [WeightedSpace(2.0, 0.3), WeightedSpace(1.0, 0.5), WeightedSpace(INF, 1.5)])
+def test_admissibility_gate_runs_before_f_is_sampled(space):
+    with pytest.raises(ValueError, match="admissible"):
+        best_approx(_unsampled, 2, space)

@@ -109,7 +109,9 @@ class TestVerifyLemma1:
 
         monkeypatch.setattr(harness, "translate", counting)
         assert verify_lemma1(n_max=4, grid=12).all_passed
-        assert len(sizes) == 8 and sizes[-1] == 9
+        # linearity: one call per function over both y; constants: the y grid;
+        # the multiplier check: all nine y at once
+        assert sizes == [2, 2, 2, 12, 9]
 
     @pytest.mark.parametrize("grid", [1, 0, -3])
     def test_degenerate_grid_rejected(self, grid):
@@ -250,7 +252,7 @@ class TestDyadic:
         sp = WeightedSpace(p, 1.0)
         fn = get_test_function("absshift")
         dec = dyadic_bound(fn, 8, sp)
-        grid = sp._grid(approx._grid_size(sp))
+        grid = sp._grid(approx._solver(sp)[1])
         fits = [r.polynomial() for r in approx.best_approx_sequence(fn, 8, sp)]
         for e, fit in zip(dec.e_values, fits):
             assert_allclose(grid.norm(grid.wgt * (fn(grid.x) - fit(grid.x))), e, rtol=1e-9)

@@ -202,6 +202,14 @@ def test_non_finite_sample_named_before_any_translation(monkeypatch):
     assert float(str(err.value).rsplit("x = ", 1)[1]) == bad
 
 
+@pytest.mark.parametrize("space", [SP2, SPINF])
+def test_finite_input_whose_translate_overflows_named(space):
+    # 1.7e308 x is finite on [-1, 1], but its translates overflow: they are
+    # named by x and y, not as a non-finite sample of f
+    with pytest.raises(ValueError, match="overflow the translate at x = "):
+        modulus_omega(lambda x: 1.7e308 * x, 0.3, space)
+
+
 @pytest.mark.parametrize("delta", [math.inf, math.nan])
 def test_non_finite_delta_rejected(delta):
     with pytest.raises(ValueError, match="delta = "):

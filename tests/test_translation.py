@@ -537,3 +537,16 @@ class TestNonFiniteSamples:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="sample value nan") as err:
             translate(f, 1.0, np.linspace(-0.95, 0.95, 200), M=128)
         assert float(str(err.value).rsplit("x = ", 1)[1]) > 0.5
+
+    @pytest.mark.parametrize("kernel, y", [(translate, 0.3), (translate_trig, math.cos(0.3))])
+    def test_finite_samples_that_overflow_named_by_x_and_y(self, kernel, y):
+        # every sample is finite, but the kernel's products overflow: the
+        # first entry of the result is named, where the search finds no sample
+        def f(t):
+            return np.full_like(t, 1.7e308)
+
+        with pytest.raises(ValueError, match="overflow the translate") as err:
+            kernel(f, [0.3, 0.4], [-0.5, 0.5])
+        assert str(err.value).endswith(f"x = -0.5, y = {y}")
+        with pytest.raises(ValueError, match=r"at x = 0\.5, y = 0\.3$"):
+            translate(f, 0.3, 0.5)
