@@ -33,7 +33,9 @@ grid's nodes, so that the Chebyshev design on the grid has full rank.
   of the weighted residual e relative to ||f||, so they do not carry f's
   scale, and the power is taken as in the norm: by products and a square
   root when 2p is an integer.  Either way a lane also leaves at the
-  iteration limit, or when its normal equations are singular.
+  iteration limit, or when its normal equations are singular; an IRLS lane
+  also leaves when its next iterate is not finite (its weights overflow
+  at large p), keeping the last finite one.
   `best_approx(f, n)` is a sequence of one lane.
 
 Every weighted least-squares solve goes through the normal equations.  The
@@ -69,8 +71,8 @@ even summand, so the solve runs on the half x >= 0 of the grid, with each
 weight doubled but that of the node x = 0 of an odd-sized rule: (X + 1) / 2
 of X nodes, X / 2 of the even-sized p = 2 rule.  Its sums equal the full
 grid's up to the order of addition.  Any other f keeps every column and
-every node.  p = inf is left out: the sup grid is not symmetric bit for
-bit, and the even polynomials are no Haar system on [-1, 1], which the
+every node.  p = inf is left out: its grid is symmetric bit for bit too,
+but the even polynomials are no Haar system on [-1, 1], which the
 exchange needs.
 
 Scale.  Every absolute tolerance (the IRLS residual floor and stop test,
@@ -290,8 +292,9 @@ def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
     iteration makes one stacked weighted least-squares solve for the lanes
     still active, factored by :func:`_factor_lanes`.  A lane leaves the
     stack when its value settles, at _IRLS_MAX_ITER, or when Cholesky
-    rejects its own Gram matrix; it then keeps its last iterate and is
-    flagged `singular_normal_equations`.  The lane masks and their Gram
+    rejects its own Gram matrix, or when its new iterate is not finite; it
+    then keeps its last iterate and is flagged `singular_normal_equations`
+    or `non_finite_iterate`.  The lane masks and their Gram
     padding (:func:`_off_block`) are built once, and :func:`_keep_rows`
     drops the rows of the lanes that leave, as in :func:`_interior_point`.
     Each n counts the kept Chebyshev columns a lane fits.
@@ -337,41 +340,56 @@ def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
     lane = np.arange(len(ns))  # the active lanes, in stack order
     gap = np.full(len(ns), math.inf)
     mask, off = lanes.copy(), _off_block(lanes)  # those of the active lanes
-    for it in range(1, _IRLS_MAX_ITER + 1):
-        # residual magnitudes floored so the p-2 power cannot blow up near zeros;
-        # e is recomputed below, so w takes its buffer
-        w = np.abs(e, out=e)
-        np.maximum(w, _IRLS_RESIDUAL_FLOOR, out=w)
-        _power(w, p - 2.0)
-        w *= base
-        L_inv, ok = _factor_lanes(_gram(ws, w, off), mask)
-        if not ok.all():
-            for k in np.flatnonzero(~ok):
-                finish(lane[k], coef[k], zf * value[k], zf * gap[k], it,
-                       ("singular_normal_equations",))
-            if not ok.any():
-                return results
-            lane, coef, rho, w, value, gap, mask, off = _keep_rows(
-                ok, lane, coef, rho, w, value, gap, mask, off
-            )
-        coef = _weighted_least_squares(ws, w, mask, L_inv, (coef, rho))
-        del L_inv  # the factor stack is freed before the next one is made
-        # rho and e are recomputed in the buffers of the old residual and of w
-        np.matmul(coef, V.T, out=rho)
-        np.subtract(ws.fx, rho, out=rho)
-        e = np.multiply(scaled_wgt, rho, out=w)
-        new_value = grid.norm(e)
-        gap = np.abs(new_value - value)
-        value = new_value
-        done = gap <= 1e-14 + 1e-13 * value
-        if done.any():
-            for k in np.flatnonzero(done):
-                finish(lane[k], coef[k], zf * value[k], zf * gap[k], it)
-            if done.all():
-                return results
-            lane, coef, rho, e, value, gap, mask, off = _keep_rows(
-                ~done, lane, coef, rho, e, value, gap, mask, off
-            )
+
+    def retire(keep: np.ndarray, c: np.ndarray, it: int, flags=()) -> bool:
+        """Finish the active lanes outside `keep` with their iterates c and
+        `flags`; True when no lane is left."""
+        for k in np.flatnonzero(~keep):
+            finish(lane[k], c[k], zf * value[k], zf * gap[k], it, flags)
+        return not keep.any()
+
+    # weights that overflow at large p are caught by the checks on the factor
+    # and the iterate, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, _IRLS_MAX_ITER + 1):
+            # residual magnitudes floored so the p-2 power cannot blow up near zeros;
+            # e is recomputed below, so w takes its buffer
+            w = np.abs(e, out=e)
+            np.maximum(w, _IRLS_RESIDUAL_FLOOR, out=w)
+            _power(w, p - 2.0)
+            w *= base
+            L_inv, ok = _factor_lanes(_gram(ws, w, off), mask)
+            if not ok.all():
+                if retire(ok, coef, it, ("singular_normal_equations",)):
+                    return results
+                lane, coef, rho, w, value, gap, mask, off = _keep_rows(
+                    ok, lane, coef, rho, w, value, gap, mask, off
+                )
+            new = _weighted_least_squares(ws, w, mask, L_inv, (coef, rho))
+            del L_inv  # the factor stack is freed before the next one is made
+            # a lane whose iterate turns non-finite keeps its last finite one
+            ok = np.isfinite(new).all(axis=1)
+            if not ok.all():
+                if retire(ok, coef, it, ("non_finite_iterate",)):
+                    return results
+                lane, new, rho, w, value, gap, mask, off = _keep_rows(
+                    ok, lane, new, rho, w, value, gap, mask, off
+                )
+            coef = new
+            # rho and e are recomputed in the buffers of the old residual and of w
+            np.matmul(coef, V.T, out=rho)
+            np.subtract(ws.fx, rho, out=rho)
+            e = np.multiply(scaled_wgt, rho, out=w)
+            new_value = grid.norm(e)
+            gap = np.abs(new_value - value)
+            value = new_value
+            done = gap <= 1e-14 + 1e-13 * value
+            if done.any():
+                if retire(~done, coef, it):
+                    return results
+                lane, coef, rho, e, value, gap, mask, off = _keep_rows(
+                    ~done, lane, coef, rho, e, value, gap, mask, off
+                )
     for k in range(len(lane)):
         finish(lane[k], coef[k], zf * value[k], zf * gap[k], _IRLS_MAX_ITER, ("max_iterations",))
     return results
@@ -382,7 +400,8 @@ def _initial_reference(ws: _Workspace, n: int) -> np.ndarray:
     cos(pi (k + 1/2) / (n + 1)), k = 0..n: the exchange's seed.
 
     Relies on the grid being :func:`sup_grid` of X points, whose point i is
-    -(1 - EDGE_EPS) cos(pi i / (X - 1)): the point at the angle nearest
+    -(1 - EDGE_EPS) cos(pi i / (X - 1)) (to roundoff where it mirrors the
+    lower half): the point at the angle nearest
     pi (k + 1/2) / (n + 1) has index rint((X - 1) (k + 1/2) / (n + 1)).  For
     1 <= n <= (X - 1) / 4 neighbouring indices are at least 3 apart.
     """

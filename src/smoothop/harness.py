@@ -26,7 +26,9 @@ from numpy.polynomial import chebyshev as C
 
 from .approx import _solver, best_approx_sequence
 from .modulus import _check_omega_args, _omegas
-from .orthopoly import JACOBI_22, _check_int, _coefficients, _jacobi_rows, fourier_jacobi_series
+from .orthopoly import (
+    JACOBI_22, _check_int, _coefficients, _jacobi_rows, _symmetric, fourier_jacobi_series,
+)
 from .translation import _translate_jacobi, default_multiplier, multiplier_eval, translate
 from .weighted_space import (
     SampledFunction,
@@ -129,7 +131,7 @@ def verify_lemma1(n_max: int = 20, grid: int = 24, seed: int = 0) -> Lemma1Repor
         raise ValueError(f"n_max must be <= 20, got n_max = {n_max}")
     _check_int(grid, "grid", 2)
     _check_int(seed, "seed", 0)
-    xg = np.linspace(-0.97, 0.97, grid)
+    xg = _symmetric(np.linspace(-0.97, 0.97, grid)[: grid // 2], grid)  # translated in mirror pairs
     yg = np.linspace(-1.0, 1.0, grid)
 
     checks: list[PropertyCheck] = []

@@ -194,16 +194,26 @@ def gauss_chebyshev(M: int) -> QuadratureRule:
     """Gauss-Chebyshev rule (first kind) with M nodes.
 
     Integrates g(z) / sqrt(1 - z^2) exactly for polynomials g of degree
-    <= 2M - 1.  Nodes are cos((2j - 1) pi / (2M)), all weights pi / M.
+    <= 2M - 1.  Nodes are cos((2j - 1) pi / (2M)), all weights pi / M; those
+    below 0 are taken as -cos((2j - 1) pi / (2M)), j <= M / 2, and mirrored,
+    so the rule is symmetric bit for bit and an odd M has the node 0.0.
     Rules are cached per M and shared, so their arrays are read-only.
     """
     _check_int(M, "M", 1)
-    j = np.arange(1, M + 1)
-    nodes = np.cos((2 * j - 1) * np.pi / (2 * M))[::-1].copy()
+    j = np.arange(1, M // 2 + 1)
+    nodes = _symmetric(-np.cos((2 * j - 1) * np.pi / (2 * M)), M)
     weights = np.full(M, np.pi / M)
-    nodes.flags.writeable = False
     weights.flags.writeable = False
     return QuadratureRule(nodes, weights)
+
+
+def _symmetric(lower: np.ndarray, size: int) -> np.ndarray:
+    """The read-only grid of `size` points, symmetric about 0 bit for bit,
+    whose first size // 2 points are `lower`, ascending below 0, mirrored;
+    an odd size has 0.0 in the middle."""
+    grid = np.concatenate((lower, np.zeros(size % 2), -lower[::-1]))
+    grid.flags.writeable = False  # shared through the caches of its builders
+    return grid
 
 
 def _legendre_pair(M: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,10 +307,9 @@ def gauss_legendre(M: int) -> QuadratureRule:
         )
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     pos = M // 2  # the nodes x > 0, nearest 1 first; an odd M's 0.0 follows
-    x = np.concatenate((-x[:pos], x[::-1]))
+    x = _symmetric(-x[:pos], M)
     w = np.concatenate((w[:pos], w[::-1]))
-    x.flags.writeable = False  # shared through the cache
-    w.flags.writeable = False
+    w.flags.writeable = False  # shared through the cache
     return QuadratureRule(x, w)
 
 

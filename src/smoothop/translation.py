@@ -155,19 +155,20 @@ def _check_translate_args(x: np.ndarray, y: np.ndarray, M: int) -> None:
 _CHUNK = 16384
 
 
-def _x_runs(n: int, M: int, rows: int) -> list[tuple[int, int]]:
-    """The x-row ranges [lo, hi) of the passes over n x-rows, at most `rows`
-    to a pass while 5 rows fit.
+def _x_runs(n: int, width: int, rows: int) -> list[tuple[int, int]]:
+    """The x-row ranges [lo, hi) of the passes over n x-rows of `width`
+    elements each (M, or 2M for a mirror pair), at most `rows` to a pass
+    while 5 rows fit.
 
-    A one-function call takes chunks of max(1, _CHUNK // M) rows.  A family
-    that cannot hold such a chunk in one pass cuts it into runs of whole
-    4-row blocks, and a lone last row joins the 4 before it.  The BLAS
+    A one-function call takes chunks of max(1, _CHUNK // width) rows.  A
+    family that cannot hold such a chunk in one pass cuts it into runs of
+    whole 4-row blocks, and a lone last row joins the 4 before it.  The BLAS
     matrix-vector product (OpenBLAS) rounds a row alike in any run of whole
     blocks and in the 2- or 3-row tail after them, but not as a lone row,
     which numpy hands to a dot product; so each member of a family keeps
     the rounding of its one-function call.
     """
-    single = max(1, _CHUNK // M)
+    single = max(1, _CHUNK // width)
     run = single if rows >= single else max(4, rows - rows % 4)
     out: list[tuple[int, int]] = []
     for lo in range(0, n, single):
@@ -189,19 +190,31 @@ def _translate(f, y, sy_root, x, M: int | None, members: int | None = None):
     M, then evaluates the (y, x, z) grid in passes of at most _CHUNK
     elements (one x-row when M exceeds it), in place.  A pass takes whole
     y-blocks when one y's rows fit, and x-row chunks of one y otherwise;
-    every element sees the same arithmetic either way.  A non-finite sample
-    of f makes its (y, x) entry non-finite, so the result is checked once,
-    and only on failure are the passes of its non-finite entries evaluated
-    again and searched in order: ValueError names the first point where f
-    is not finite, or, when every sample is finite, the x and y of the
-    first entry that overflows.
+    every element sees the same arithmetic either way.
+
+    Mirror pairs.  R(-x, y, -z) = -R(x, y, z), and K depends on x and z only
+    through x^2, z^2 and R^2, so on the Gauss-Chebyshev rule, symmetric bit
+    for bit, (T_y f)(-x) = 1 / (pi (1 - x^2)) sum_z w_z K(x, y, z) f(-R).
+    When x is symmetric about 0 bit for bit (and a pair of rows fits in a
+    pass, 2M <= _CHUNK), the rows of its upper half are taken with both
+    signs: R, its clip and K once, f called on R and -R together, and the
+    value at -x summed over z in the same order as that at x.  It is the
+    quadrature of the same rule up to the order of addition.  The middle
+    row x = 0 of an odd-sized grid, and every row of any other x, takes one
+    sign in the same loop.
+
+    A non-finite sample of f makes its (y, x) entry non-finite, so the
+    result is checked once, and only on failure are the passes of its
+    non-finite entries evaluated again and searched in order: ValueError
+    names the first point where f is not finite, or, when every sample is
+    finite, the x and y of the first entry that overflows.
 
     With `members` = k, f is a family of k functions: it returns one row of
     samples per member, shape (k, N) for N points, and is called once per
     pass for all of them.  The result then has shape (k,) + y.shape +
     x.shape, each member its own one-function call bit for bit (see
     :func:`_x_runs` where x is split), and a pass holds at most _CHUNK
-    elements across its k rows while 5 x-rows fit.
+    elements across its k rows while 5 x-rows (or mirror pairs) fit.
     """
     if M is None:
         M = _default_quad_size(f)
@@ -220,48 +233,67 @@ def _translate(f, y, sy_root, x, M: int | None, members: int | None = None):
     sx = 1.0 - xs * xs
     rx = np.sqrt(sx)
     xy = np.multiply.outer(ys, xs)
-    lead = () if members is None else (members,)
-    out = np.empty((members or 1, ys.size, xs.size))
-    rows = max(1, _CHUNK // ((members or 1) * M))  # x-rows a pass may hold
-    per_pass = max(1, rows // max(1, xs.size))  # y per pass; 1 unless a y's rows fit
-    runs = _x_runs(xs.size, M, rows)
+    n, fam = xs.size, members or 1
+    out = np.empty((fam, ys.size, n))
+    # the upper half's h rows as mirror pairs: column g of `out` holds x,
+    # column g of `back` its mirror -x
+    h = n // 2 if 2 * M <= _CHUNK and np.array_equal(xs, -xs[::-1]) else 0
+    back = out[..., ::-1]
+    passes = []  # (signs, y from i to j, x-rows lo:hi), in order
+    for signs, first, last in ((2, n - h, n), (1, h, n - h)):
+        rows = max(1, _CHUNK // (fam * signs * M))  # x-rows a pass may hold
+        per_pass = max(1, rows // max(1, last - first))  # y per pass; 1 unless a y's rows fit
+        passes += [
+            (signs, i, min(i + per_pass, ys.size), first + lo, first + hi)
+            for i in range(0, ys.size, per_pass)
+            for lo, hi in _x_runs(last - first, signs * M, rows)
+        ]
 
-    def arguments(i: int, lo: int, hi: int) -> np.ndarray:
-        """R, the arguments of f on the pass over y from i and x-rows lo:hi."""
-        j = min(i + per_pass, ys.size)
-        r = rx[lo:hi, None] * zs[i:j, None]
-        np.subtract(xy[i:j, lo:hi, None], r, out=r)
-        return np.clip(r, -1.0, 1.0, out=r)
+    def arguments(signs: int, i: int, j: int, lo: int, hi: int) -> np.ndarray:
+        """R on the pass over y from i to j and x-rows lo:hi, and -R after it
+        for a mirror pass: the arguments of f, shape (signs, j - i, hi - lo, M)."""
+        r = np.empty((signs, j - i, hi - lo, M))
+        np.multiply(rx[lo:hi, None], zs[i:j, None], out=r[0])
+        np.subtract(xy[i:j, lo:hi, None], r[0], out=r[0])
+        np.clip(r[0], -1.0, 1.0, out=r[0])
+        if signs == 2:
+            np.negative(r[0], out=r[1])
+        return r
 
     # a non-finite sample of f, or a finite one that overflows, is named by
     # the check below, not warned of
     with np.errstate(invalid="ignore", over="ignore"):
-        for i in range(0, ys.size, per_pass):
-            j = min(i + per_pass, ys.size)
-            for lo, hi in runs:
-                r = arguments(i, lo, hi)
-                k = sx[lo:hi, None] * c[i:j, None]
-                k += a[i:j, None]
-                k -= r * r
-                # dropped here: a name would keep f's samples alive into the next pass
-                fr = np.asarray(f(r.ravel()), dtype=float).reshape(lead + r.shape)
-                k = np.multiply(k, fr, out=None if lead else k)
-                del fr
-                # one matrix-vector product per member and y over the run's x-rows,
-                # so a row's rounding does not depend on the batch (see _x_runs)
-                out[:, i:j, lo:hi] = k @ rule.weights
+        for signs, i, j, lo, hi in passes:
+            r = arguments(signs, i, j, lo, hi)
+            k = sx[lo:hi, None] * c[i:j, None]
+            k += a[i:j, None]
+            k -= r[0] * r[0]
+            fr = np.asarray(f(r.ravel()), dtype=float).reshape((fam,) + r.shape)
+            fr = np.multiply(k, fr, out=None if members else r[None])  # f's samples dropped
+            # one matrix-vector product per member, sign and y over the run's
+            # x-rows, so a row's rounding does not depend on the batch (see _x_runs)
+            sums = fr @ rule.weights
+            out[:, i:j, lo:hi] = sums[:, 0]
+            if signs == 2:
+                back[:, i:j, lo:hi] = sums[:, 1]
+            # R and K live until the next pass has made its own, as before the
+            # mirror pairs; the product goes now.  Freed all at once at the end
+            # of a pass, or R kept through the next call of f, they made glibc
+            # give the top of the heap back and fault it in on every pass
+            del fr
         out /= np.pi * sx
         if not np.isfinite(out).all():
             # finite samples can overflow too, so each such pass is searched in turn
-            yi, xi = np.nonzero(~np.isfinite(out).all(axis=0))
-            run = np.searchsorted([lo for lo, _ in runs], xi, side="right") - 1
-            for i, n in dict.fromkeys(zip(yi - yi % per_pass, run)):
-                r = arguments(int(i), *runs[n]).ravel()
-                _require_finite(np.asarray(f(r), dtype=float), r)
+            bad = ~np.isfinite(out).all(axis=0)
+            for signs, i, j, lo, hi in passes:
+                if any(m[i:j, lo:hi].any() for m in (bad, bad[:, ::-1])[:signs]):
+                    r = arguments(signs, i, j, lo, hi).ravel()
+                    _require_finite(np.asarray(f(r), dtype=float), r)
+            yi, xi = np.nonzero(bad)
             raise ValueError(
                 f"f's samples overflow the translate at x = {xs[xi[0]]}, y = {ys[yi[0]]}"
             )
-    out = out.reshape(lead + np.shape(y) + np.shape(x))
+    out = out.reshape(((members,) if members else ()) + np.shape(y) + np.shape(x))
     return float(out) if out.ndim == 0 else out
 
 

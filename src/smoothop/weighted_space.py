@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .orthopoly import _check_int, _require_finite, gauss_legendre
+from .orthopoly import _check_int, _require_finite, _symmetric, gauss_legendre
 from .translation import EDGE_EPS, SampledFunction, as_sampled
 
 __all__ = [
@@ -126,14 +126,13 @@ def sup_grid(resolution: int = 4097) -> np.ndarray:
     The grid clusters near the endpoints, where the weight competes with
     growth of translated functions, and resolutions of the form 2^k + 1 nest,
     so refining can only increase a grid max.  The scaling keeps every point
-    outside the translation operator's singular edge band.
+    outside the translation operator's singular edge band.  Point i < X / 2
+    of X is -(1 - EDGE_EPS) cos(pi i / (X - 1)), and the rest mirror them:
+    the grid is symmetric bit for bit, with 0.0 in the middle of an odd X.
     """
     _check_int(resolution, "resolution", 16)
-    i = np.arange(resolution)
-    grid = (1.0 - EDGE_EPS) * np.cos(np.pi * i / (resolution - 1))
-    grid = grid[::-1].copy()
-    grid.flags.writeable = False  # shared through the cache
-    return grid
+    i = np.arange(resolution // 2)
+    return _symmetric(-(1.0 - EDGE_EPS) * np.cos(np.pi * i / (resolution - 1)), resolution)
 
 
 _SUM_RANGE = (1e-100, 1e100)  # sums of q |e|^p that _NormGrid.norm takes as they are

@@ -741,6 +741,48 @@ class TestLockstep:
         assert any("singular_normal_equations" in r.flags for r in seq)
         assert len({r.iterations for r in seq}) > 1
 
+    @pytest.mark.parametrize("p", [200.0, 600.0])
+    def test_non_finite_iterate_flagged_not_blamed_on_f(self, p):
+        # the weights |e|^(p - 2) overflow and some lanes' next iterate turns
+        # NaN: those lanes leave flagged with their last finite iterate, f is
+        # not named, and nothing warns (RuntimeWarning is an error here)
+        seq = best_approx_sequence(np.abs, 8, WeightedSpace(p, 1.0))
+        assert any("non_finite_iterate" in r.flags for r in seq)
+        for r in seq:
+            assert np.isfinite(r.value) and np.all(np.isfinite(r.coefficients)), r.n
+            stops = {"max_iterations", "singular_normal_equations", "non_finite_iterate"}
+            assert len(stops & set(r.flags)) <= 1, r.flags
+
+    def test_injected_non_finite_lane_keeps_its_last_iterate(self, monkeypatch):
+        # the lane of 3 columns gets a NaN iterate at the second IRLS
+        # iteration: it leaves with the first one, flagged, and the others go on
+        f, sp = KINKS["absshift"], WeightedSpace(1.5, 1.0)
+        expected = best_approx_sequence(f, 8, sp)
+        solve, iterates = approx._weighted_least_squares, []
+
+        def poisoned(ws, w, mask, L_inv, start=None):
+            coef = solve(ws, w, mask, L_inv, start)
+            iterates.append((mask.sum(axis=1), coef.copy()))
+            if len(iterates) == 3:  # the L2 fit, then IRLS iterations 1 and 2
+                coef[mask.sum(axis=1) == 3] = np.nan
+            return coef
+
+        monkeypatch.setattr(approx, "_weighted_least_squares", poisoned)
+        seq = best_approx_sequence(f, 8, sp)
+        monkeypatch.undo()
+        sizes, first = iterates[1]
+        last = first[sizes == 3][0, :3]
+        ws = _Workspace(as_sampled(f), sp, 8)
+        for r, e in zip(seq, expected):
+            if r.n == 3:
+                assert (r.flags, r.iterations) == (("non_finite_iterate",), 2)
+                assert np.array_equal(r.coefficients, last)
+                value = ws.grid.norm(ws.grid.wgt * (ws.fx - ws.vander[:, :3] @ last))
+                assert_allclose(r.value, value, rtol=1e-14)
+            else:
+                assert r.flags == () == e.flags, r.n
+                assert_allclose(r.value, e.value, rtol=1e-10, err_msg=f"n={r.n}")
+
     def test_injected_singular_lane_leaves_alone(self, monkeypatch):
         # every stack that holds the lane of 3 columns is rejected, as in
         # TestInteriorPoint: at p = 1.5 that lane leaves at the first IRLS

@@ -236,6 +236,17 @@ class TestQuadrature:
                 assert middle == 0.0 and not np.signbit(middle), M
             assert_allclose(rule.weights.sum(), 2.0, rtol=1e-14)
 
+    def test_chebyshev_nodes_mirrored_cosines(self):
+        for M in (1, 2, 7, 16, 128, 129):
+            nodes = gauss_chebyshev(M).nodes
+            assert np.all(np.diff(nodes) > 0)
+            # mirrored bit for bit, with +0.0 in the middle of an odd M
+            assert np.array_equal(nodes, -nodes[::-1]), M
+            if M % 2:
+                assert nodes[M // 2] == 0.0 and not np.signbit(nodes[M // 2]), M
+            j = np.arange(1, M + 1)
+            assert_allclose(nodes, np.cos((2 * j - 1) * np.pi / (2 * M))[::-1], rtol=0, atol=4e-16)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=1, max_value=64), st.data())
     def test_chebyshev_moment_exactness(self, M, data):

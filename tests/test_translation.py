@@ -6,9 +6,11 @@ import pytest
 from numpy.testing import assert_allclose
 from hypothesis import given, settings, strategies as st
 
-from smoothop.orthopoly import JACOBI_22, JacobiBasis, fourier_jacobi_coeff, jacobi_eval
+from smoothop.orthopoly import (
+    JACOBI_22, JacobiBasis, fourier_jacobi_coeff, gauss_chebyshev, gauss_legendre, jacobi_eval,
+)
 from smoothop import translation
-from smoothop.weighted_space import SampledFunction
+from smoothop.weighted_space import SampledFunction, sup_grid
 from smoothop.translation import (
     DEFAULT_CANDIDATES,
     EDGE_EPS,
@@ -24,6 +26,29 @@ from smoothop.translation import (
 )
 
 XGRID = np.linspace(-0.95, 0.95, 21)
+
+# grids symmetric about 0 bit for bit, on which the core takes mirror pairs
+SYMMETRIC = {
+    "gl36": gauss_legendre(36).nodes,
+    "gl42": gauss_legendre(42).nodes,
+    "gl256": gauss_legendre(256).nodes,
+    "gl1025": gauss_legendre(1025).nodes,
+    "sup17": sup_grid(17),
+    "sup4097": sup_grid(4097),
+}
+
+
+def xgrid(X):
+    """np.linspace(-0.97, 0.97, X), or the symmetric grid named X."""
+    return SYMMETRIC[X] if isinstance(X, str) else np.linspace(-0.97, 0.97, X)
+
+
+def r_grid(y, sy, x, M):
+    """The arguments R = clip(x y - z sqrt(1 - x^2) sqrt(1 - y^2)) of f, shape
+    (y, x, z), on the M-node Chebyshev rule."""
+    z = gauss_chebyshev(M).nodes
+    return np.clip(np.multiply.outer(y, x)[..., None]
+                   - np.sqrt(1.0 - x * x)[:, None] * (z * sy[:, None])[:, None], -1.0, 1.0)
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -167,6 +192,24 @@ def test_multi_pass_call_matches_single_point_calls():
         assert np.max(np.abs(whole - single)) <= 1e-14 * np.max(np.abs(single))
 
 
+@pytest.mark.parametrize("X", ["gl1025", "sup4097"])
+def test_mirror_pairs_match_single_point_calls(X):
+    # the value at -x is summed over z in the order of x's.  Near x = +-1 the
+    # z-sum cancels to O(1 - x^2) before the prefactor divides by it, so on
+    # grids that reach 1 - 1e-6 the bound is on the sum: a per-point call (a
+    # dot product, not a row of the BLAS matrix-vector product) differs there
+    # by up to 6e-12 max|T f| with or without mirror pairs
+    x = xgrid(X)
+    f = lambda v: np.abs(v - 0.1) ** 1.5
+    for translated in (
+        lambda pts: translate_trig(f, 0.2, pts, M=128),
+        lambda pts: translate(f, -0.4, pts, M=128),
+    ):
+        whole = translated(x)
+        single = np.array([translated(float(xi)) for xi in x])
+        assert np.max(np.abs(whole - single) * (1.0 - x * x)) <= 1e-14 * np.max(np.abs(single))
+
+
 class TestArrayY:
     F = staticmethod(lambda v: np.abs(v - 0.1) ** 1.5)
     YS = np.concatenate([[-1.0, 1.0], np.linspace(-0.95, 0.95, 11)])
@@ -176,11 +219,12 @@ class TestArrayY:
         (40, 128),    # three y per pass, the batch spans five passes
         (4097, 128),  # X * M above _CHUNK: x-row chunks of one y
         (3, 9000),    # one x-row per pass
+        ("gl1025", 128),  # mirror pairs, in chunks of one y, and the row x = 0
     ])
     def test_rows_equal_scalar_calls_bit_for_bit(self, X, M):
-        x = np.linspace(-0.97, 0.97, X)
+        x = xgrid(X)
         batch = translate(self.F, self.YS, x, M=M)
-        assert batch.shape == (self.YS.size, X)
+        assert batch.shape == (self.YS.size, x.size)
         assert np.array_equal(batch, np.stack([translate(self.F, y, x, M=M) for y in self.YS]))
 
     def test_pass_sizes_stay_within_chunk(self):
@@ -236,11 +280,13 @@ class TestArrayT:
     @pytest.mark.parametrize("X, M", [
         (256, 16),    # several t per pass, as omega at p < inf translates
         (4097, 128),  # x-row chunks of one t, as omega at p = inf translates
+        ("gl256", 16),  # mirror pairs, as omega at p = 2 translates
+        ("sup4097", 128),  # mirror pairs in chunks of one t, as omega at p = inf
     ])
     def test_rows_equal_scalar_calls_bit_for_bit(self, X, M):
-        x = np.linspace(-0.97, 0.97, X)
+        x = xgrid(X)
         batch = translate_trig(self.F, self.TS, x, M=M)
-        assert batch.shape == (self.TS.size, X)
+        assert batch.shape == (self.TS.size, x.size)
         assert np.array_equal(batch, np.stack([translate_trig(self.F, float(t), x, M=M) for t in self.TS]))
 
     def test_array_t_must_be_one_dimensional(self):
@@ -281,10 +327,12 @@ class TestFamily:
         (4097, 128, 3),  # runs of 40 rows, the last of each chunk 8
         (145, 64, 7),    # runs of 36 rows; the lone last row joins the 4 before it
         (41, 128, 150),  # runs of 4 rows, above _CHUNK; the lone last row as well
+        ("gl1025", 128, 3),  # chunks of 64 mirror pairs cut in runs of 20, and x = 0
+        ("gl42", 16, 150),  # runs of 4 mirror pairs; the lone last pair joins 4
     ])
     def test_members_equal_single_calls_bit_for_bit(self, X, M, k):
-        x = np.linspace(-0.97, 0.97, X)
-        ys = [0.3, TestArrayY.YS] if X * M < 100_000 else [0.3]
+        x = xgrid(X)
+        ys = [0.3, TestArrayY.YS] if x.size * M < 100_000 else [0.3]
         for y in ys:
             got = self.y_family(self.family(k), k, y, x, M)
             for i in range(k):
@@ -317,15 +365,18 @@ class TestFamily:
 
     @pytest.mark.parametrize("X, M, k", [
         (21, 16, 13), (24, 16, 21), (4097, 128, 3), (145, 64, 7), (41, 128, 150), (3, 9000, 2),
+        ("gl1025", 128, 3), ("gl42", 16, 150),
     ])
     def test_pass_sizes_stay_within_chunk(self, X, M, k):
         sizes = []
-        self.y_family(self.family(k, sizes), k, TestArrayY.YS[:3], np.linspace(-0.97, 0.97, X), M)
-        assert sum(sizes) == 3 * X * M
+        x = xgrid(X)
+        self.y_family(self.family(k, sizes), k, TestArrayY.YS[:3], x, M)
+        assert sum(sizes) == 3 * x.size * M
+        w = 2 * M if isinstance(X, str) else M  # a mirror pair holds 2M elements
         for n in sizes:
             # a pass holds at most _CHUNK elements across its k rows, unless
-            # 5 x-rows alone exceed that (see translation._x_runs)
-            assert k * n <= translation._CHUNK or (n <= 5 * M and 5 * k * M > translation._CHUNK)
+            # 5 x-rows (mirror pairs) alone exceed that (see translation._x_runs)
+            assert k * n <= translation._CHUNK or (n <= 5 * w and 5 * k * w > translation._CHUNK)
 
     @pytest.mark.parametrize("trig", [False, True])
     @pytest.mark.parametrize("X, M", [(21, 16), (40, 128), (4097, 128), (3, 9000)])
@@ -345,15 +396,52 @@ class TestFamily:
         else:
             y, sy = translation._y_args(TestArrayY.YS[:4])
             translate(f, TestArrayY.YS[:4], x, M=M)
-        z = translation.gauss_chebyshev(M).nodes
-        grid = np.clip(np.multiply.outer(y, x)[..., None]
-                       - np.sqrt(1.0 - x * x)[:, None] * (z * sy[:, None])[:, None], -1.0, 1.0)
+        grid = r_grid(y, sy, x, M)
         step = max(1, translation._CHUNK // M)
         per_pass = max(1, step // X)
         expected = [grid[i:i + per_pass, lo:lo + step].ravel()
                     for i in range(0, y.size, per_pass) for lo in range(0, X, step)]
         assert len(seen) == len(expected)
         assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
+
+
+class TestMirrorPairs:
+    """On an x symmetric about 0 bit for bit, T_y f at x and at -x come from
+    one pass of R and K: -R(x, y, z) is R(-x, y, -z) bit for bit."""
+
+    EVEN = staticmethod(lambda v: np.abs(v) ** 1.5 + v * v)
+    ODD = staticmethod(lambda v: np.sign(v) * np.abs(v) ** 1.5 + v * v * v)
+
+    @pytest.mark.parametrize("X", ["gl36", "gl1025", "sup17", "sup4097"])
+    @pytest.mark.parametrize("kernel, param", [
+        (translate, TestArrayY.YS), (translate_trig, TestArrayT.TS),
+    ], ids=["translate", "translate_trig"])
+    def test_even_and_odd_f_give_even_and_odd_rows_bit_for_bit(self, kernel, param, X):
+        x = xgrid(X)
+        even = kernel(self.EVEN, param, x, M=32)
+        assert np.array_equal(even, even[:, ::-1])
+        # the row x = 0 sums its antisymmetric terms to roundoff, not to 0
+        odd, off = kernel(self.ODD, param, x, M=32), x != 0
+        assert np.array_equal(odd[:, off], -odd[:, ::-1][:, off])
+
+    @pytest.mark.parametrize("trig", [False, True])
+    @pytest.mark.parametrize("X, M", [("gl36", 16), ("sup17", 16), ("gl1025", 128), ("sup4097", 128)])
+    def test_f_sees_each_argument_once_within_chunk(self, trig, X, M):
+        seen = []
+
+        def f(v):
+            seen.append(v.copy())
+            return TestArrayY.F(v)
+
+        x = xgrid(X)
+        if trig:
+            y, sy = translation._t_args(TestArrayT.TS[:4])
+            translate_trig(f, TestArrayT.TS[:4], x, M=M)
+        else:
+            y, sy = translation._y_args(TestArrayY.YS[:4])
+            translate(f, TestArrayY.YS[:4], x, M=M)
+        assert max(v.size for v in seen) <= translation._CHUNK
+        assert np.array_equal(np.sort(np.concatenate(seen)), np.sort(r_grid(y, sy, x, M), axis=None))
 
 
 class TestMultiplier:
@@ -496,14 +584,15 @@ class TestNonFiniteSamples:
         st.sampled_from([math.nan, math.inf, -math.inf]),
         st.sampled_from([translate, translate_trig]),
         st.one_of(unit, st.lists(unit, min_size=1, max_size=3)),
-        st.sampled_from([1, 5, 200]),
+        st.sampled_from([1, 5, 200, "gl36", "sup17"]),
     )
     def test_named_point_is_non_finite(self, lo, width, bad, kernel, param, X):
         # f is non-finite on [lo, lo + width]; the call raises exactly when some
         # argument of f falls in there, which a finite first call records.
-        # With X = 200 and M = 128 each y takes two passes.
+        # With X = 200 and M = 128 each y takes two passes; the symmetric
+        # grids take mirror pairs, whose -R may hold the only bad sample.
         hi = lo + width
-        x = np.linspace(-0.95, 0.95, X)
+        x = SYMMETRIC[X] if isinstance(X, str) else np.linspace(-0.95, 0.95, X)
         param = np.pi * np.asarray(param) if kernel is translate_trig else np.asarray(param)
 
         def f(t):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from smoothop.modulus import modulus_omega
+from smoothop.translation import EDGE_EPS
 from smoothop.weighted_space import (
     ParamVerdict,
     SampledFunction,
@@ -119,6 +120,19 @@ class TestWeightedNorm:
         fine = sup_grid(2049)
         assert np.isin(coarse, fine).all()
         assert np.max(np.abs(fine)) < 1.0
+
+    @pytest.mark.parametrize("X", [16, 17, 1024, 1025, 4097])
+    def test_sup_grid_mirrored_from_its_lower_half(self, X):
+        grid = sup_grid(X)
+        i = np.arange(X)
+        lower = -(1.0 - EDGE_EPS) * np.cos(np.pi * i[: X // 2] / (X - 1))
+        assert np.array_equal(grid[: X // 2], lower)
+        assert np.array_equal(grid, -grid[::-1])
+        if X % 2:
+            assert grid[X // 2] == 0.0 and not np.signbit(grid[X // 2])
+        assert np.all(np.diff(grid) > 0)
+        # within roundoff of (1 - EDGE_EPS) cos(pi i / (X - 1)), descending
+        assert_allclose(grid, (1.0 - EDGE_EPS) * np.cos(np.pi * i / (X - 1))[::-1], rtol=0, atol=6e-16)
 
     def test_nonfinite_sample_names_the_point(self):
         def bad(x):
