@@ -155,33 +155,6 @@ def _check_translate_args(x: np.ndarray, y: np.ndarray, M: int) -> None:
 _CHUNK = 16384
 
 
-def _x_runs(n: int, width: int, rows: int) -> list[tuple[int, int]]:
-    """The x-row ranges [lo, hi) of the passes over n x-rows of `width`
-    elements each (M, or 2M for a mirror pair), at most `rows` to a pass
-    while 5 rows fit.
-
-    A one-function call takes chunks of max(1, _CHUNK // width) rows.  A
-    family that cannot hold such a chunk in one pass cuts it into runs of
-    whole 4-row blocks, and a lone last row joins the 4 before it.  The BLAS
-    matrix-vector product (OpenBLAS) rounds a row alike in any run of whole
-    blocks and in the 2- or 3-row tail after them, but not as a lone row,
-    which numpy hands to a dot product; so each member of a family keeps
-    the rounding of its one-function call.
-    """
-    single = max(1, _CHUNK // width)
-    run = single if rows >= single else max(4, rows - rows % 4)
-    out: list[tuple[int, int]] = []
-    for lo in range(0, n, single):
-        hi = min(lo + single, n)
-        cuts = list(range(lo, hi, run))
-        if len(cuts) > 1 and hi - cuts[-1] == 1:  # the lone last row joins 4 others
-            cuts[-1] -= 4
-            if cuts[-1] == cuts[-2]:
-                cuts.pop()
-        out += zip(cuts, cuts[1:] + [hi])
-    return out
-
-
 def _translate(f, y, sy_root, x, M: int | None, members: int | None = None):
     """(T_y f)(x) for a scalar or 1-d y, with sy_root = sqrt(1 - y^2) given
     by the caller; the result has shape y.shape + x.shape.
@@ -189,12 +162,16 @@ def _translate(f, y, sy_root, x, M: int | None, members: int | None = None):
     The core of :func:`translate` and :func:`translate_trig`: checks x, y and
     M, then evaluates the (y, x, z) grid in passes of at most _CHUNK
     elements (one x-row when M exceeds it), in place.  A pass takes whole
-    y-blocks when one y's rows fit, and x-row chunks of one y otherwise;
-    every element sees the same arithmetic either way.
+    y-blocks when one y's rows fit, and otherwise chunks of one y's x-rows,
+    as many as fit and at least one.  Each (y, x) entry is its own sum over
+    the M nodes, taken in an order fixed by M alone, so no value depends on
+    how a call is cut into passes.  The rule's weights are all pi / M, so
+    the sum is of K f(R) alone and is divided by M (1 - x^2), the
+    prefactor's pi cancelled.
 
     Mirror pairs.  R(-x, y, -z) = -R(x, y, z), and K depends on x and z only
     through x^2, z^2 and R^2, so on the Gauss-Chebyshev rule, symmetric bit
-    for bit, (T_y f)(-x) = 1 / (pi (1 - x^2)) sum_z w_z K(x, y, z) f(-R).
+    for bit, (T_y f)(-x) = 1 / (M (1 - x^2)) sum_z K(x, y, z) f(-R).
     When x is symmetric about 0 bit for bit (and a pair of rows fits in a
     pass, 2M <= _CHUNK), the rows of its upper half are taken with both
     signs: R, its clip and K once, f called on R and -R together, and the
@@ -212,17 +189,16 @@ def _translate(f, y, sy_root, x, M: int | None, members: int | None = None):
     With `members` = k, f is a family of k functions: it returns one row of
     samples per member, shape (k, N) for N points, and is called once per
     pass for all of them.  The result then has shape (k,) + y.shape +
-    x.shape, each member its own one-function call bit for bit (see
-    :func:`_x_runs` where x is split), and a pass holds at most _CHUNK
-    elements across its k rows while 5 x-rows (or mirror pairs) fit.
+    x.shape, each member its own one-function call bit for bit, and a pass
+    holds at most _CHUNK elements across its k rows (one x-row, or mirror
+    pair, when a row alone exceeds that).
     """
     if M is None:
         M = _default_quad_size(f)
     ys = np.atleast_1d(y)
     xs = np.asarray(x, dtype=float).ravel()
     _check_translate_args(xs, ys, M)
-    rule = gauss_chebyshev(M)
-    z = rule.nodes
+    z = gauss_chebyshev(M).nodes
     sroot = np.atleast_1d(sy_root)[:, None]
     sy = sroot * sroot
     sz = 1.0 - z * z
@@ -244,9 +220,9 @@ def _translate(f, y, sy_root, x, M: int | None, members: int | None = None):
         rows = max(1, _CHUNK // (fam * signs * M))  # x-rows a pass may hold
         per_pass = max(1, rows // max(1, last - first))  # y per pass; 1 unless a y's rows fit
         passes += [
-            (signs, i, min(i + per_pass, ys.size), first + lo, first + hi)
+            (signs, i, min(i + per_pass, ys.size), lo, min(lo + rows, last))
             for i in range(0, ys.size, per_pass)
-            for lo, hi in _x_runs(last - first, signs * M, rows)
+            for lo in range(first, last, rows)
         ]
 
     def arguments(signs: int, i: int, j: int, lo: int, hi: int) -> np.ndarray:
@@ -269,19 +245,12 @@ def _translate(f, y, sy_root, x, M: int | None, members: int | None = None):
             k += a[i:j, None]
             k -= r[0] * r[0]
             fr = np.asarray(f(r.ravel()), dtype=float).reshape((fam,) + r.shape)
-            fr = np.multiply(k, fr, out=None if members else r[None])  # f's samples dropped
-            # one matrix-vector product per member, sign and y over the run's
-            # x-rows, so a row's rounding does not depend on the batch (see _x_runs)
-            sums = fr @ rule.weights
+            # each entry's own z-sum, in an order fixed by M (einsum calls no BLAS)
+            sums = np.einsum("...z,...z->...", k, fr)
             out[:, i:j, lo:hi] = sums[:, 0]
             if signs == 2:
                 back[:, i:j, lo:hi] = sums[:, 1]
-            # R and K live until the next pass has made its own, as before the
-            # mirror pairs; the product goes now.  Freed all at once at the end
-            # of a pass, or R kept through the next call of f, they made glibc
-            # give the top of the heap back and fault it in on every pass
-            del fr
-        out /= np.pi * sx
+        out /= M * sx  # the weights pi / M, over the prefactor's pi
         if not np.isfinite(out).all():
             # finite samples can overflow too, so each such pass is searched in turn
             bad = ~np.isfinite(out).all(axis=0)

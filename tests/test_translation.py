@@ -189,17 +189,18 @@ def test_multi_pass_call_matches_single_point_calls():
     ):
         whole = translated(x)
         single = np.array([translated(float(xi)) for xi in x])
-        assert np.max(np.abs(whole - single)) <= 1e-14 * np.max(np.abs(single))
+        assert np.array_equal(whole, single)
 
 
 @pytest.mark.parametrize("X", ["gl1025", "sup4097"])
 def test_mirror_pairs_match_single_point_calls(X):
-    # the value at -x is summed over z in the order of x's.  Near x = +-1 the
-    # z-sum cancels to O(1 - x^2) before the prefactor divides by it, so on
-    # grids that reach 1 - 1e-6 the bound is on the sum: a per-point call (a
-    # dot product, not a row of the BLAS matrix-vector product) differs there
-    # by up to 6e-12 max|T f| with or without mirror pairs
+    # the rows x >= 0 are computed directly, each z-sum in a per-point call's
+    # order.  The value at -x is summed over z in the order of x's, the reverse
+    # of a per-point call's; near x = +-1 the z-sum cancels to O(1 - x^2)
+    # before the prefactor divides by it, so on grids that reach 1 - 1e-6 the
+    # bound there is on the sum
     x = xgrid(X)
+    upper, lower = x >= 0, x < 0
     f = lambda v: np.abs(v - 0.1) ** 1.5
     for translated in (
         lambda pts: translate_trig(f, 0.2, pts, M=128),
@@ -207,7 +208,56 @@ def test_mirror_pairs_match_single_point_calls(X):
     ):
         whole = translated(x)
         single = np.array([translated(float(xi)) for xi in x])
-        assert np.max(np.abs(whole - single) * (1.0 - x * x)) <= 1e-14 * np.max(np.abs(single))
+        assert np.array_equal(whole[upper], single[upper])
+        gap = np.abs(whole - single)[lower] * (1.0 - x[lower] ** 2)
+        assert np.max(gap) <= 1e-14 * np.max(np.abs(single))
+
+
+class TestPassSize:
+    """No value depends on how a call is cut into passes: each entry is its
+    own z-sum, in an order fixed by M."""
+
+    # (X, M, pass size): sizes of M, 2M, 3M + 1, 5M and fixed ones, at least
+    # 2M on the symmetric grid, where mirror pairs need that much
+    CASES = [
+        (X, M, size)
+        for X, M in [(333, 37), (145, 64), (41, 128), ("gl42", 16)]
+        for size in (M, 2 * M, 3 * M + 1, 5 * M, 1000, 4096, 65536)
+        if not (isinstance(X, str) and size < 2 * M)
+    ]
+
+    @staticmethod
+    def calls(x, M):
+        """translate, translate_trig and a family of three on x, each over
+        three parameters."""
+        k, ys, ts = 3, TestArrayY.YS[:3], TestArrayT.TS[:3]
+        return [
+            translate(TestArrayY.F, ys, x, M=M),
+            translate_trig(TestArrayY.F, ts, x, M=M),
+            TestFamily.y_family(TestFamily.family(k), k, ys, x, M),
+        ]
+
+    @pytest.mark.parametrize("X, M, size", CASES)
+    def test_pass_size_decides_no_bit(self, monkeypatch, X, M, size):
+        x = xgrid(X)
+        default = self.calls(x, M)
+        monkeypatch.setattr(translation, "_CHUNK", size)
+        for got, want in zip(self.calls(x, M), default):
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(X=st.integers(1, 40), M=st.integers(1, 40), k=st.integers(1, 3),
+           ny=st.integers(1, 4), chunk=st.integers(1, 20_000))
+    def test_drawn_pass_sizes_decide_no_bit(self, X, M, k, ny, chunk):
+        # the grid's ends differ, so it is never symmetric: no mirror pairs
+        x, ys = np.linspace(-0.9, 0.97, X), TestArrayY.YS[:ny]
+        want = TestFamily.y_family(TestFamily.family(k), k, ys, x, M)
+        default, translation._CHUNK = translation._CHUNK, chunk
+        try:
+            got = TestFamily.y_family(TestFamily.family(k), k, ys, x, M)
+        finally:
+            translation._CHUNK = default
+        assert np.array_equal(got, want)
 
 
 class TestArrayY:
@@ -320,15 +370,15 @@ class TestFamily:
         return translation._translate(f, *translation._y_args(y), x, M, members=k)
 
     @pytest.mark.parametrize("X, M, k", [
-        (21, 16, 7),     # every y in one pass
+        (21, 16, 7),     # a scalar y in one pass; six y per pass
         (40, 128, 3),    # one y per pass
-        (333, 37, 2),    # the one-function call's single chunk cut in two runs
-        (4097, 128, 2),  # x-row chunks cut into runs of 64 rows
-        (4097, 128, 3),  # runs of 40 rows, the last of each chunk 8
-        (145, 64, 7),    # runs of 36 rows; the lone last row joins the 4 before it
-        (41, 128, 150),  # runs of 4 rows, above _CHUNK; the lone last row as well
-        ("gl1025", 128, 3),  # chunks of 64 mirror pairs cut in runs of 20, and x = 0
-        ("gl42", 16, 150),  # runs of 4 mirror pairs; the lone last pair joins 4
+        (333, 37, 2),    # the one-function call's single pass cut in chunks of 221 and 112 rows
+        (4097, 128, 2),  # chunks of 64 rows, half the one-function call's; a lone last row
+        (4097, 128, 3),  # chunks of 42 rows, the last 23
+        (145, 64, 7),    # chunks of 36 rows and a lone last row
+        (41, 128, 150),  # one x-row per pass, above _CHUNK
+        ("gl1025", 128, 3),  # chunks of 21 mirror pairs, the last 8, and the row x = 0
+        ("gl42", 16, 150),  # chunks of 3 mirror pairs
     ])
     def test_members_equal_single_calls_bit_for_bit(self, X, M, k):
         x = xgrid(X)
@@ -372,11 +422,10 @@ class TestFamily:
         x = xgrid(X)
         self.y_family(self.family(k, sizes), k, TestArrayY.YS[:3], x, M)
         assert sum(sizes) == 3 * x.size * M
-        w = 2 * M if isinstance(X, str) else M  # a mirror pair holds 2M elements
         for n in sizes:
-            # a pass holds at most _CHUNK elements across its k rows, unless
-            # 5 x-rows (mirror pairs) alone exceed that (see translation._x_runs)
-            assert k * n <= translation._CHUNK or (n <= 5 * w and 5 * k * w > translation._CHUNK)
+            # a pass holds at most _CHUNK elements across its k rows, or one
+            # x-row (M elements) or one mirror pair (2M)
+            assert k * n <= translation._CHUNK or n in (M, 2 * M)
 
     @pytest.mark.parametrize("trig", [False, True])
     @pytest.mark.parametrize("X, M", [(21, 16), (40, 128), (4097, 128), (3, 9000)])
