@@ -29,7 +29,7 @@ from .modulus import _check_omega_args, _omegas
 from .orthopoly import (
     JACOBI_22, _check_int, _coefficients, _jacobi_rows, _symmetric, fourier_jacobi_series,
 )
-from .translation import _translate_jacobi, default_multiplier, multiplier_eval, translate
+from .translation import _closed_form, _translate_jacobi, default_multiplier, translate
 from .weighted_space import (
     SampledFunction,
     WeightedSpace,
@@ -170,12 +170,13 @@ def verify_lemma1(n_max: int = 20, grid: int = 24, seed: int = 0) -> Lemma1Repor
     resid = float(np.max(np.abs(translate(one, yg, xg, M=16) - 1.0)))
     checks.append(PropertyCheck("constant", resid, 1e-12))
 
-    # property 5: a_k(T_y f) = R_k(y) a_k(f) on a seeded degree-10 polynomial
+    # property 5: a_k(T_y f) = R_k(y) a_k(f) on a seeded degree-10 polynomial,
+    # R_0 .. R_10 from one run of the validated closed form's recurrences
     mult = default_multiplier()
     f = _randpoly(seed)
     base = fourier_jacobi_series(f, 10).values
     y9 = np.linspace(-1.0, 1.0, 9)
-    expected = np.array([multiplier_eval(mult, k, y9) for k in range(11)]) * base[:, None]
+    expected = _closed_form(mult.first_term_basis, mult.second_term_basis, 10, y9) * base[:, None]
     shifted = _coefficients(lambda x: translate(f, y9, x), 10)
     resid = float(np.max(np.abs(shifted - expected)))
     checks.append(PropertyCheck("multiplier", resid, 1e-9))

@@ -7,6 +7,11 @@ The sup over the continuum is approximated by a uniform grid of t values on
 only through cos t and |sin t|, so T_{cos t} f = T_{cos(-t)} f and only the
 t <= 0 half of the grid is evaluated.  delta is an angle in radians and the
 trigonometric form of the operator is used throughout.
+
+T_y maps a polynomial of degree d to one of degree d in x, so an f that
+declares a degree is translated at d + 1 Chebyshev nodes only and each
+translate interpolated onto the norm grid, still by the operator's own
+quadrature (the closed-form multiplier is not used).
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orthopoly import _check_int
-from .translation import EDGE_EPS, translate_trig
+from .orthopoly import _check_int, gauss_chebyshev
+from .translation import EDGE_EPS, _degree, _exact_quad_size, translate_trig
 from .weighted_space import WeightedSpace, as_sampled
 
 __all__ = ["ModulusReport", "modulus_omega", "modulus_curve"]
@@ -62,6 +67,47 @@ def _check_omega_args(space: WeightedSpace, deltas, t_grid: int, M, norm_resolut
     return grid
 
 
+# f's samples on the norm grid must lie within this share of max |f| of its
+# interpolant at the Chebyshev nodes for omega to translate at the nodes only
+_INTERP_TOL = 1e-10
+
+
+def _translation_points(fn, fx, x, M):
+    """The points to translate fn at for a norm grid x on which fn samples
+    to fx, and the matrix that maps a translate there onto x, or None when
+    fn is translated at x itself.
+
+    When fn declares a degree d and the z-rule of M nodes is exact for it,
+    the points are the d + 1 nodes of gauss_chebyshev(d + 1), symmetric bit
+    for bit, and the matrix is that of the degree-d interpolant at them in
+    barycentric form, forward stable (Higham, IMA J. Numer. Anal. 24
+    (2004) 547-556): row i is w_j / (x_i - node_j) normalized to sum 1,
+    w_j = (-1)^j sin((2j + 1) pi / (2(d + 1))), or the unit row of a node
+    that x_i equals.  They are used only if d + 1 < x.size, every node lies
+    in |x| <= 1 - EDGE_EPS, and fx matches the interpolant of fn's own
+    samples at the nodes to _INTERP_TOL max |fx|, so a mislabelled f takes
+    the full grid.
+    """
+    d = _degree(fn)
+    if d is None or (M is not None and M < _exact_quad_size(d)) or d + 1 >= x.size:
+        return x, None
+    nodes = gauss_chebyshev(d + 1).nodes
+    if not nodes[-1] <= 1 - EDGE_EPS:
+        return x, None
+    j = np.arange(d + 1)
+    w = np.where(j % 2, -1.0, 1.0) * np.sin((2 * j + 1) * np.pi / (2 * (d + 1)))
+    gap = x[:, None] - nodes
+    hit = gap == 0.0
+    gap[hit] = 1.0
+    interp = w / gap
+    on_node = hit.any(axis=1)
+    interp[on_node] = hit[on_node]
+    interp /= interp.sum(axis=1, keepdims=True)
+    if not np.abs(interp @ fn(nodes) - fx).max() <= _INTERP_TOL * np.abs(fx).max():
+        return x, None
+    return nodes, interp
+
+
 def _omegas(fn, deltas, grid, t_grid, M) -> tuple[list[ModulusReport], float]:
     """omega(fn, delta) for each delta, translating each distinct t once, and
     ||fn|| on the norm grid (0.0 when every delta is 0: fn is then not sampled).
@@ -77,12 +123,16 @@ def _omegas(fn, deltas, grid, t_grid, M) -> tuple[list[ModulusReport], float]:
     grid.  A report more than 1e-12 ||fn|| (on the norm grid) below that of
     the next smaller delta is flagged `monotonicity_violation`.  The deltas
     may come in any order: each report is the same.
+    fn is translated at the points :func:`_translation_points` picks, each
+    row mapped onto the grid by its own matrix-vector product, so a row does
+    not depend on the others in its call.
     """
     res = grid.x.size
     fnorm = 0.0  # every delta 0: every omega is 0
     if any(deltas):
         fx = fn(grid.x)  # a non-finite sample is named by the norm
         fnorm = float(grid.norm(grid.wgt * fx))
+        points, interp = _translation_points(fn, fx, grid.x, M)
     dist: dict[float, float] = {}
     reports = []
     for delta in deltas:
@@ -91,7 +141,9 @@ def _omegas(fn, deltas, grid, t_grid, M) -> tuple[list[ModulusReport], float]:
             continue
         ts = np.linspace(-delta, delta, t_grid)[: t_grid // 2 + 1].tolist()
         new = [t for t in ts if t not in dist]
-        for t, row in zip(new, translate_trig(fn, new, grid.x, M=M)):
+        for t, row in zip(new, translate_trig(fn, new, points, M=M)):
+            if interp is not None:
+                row = interp @ row
             # one norm per row: a matrix norm need not round as a vector's does
             dist[t] = float(grid.norm(grid.wgt * (row - fx)))
         best = -1.0

@@ -100,7 +100,7 @@ def _degree(f) -> int | None:
 
 def _default_quad_size(f) -> int:
     deg = _degree(f)
-    return 128 if deg is None else _exact_quad_size(int(deg))
+    return 128 if deg is None else _exact_quad_size(deg)
 
 
 @dataclass
@@ -109,8 +109,10 @@ class SampledFunction:
     constant-valued evaluator is broadcast to the shape of x.
 
     `degree` marks exact polynomials (it tightens quadrature defaults in
-    this module); left None, it is read from the evaluator's own `degree`,
-    as on numpy's polynomials, and stays None for black-box functions.
+    this module, and omega translates such an f at degree + 1 points); left
+    None, it is read from the evaluator's own `degree`, as on numpy's
+    polynomials, and stays None for black-box functions.  Any other value
+    than None or an integer >= 0 raises ValueError naming `degree`.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -120,6 +122,8 @@ class SampledFunction:
     def __post_init__(self) -> None:
         if self.degree is None:
             self.degree = _degree(self.evaluator)
+        if self.degree is not None:
+            self.degree = _check_int(self.degree, "degree", 0)
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)

@@ -18,7 +18,9 @@ from smoothop.harness import (
     verify_lemma1,
 )
 from smoothop.modulus import modulus_curve, modulus_omega
-from smoothop.translation import translate, translate_trig
+from smoothop.translation import (
+    _closed_form, default_multiplier, multiplier_eval, translate, translate_trig,
+)
 from smoothop.weighted_space import WeightedSpace
 
 SP2 = WeightedSpace(2.0, 1.0)
@@ -112,6 +114,14 @@ class TestVerifyLemma1:
         # linearity: one call per function over both y; constants: the y grid;
         # the multiplier check: all nine y at once
         assert sizes == [2, 2, 2, 12, 9]
+
+    def test_multiplier_rows_equal_per_degree_evaluations(self):
+        # the multiplier check's R_0 .. R_10 from one closed-form run are the
+        # eleven multiplier_eval calls bit for bit
+        mult = default_multiplier()
+        y9 = np.linspace(-1.0, 1.0, 9)
+        rows = _closed_form(mult.first_term_basis, mult.second_term_basis, 10, y9)
+        assert np.array_equal(rows, [multiplier_eval(mult, k, y9) for k in range(11)])
 
     @pytest.mark.parametrize("grid", [1, 0, -3])
     def test_degenerate_grid_rejected(self, grid):

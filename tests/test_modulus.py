@@ -10,7 +10,7 @@ from smoothop.cli import main
 from smoothop.harness import converse_table, get_test_function
 from smoothop.modulus import modulus_curve, modulus_omega
 from smoothop.orthopoly import JACOBI_22, jacobi_eval
-from smoothop.translation import translate_trig
+from smoothop.translation import default_multiplier, multiplier_eval, translate_trig
 from smoothop.weighted_space import SampledFunction, WeightedSpace, weighted_norm
 
 SP2 = WeightedSpace(2.0, 1.0)
@@ -100,17 +100,20 @@ class TestModulusCurve:
         # in one call per delta
         poly = get_test_function("randpoly")
         deltas = [0.1, 0.2, 0.4]
-        calls, ts = [], []
+        calls, ts, sizes = [], [], []
 
         def counting(f, t, x, M=None):
             calls.append(t)
             ts.extend(np.atleast_1d(t).tolist())
+            sizes.append(np.size(x))
             return translate_trig(f, t, x, M=M)
 
         monkeypatch.setattr(modulus, "translate_trig", counting)
         reps = modulus_curve(poly, deltas, SP2)
         assert len(ts) == len(set(ts)) == 37
         assert len(calls) == len(deltas)
+        # randpoly declares degree 10: each row is translated at 11 nodes
+        assert sizes == [poly.degree + 1] * len(deltas)
         monkeypatch.undo()
         assert reps == [modulus_omega(poly, d, SP2) for d in deltas]
 
@@ -273,3 +276,82 @@ def test_numpy_polynomial_translated_at_its_exact_rule(poly, monkeypatch):
         got = call(poly)
         assert sizes and set(sizes) == {exact}
         assert got == call(marked)
+
+
+def _jacobi_input(d):
+    """The (2, 2) Jacobi polynomial p_d, marked with its degree."""
+    return SampledFunction(lambda x: jacobi_eval(JACOBI_22, d, x), name=f"p{d}", degree=d)
+
+
+_POLYNOMIALS = [
+    pytest.param(get_test_function("randpoly", seed=0), id="randpoly0"),
+    pytest.param(get_test_function("randpoly", seed=3), id="randpoly3"),
+    pytest.param(get_test_function("x2"), id="x2"),
+    *(pytest.param(_jacobi_input(d), id=f"p{d}") for d in (5, 40, 120)),
+]
+
+
+class TestDeclaredDegree:
+    """omega of an f that declares a degree d: translated at the d + 1
+    Chebyshev nodes and interpolated onto the norm grid."""
+
+    @pytest.mark.parametrize("p", [2.0, 1.5, math.inf])
+    @pytest.mark.parametrize("f", _POLYNOMIALS)
+    def test_matches_full_grid_scan(self, f, p):
+        space = WeightedSpace(p, 1.0)
+        rep = modulus_omega(f, 0.4, space, t_grid=5)
+        value, argmax_t = _full_grid_omega(f, 0.4, space, 5)
+        assert rep.value == pytest.approx(value, rel=1e-10)
+        assert rep.argmax_t == argmax_t
+
+    @pytest.mark.parametrize("space", [SP2, SPINF], ids=["p2", "sup"])
+    @pytest.mark.parametrize("d", [5, 40, 120])
+    def test_jacobi_polynomial_against_its_multiplier(self, d, space):
+        # T_y p_d = R_d(y) p_d, so omega(p_d, delta) = max_t |R_d(cos t) - 1| ||p_d||,
+        # with R_d from the closed form, not from the translation's quadrature
+        f, mult = _jacobi_input(d), default_multiplier()
+        for delta in (0.05, 0.4):
+            ts = np.linspace(-delta, delta, 33)[:17]
+            lift = max(abs(multiplier_eval(mult, d, math.cos(t)) - 1.0) for t in ts)
+            expected = lift * weighted_norm(f, space)
+            assert modulus_omega(f, delta, space).value == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("f, M, res", [
+        # |x| is no polynomial: its interpolant at 11 nodes misses by 5e-2
+        (SampledFunction(np.abs, degree=10), None, None),
+        # 12 nodes are not exact for degree 10
+        (get_test_function("randpoly"), 12, None),
+        # 16 nodes: the interpolant would need as many points as the grid has
+        (SampledFunction(np.polynomial.Chebyshev(np.linspace(1.0, 0.5, 16))), None, 16),
+    ], ids=["abs-marked-10", "M-below-exact", "d+1-at-grid-size"])
+    def test_full_grid_when_a_condition_fails(self, f, M, res, monkeypatch):
+        # translated on the whole norm grid, bit for bit as the same f with no
+        # degree, at the same z-rule
+        plain = SampledFunction(lambda x: f.evaluator(x))
+        rule = translation._exact_quad_size(f.degree) if M is None else M
+        sizes = []
+
+        def recording(fn, t, x, M=None):
+            sizes.append(np.size(x))
+            return translate_trig(fn, t, x, M=M)
+
+        monkeypatch.setattr(modulus, "translate_trig", recording)
+        got = modulus_curve(f, [0.1, 0.3], SP2, M=M, norm_resolution=res)
+        assert set(sizes) == {SP2._grid(res).x.size}
+        assert plain.degree is None
+        assert got == modulus_curve(plain, [0.1, 0.3], SP2, M=rule, norm_resolution=res)
+
+    def test_grid_point_on_a_node_takes_its_value(self):
+        # the sup grid and the 11 nodes of a degree-10 f share the point 0.0,
+        # where the barycentric weights would divide by zero
+        f, grid = get_test_function("randpoly"), SPINF._grid(None)
+        points, interp = modulus._translation_points(f, f(grid.x), grid.x, None)
+        assert points.size == 11
+        assert np.array_equal(interp[grid.x == 0.0], [points == 0.0])
+
+    def test_nodes_in_the_edge_band_take_the_full_grid(self):
+        # cos(pi / (2 (d + 1))) > 1 - EDGE_EPS from d + 1 = 1111 nodes on
+        grid = SPINF._grid(None)
+        marked = SampledFunction(np.abs, degree=1200)
+        points, interp = modulus._translation_points(marked, None, grid.x, None)
+        assert points is grid.x and interp is None

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 
@@ -242,3 +243,28 @@ class TestSampledFunction:
         assert as_sampled(np.polynomial.Chebyshev([1, 2, 3])).degree == 2
         assert SampledFunction(np.polynomial.Chebyshev([1, 2, 3]), degree=5).degree == 5
         assert as_sampled(lambda x: 2.0 * x).degree is None
+
+    @pytest.mark.parametrize("degree, message", [
+        (-3, "degree must be >= 0, got degree = -3"),
+        (2.5, "degree must be an integer, got degree = 2.5"),
+        (True, "degree must be an integer, got degree = True"),
+        ("4", "degree must be an integer, got degree = '4'"),
+    ], ids=["negative", "float", "bool", "str"])
+    def test_bad_degree_named(self, degree, message):
+        # the degree picks the path of omega, so a bad one is refused, not used
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SampledFunction(np.abs, degree=degree)
+
+    def test_bad_degree_read_from_the_evaluator_named(self):
+        def f(x):
+            return x
+
+        f.degree = -1
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            as_sampled(f)
+
+    def test_integer_degrees_kept_as_int(self):
+        assert SampledFunction(np.abs, degree=0).degree == 0
+        deg = SampledFunction(np.abs, degree=np.int64(4)).degree
+        assert deg == 4 and type(deg) is int
+        assert type(as_sampled(np.polynomial.Polynomial([1.0, 0.0, 2.0])).degree) is int
