@@ -18,45 +18,45 @@ grid's nodes, so that the Chebyshev design on the grid has full rank.
   an equioscillation certificate.  Each step
   solves the square (n + 1)-point reference system by LU, with a
   least-squares fallback for a singular reference.
-* finite p: one lockstep driver.  The degrees of a sequence run as lanes
-  and start from one shared weighted L2 fit, one factorization made at the
-  top degree.  At p = 2 that fit is the exact discrete best approximation
-  (the projection), and the driver stops there.  The other p run one
-  stacked factorization per iteration for the lanes still active.  p = 1
-  is a linear program, solved by a primal-dual interior-point method
-  (Mehrotra's predictor-corrector, about 20 iterations): a lane leaves when
-  its duality gap, U minus a dual feasible lower bound, is at most 1e-12
-  ||f||.  Any other p runs iteratively reweighted least squares (IRLS) in
-  correction form: each iteration adds G^{-1} V^T (w rho) to the lane's
-  iterate c, with the residual rho = f - V c the lane already holds, and a
-  lane leaves when its value settles.  Its weights are max(|e|, 1e-10)^(p-2)
-  of the weighted residual e relative to ||f||, so they do not carry f's
-  scale, and the power is taken as in the norm: by products and a square
-  root when 2p is an integer.  Either way a lane also leaves at the
-  iteration limit, or when its normal equations are singular; an IRLS lane
-  also leaves when its next iterate is not finite (its weights overflow
-  at large p), keeping the last finite one.
+* finite p: one lockstep driver.  The degrees of a sequence run as lanes and
+  start from one shared weighted L2 fit, one factorization made at the top
+  degree.  At p = 2 that fit is the exact discrete best approximation (the
+  projection), and the driver stops there.  The other p run one stacked
+  factorization per iteration for the lanes still active.  p = 1 is a linear
+  program, solved by a primal-dual interior-point method (Mehrotra's
+  predictor-corrector, about 20 iterations): a lane leaves when its duality
+  gap, U minus a dual feasible lower bound, is at most 1e-12 ||f||.  Any
+  other p runs iteratively reweighted least squares (IRLS) in correction
+  form: each iteration adds G^{-1} V^T (w rho) to the lane's iterate c, with
+  the residual rho = f - V c the lane already holds, and a lane leaves when
+  its value settles.  Its weights are max(|e|, 1e-10)^(p-2) of the weighted
+  residual e relative to ||f||, so they do not carry f's scale, and the
+  power is taken as in the norm: by products and a square root when 2p is an
+  integer.  Either way a lane also leaves at the iteration limit, or when
+  its normal equations are singular; an IRLS lane also leaves when its next
+  iterate is not finite (its weights overflow at large p), keeping the last
+  finite one, and every reason leaves IRLS by the one exit of its iteration.
   `best_approx(f, n)` is a sequence of one lane.
 
 Every weighted least-squares solve goes through the normal equations.  The
 Gram matrix V^T diag(w) V comes from the weighted Chebyshev moments
 m_k = sum_x w(x) T_k(x), since T_i T_j = (T_{i+j} + T_{|i-j|}) / 2; it is
 factored by Cholesky, the whole stack of factors is inverted by 2 x 2 block
-recursion (no LU), and the solution is refined on its
-residual V^T (w (f - V c)) (fixed-precision iterative refinement): three
-times after a plain solve from c = 0 (the shared L2 fit every finite p
-starts from), once after an IRLS correction.  An IRLS iteration thus makes
-five products with the grid-sized design: the Gram moments, V^T (w rho),
-one refinement step (V c and V^T r), and the new residual V c.  The
-interior-point steps apply their one factor, unrefined, to two right-hand
-sides.  The Gram matrix can be numerically singular when the weights
-span too many orders of magnitude, as IRLS weights do for p >= 6.  Both
-iterative solvers factor each stack by `_factor_lanes`, lane by lane once
-Cholesky rejects the stack: a lane it cannot factor leaves flagged
-`singular_normal_equations` (IRLS keeps its last iterate), and the others
-go on with the factors the stack gave them.  An interior-point stack is
-first factored once more with its diagonals raised by 1e-13 of their
-largest entry.
+recursion (no LU), and the solution is refined on its residual
+V^T (w (f - V c)) (fixed-precision iterative refinement): three times after
+a plain solve from c = 0 (the shared L2 fit every finite p starts from),
+once after an IRLS correction.  An IRLS iteration thus makes five products
+with the grid-sized design: the Gram moments, V^T (w rho), one refinement
+step (V c and V^T r), and the new residual V c.  The interior-point steps
+apply their one factor, unrefined, to two right-hand sides.  The Gram matrix
+can be numerically singular when the weights span too many orders of
+magnitude, as IRLS weights do for p >= 6.  Both iterative solvers factor
+each stack by `_factor_lanes`, lane by lane once Cholesky rejects the stack:
+a lane it cannot factor gets the identity as its factor and leaves flagged
+`singular_normal_equations` (IRLS solves it with the others and keeps its
+last iterate), and the others go on with the factors the stack gave them.
+An interior-point stack is first factored once more with its diagonals
+raised by 1e-13 of their largest entry.
 
 Even and odd inputs (finite p).  The Gauss-Legendre grid, its weights and
 (1 - x^2)^alpha are symmetric about 0 bit for bit.  When f's samples are
@@ -288,16 +288,16 @@ def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
     columns as its gap.  p = 1 runs the interior-point method of
     :func:`_interior_point` from it (solver `interior_point`), whose gap is
     U - L for a dual feasible point's L <= E_n.  Other p run IRLS from it
-    in lockstep: each
-    iteration makes one stacked weighted least-squares solve for the lanes
-    still active, factored by :func:`_factor_lanes`.  A lane leaves the
-    stack when its value settles, at _IRLS_MAX_ITER, or when Cholesky
-    rejects its own Gram matrix, or when its new iterate is not finite; it
-    then keeps its last iterate and is flagged `singular_normal_equations`
-    or `non_finite_iterate`.  The lane masks and their Gram
-    padding (:func:`_off_block`) are built once, and :func:`_keep_rows`
-    drops the rows of the lanes that leave, as in :func:`_interior_point`.
-    Each n counts the kept Chebyshev columns a lane fits.
+    in lockstep: each iteration makes one stacked weighted least-squares
+    solve for every active lane, factored by :func:`_factor_lanes` (the
+    identity for a lane Cholesky rejects), and has one exit, a `leave` mask:
+    Cholesky rejected the lane (flagged `singular_normal_equations`) or its
+    new iterate is not finite (`non_finite_iterate`), both keeping the last
+    iterate, value and gap; its value settled (no flag); or the iteration is
+    _IRLS_MAX_ITER (`max_iterations`).  The lane masks and their Gram
+    padding (:func:`_off_block`) are built once, and one :func:`_keep_rows`
+    call drops the rows of the lanes that leave.  Each n counts the kept
+    Chebyshev columns a lane fits.
     """
     p = ws.space.p
     lanes = _lane_mask(ns)
@@ -340,14 +340,6 @@ def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
     lane = np.arange(len(ns))  # the active lanes, in stack order
     gap = np.full(len(ns), math.inf)
     mask, off = lanes.copy(), _off_block(lanes)  # those of the active lanes
-
-    def retire(keep: np.ndarray, c: np.ndarray, it: int, flags=()) -> bool:
-        """Finish the active lanes outside `keep` with their iterates c and
-        `flags`; True when no lane is left."""
-        for k in np.flatnonzero(~keep):
-            finish(lane[k], c[k], zf * value[k], zf * gap[k], it, flags)
-        return not keep.any()
-
     # weights that overflow at large p are caught by the checks on the factor
     # and the iterate, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
@@ -358,40 +350,36 @@ def _solve_lockstep(ws: _Workspace, ns: list[int]) -> list[BestApproxResult]:
             np.maximum(w, _IRLS_RESIDUAL_FLOOR, out=w)
             _power(w, p - 2.0)
             w *= base
-            L_inv, ok = _factor_lanes(_gram(ws, w, off), mask)
-            if not ok.all():
-                if retire(ok, coef, it, ("singular_normal_equations",)):
-                    return results
-                lane, coef, rho, w, value, gap, mask, off = _keep_rows(
-                    ok, lane, coef, rho, w, value, gap, mask, off
-                )
+            L_inv, factored = _factor_lanes(_gram(ws, w, off), mask)
             new = _weighted_least_squares(ws, w, mask, L_inv, (coef, rho))
             del L_inv  # the factor stack is freed before the next one is made
-            # a lane whose iterate turns non-finite keeps its last finite one
-            ok = np.isfinite(new).all(axis=1)
-            if not ok.all():
-                if retire(ok, coef, it, ("non_finite_iterate",)):
-                    return results
-                lane, new, rho, w, value, gap, mask, off = _keep_rows(
-                    ok, lane, new, rho, w, value, gap, mask, off
-                )
-            coef = new
+            # a rejected or non-finite lane keeps its last iterate, value and gap
+            finite = np.isfinite(new).all(axis=1)
+            adopt = factored & finite
+            np.copyto(coef, new, where=adopt[:, None])
             # rho and e are recomputed in the buffers of the old residual and of w
             np.matmul(coef, V.T, out=rho)
             np.subtract(ws.fx, rho, out=rho)
             e = np.multiply(scaled_wgt, rho, out=w)
             new_value = grid.norm(e)
-            gap = np.abs(new_value - value)
-            value = new_value
-            done = gap <= 1e-14 + 1e-13 * value
-            if done.any():
-                if retire(~done, coef, it):
-                    return results
-                lane, coef, rho, e, value, gap, mask, off = _keep_rows(
-                    ~done, lane, coef, rho, e, value, gap, mask, off
+            np.copyto(gap, np.abs(new_value - value), where=adopt)
+            np.copyto(value, new_value, where=adopt)
+            settled = gap <= 1e-14 + 1e-13 * value
+            leave = ~adopt | settled | (it == _IRLS_MAX_ITER)
+            gone = leave.nonzero()[0]  # cheaper than any() on a few lanes
+            for k in gone:
+                flags = (
+                    ("singular_normal_equations",) if not factored[k]
+                    else ("non_finite_iterate",) if not finite[k]
+                    else () if settled[k] else ("max_iterations",)
                 )
-    for k in range(len(lane)):
-        finish(lane[k], coef[k], zf * value[k], zf * gap[k], _IRLS_MAX_ITER, ("max_iterations",))
+                finish(lane[k], coef[k], zf * value[k], zf * gap[k], it, flags)
+            if gone.size == len(lane):
+                break
+            if gone.size:
+                lane, coef, rho, e, value, gap, mask, off = _keep_rows(
+                    ~leave, lane, coef, rho, e, value, gap, mask, off
+                )
     return results
 
 

@@ -210,8 +210,8 @@ def _converse_inputs(f, n_max: int, deltas, space: WeightedSpace, t_grid, M, nor
     omega (and lambda, if given) are checked before any E_nu is solved, and
     every E_nu is checked usable before any omega is computed.
     """
-    grid = _check_omega_args(space, deltas, t_grid, M, norm_resolution, lam)
     fn = as_sampled(f)
+    grid = _check_omega_args(fn, space, deltas, t_grid, M, norm_resolution, lam)
     e = np.array([r.value for r in _usable_sequence(fn, n_max, space)])
     reports, fnorm = _omegas(fn, deltas, grid, t_grid, M)
     return e, [r.value for r in reports], fnorm

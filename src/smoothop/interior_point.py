@@ -97,7 +97,7 @@ def _interior_point(
         np.multiply(S, w2, out=Ay)
         L_inv, ok = _factor_lanes(_gram(ws, Ay, off[rows]), mask[rows])
         if not ok.all():
-            rows, S, y, Ay = _keep_rows(ok, rows.copy(), S, y, Ay)
+            rows, L_inv, S, y, Ay = _keep_rows(ok, rows.copy(), L_inv, S, y, Ay)
         np.multiply(y, wgt, out=Ay)
         np.matmul(_apply(L_inv, Ay @ V, mask[rows]), V.T, out=Ay)
         Ay *= wgt
@@ -175,8 +175,8 @@ def _interior_point(
                 finish(lane[k], coef[k], value[k], g, it, ("singular_normal_equations",))
             if not ok.any():
                 return
-            lane, coef, e, s, t, zs, zt, D, Atu, sz, tz, mask, off = _keep_rows(
-                ok, lane, coef, e, s, t, zs, zt, D, Atu, sz, tz, mask, off
+            lane, coef, e, s, t, zs, zt, D, Atu, sz, tz, mask, off, L_inv = _keep_rows(
+                ok, lane, coef, e, s, t, zs, zt, D, Atu, sz, tz, mask, off, L_inv
             )
             X, Y = work[1:, : len(lane)]
         # predictor, the affine-scaling step du in X: ds / s = a - 1 and

@@ -40,11 +40,14 @@ class ModulusReport:
     flags: tuple[str, ...] = ()
 
 
-def _check_omega_args(space: WeightedSpace, deltas, t_grid: int, M, norm_resolution,
+def _check_omega_args(fn, space: WeightedSpace, deltas, t_grid: int, M, norm_resolution,
                       lam: float | None = None):
-    """Check every parameter of the omega computations at `deltas`, and
-    lambda if given; returns the norm grid.  Cheap, so a driver that first
-    solves for best approximations checks here before it solves.
+    """Check every parameter of the omega computations of fn at `deltas`,
+    and lambda if given; returns the norm grid.  Cheap, so a driver that
+    first solves for best approximations checks here before it solves.  A
+    grid in the translation's edge band is refused unless fn is only
+    interpolated onto it (:func:`_interpolation_nodes`); a mislabelled
+    degree then takes the grid, and the translation names the x refused.
     """
     space.require_admissible(lam)
     for delta in deltas:
@@ -58,7 +61,8 @@ def _check_omega_args(space: WeightedSpace, deltas, t_grid: int, M, norm_resolut
         _check_int(norm_resolution, "norm_resolution", 16)
     grid = space._grid(norm_resolution)
     edge = float(np.abs(grid.x).max())
-    if any(deltas) and not edge <= 1 - EDGE_EPS:
+    clear = edge <= 1 - EDGE_EPS or _interpolation_nodes(fn, grid.x.size, M) is not None
+    if any(deltas) and not clear:
         raise ValueError(
             f"norm_resolution = {grid.x.size} puts a norm grid point at |x| = {edge}, inside "
             f"the translation's singular edge band (need |x| <= 1 - {EDGE_EPS}); "
@@ -72,30 +76,35 @@ def _check_omega_args(space: WeightedSpace, deltas, t_grid: int, M, norm_resolut
 _INTERP_TOL = 1e-10
 
 
+def _interpolation_nodes(fn, size: int, M):
+    """The nodes of gauss_chebyshev(d + 1) (symmetric bit for bit) to translate
+    an fn of declared degree d at on a norm grid of `size` points, or None."""
+    d = _degree(fn)
+    if d is None or (M is not None and M < _exact_quad_size(d)) or d + 1 >= size:
+        return None
+    nodes = gauss_chebyshev(d + 1).nodes
+    return nodes if nodes[-1] <= 1 - EDGE_EPS else None
+
+
 def _translation_points(fn, fx, x, M):
     """The points to translate fn at for a norm grid x on which fn samples
     to fx, and the matrix that maps a translate there onto x, or None when
     fn is translated at x itself.
 
-    When fn declares a degree d and the z-rule of M nodes is exact for it,
-    the points are the d + 1 nodes of gauss_chebyshev(d + 1), symmetric bit
-    for bit, and the matrix is that of the degree-d interpolant at them in
-    barycentric form, forward stable (Higham, IMA J. Numer. Anal. 24
-    (2004) 547-556): row i is w_j / (x_i - node_j) normalized to sum 1,
-    w_j = (-1)^j sin((2j + 1) pi / (2(d + 1))), or the unit row of a node
-    that x_i equals.  They are used only if d + 1 < x.size, every node lies
-    in |x| <= 1 - EDGE_EPS, and fx matches the interpolant of fn's own
-    samples at the nodes to _INTERP_TOL max |fx|, so a mislabelled f takes
+    The points are the nodes :func:`_interpolation_nodes` picks, if any,
+    and the matrix that of the degree-d interpolant at them in barycentric
+    form, forward stable (Higham, IMA J. Numer. Anal. 24 (2004) 547-556):
+    row i is w_j / (x_i - node_j) normalized to sum 1, w_j = (-1)^j
+    sin((2j + 1) pi / (2(d + 1))), or the unit row of a node that x_i
+    equals.  They are used only if fx matches the interpolant of fn's own
+    samples at the nodes to _INTERP_TOL max |fx|: a mislabelled f takes
     the full grid.
     """
-    d = _degree(fn)
-    if d is None or (M is not None and M < _exact_quad_size(d)) or d + 1 >= x.size:
+    nodes = _interpolation_nodes(fn, x.size, M)
+    if nodes is None:
         return x, None
-    nodes = gauss_chebyshev(d + 1).nodes
-    if not nodes[-1] <= 1 - EDGE_EPS:
-        return x, None
-    j = np.arange(d + 1)
-    w = np.where(j % 2, -1.0, 1.0) * np.sin((2 * j + 1) * np.pi / (2 * (d + 1)))
+    j = np.arange(nodes.size)
+    w = np.where(j % 2, -1.0, 1.0) * np.sin((2 * j + 1) * np.pi / (2 * nodes.size))
     gap = x[:, None] - nodes
     hit = gap == 0.0
     gap[hit] = 1.0
@@ -188,8 +197,9 @@ def modulus_omega(
     norm_resolution : int, optional
         Grid size of the norm (defaults of :func:`~smoothop.weighted_norm`).
     """
-    grid = _check_omega_args(space, [delta], t_grid, M, norm_resolution)
-    return _omegas(as_sampled(f), [delta], grid, t_grid, M)[0][0]
+    fn = as_sampled(f)
+    grid = _check_omega_args(fn, space, [delta], t_grid, M, norm_resolution)
+    return _omegas(fn, [delta], grid, t_grid, M)[0][0]
 
 
 def modulus_curve(
@@ -213,5 +223,6 @@ def modulus_curve(
         raise ValueError(f"deltas must be positive, got {min(deltas)}")
     if any(b <= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly ascending")
-    grid = _check_omega_args(space, deltas, t_grid, M, norm_resolution)
-    return _omegas(as_sampled(f), deltas, grid, t_grid, M)[0]
+    fn = as_sampled(f)
+    grid = _check_omega_args(fn, space, deltas, t_grid, M, norm_resolution)
+    return _omegas(fn, deltas, grid, t_grid, M)[0]

@@ -6,8 +6,8 @@ at once, one per lane, each fitting the first n_k of N kept Chebyshev
 columns.  This module holds what they share: the lane masks and the
 identity padding of each lane's Gram matrix, the Gram matrices from
 weighted Chebyshev product moments, their Cholesky factors inverted by
-2 x 2 block recursion, the application of those inverses, and the
-retirement of lanes: those Cholesky rejects, and those that leave.
+2 x 2 block recursion (the identity for a lane Cholesky rejects), their
+application, and the compaction of the lanes that stay.
 """
 
 from __future__ import annotations
@@ -128,10 +128,11 @@ def _factor_lanes(
     boolean mask of the lanes it factored.  If Cholesky rejects the stack
     and `shift` is not 0, each matrix's diagonal is raised by `shift` times
     its largest entry in the lane's kept block and the stack is factored
-    once more; if that fails too, the lanes are factored one by one and
-    those that fail are left out."""
+    once more; if that fails too, the lanes are factored one by one, and
+    one that fails gets the identity and False in the mask."""
+    ok = np.ones(len(G), dtype=bool)
     try:
-        return _factor(G), np.ones(len(G), dtype=bool)
+        return _factor(G), ok
     except np.linalg.LinAlgError:
         pass
     K, N, _ = G.shape
@@ -139,17 +140,16 @@ def _factor_lanes(
         diag = G.reshape(K, N * N)[:, :: N + 1]
         diag += shift * np.max(diag * mask, axis=1, keepdims=True)
         try:
-            return _factor(G), np.ones(K, dtype=bool)
+            return _factor(G), ok
         except np.linalg.LinAlgError:
             pass
-    factors, keep = [], np.zeros(K, dtype=bool)
+    factors = np.empty_like(G)
     for k in range(K):
         try:
-            factors.append(_factor(G[k, None]))
-            keep[k] = True
+            factors[k] = _factor(G[k, None])[0]
         except np.linalg.LinAlgError:
-            pass
-    return (np.concatenate(factors) if factors else np.empty((0, N, N))), keep
+            factors[k], ok[k] = _identity(N), False
+    return factors, ok
 
 
 def _keep_rows(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:

@@ -105,11 +105,11 @@ def validate_params(space: WeightedSpace, lam: float | None = None) -> ParamVerd
         if not (a <= 1):
             return ParamVerdict(False, "α ≤ 1")
     else:
-        lo = 1 - 1 / (2 * p)
-        hi = 1.5 - 1 / (2 * p)
-        if not (a >= lo):
+        if not (a >= 1 - 1 / (2 * p)):
             return ParamVerdict(False, "α ≥ 1 − 1/(2p)")
-        if not (a < hi):
+        # exactly, as 2 alpha p < 3p - 1: 1.5 - 1 / (2p) rounds to 1.0 just above p = 1
+        (an, ad), (pn, pd) = float(a).as_integer_ratio(), float(p).as_integer_ratio()
+        if not 2 * an * pn < (3 * pn - pd) * ad:
             return ParamVerdict(False, "α < 3/2 − 1/(2p)")
     if lam is not None:
         if not (lam > 0):

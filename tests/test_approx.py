@@ -14,7 +14,9 @@ from smoothop.approx import (
     best_approx,
     best_approx_sequence,
 )
-from smoothop.normal_equations import _apply, _factor, _gram, _lane_mask, _off_block, _tril_inverse
+from smoothop.normal_equations import (
+    _apply, _factor, _factor_lanes, _gram, _identity, _lane_mask, _off_block, _tril_inverse,
+)
 from smoothop.cli import main
 from smoothop.modulus import modulus_curve
 from smoothop.orthopoly import gauss_legendre
@@ -247,6 +249,58 @@ class TestTrilInverse:
         ref = np.linalg.inv(L)
         deviation = np.linalg.norm(X - ref, 2, axis=(1, 2)) / np.linalg.norm(ref, 2, axis=(1, 2))
         assert np.all(deviation <= 1e-12), deviation  # 3.6e-14 measured at N = 64
+
+
+class TestFactorLanes:
+    """`_factor_lanes` gives every lane a factor, one row per lane: the
+    identity for a lane Cholesky rejects, which its mask marks False."""
+
+    NS = [3, 5, 8]
+
+    def gram_stack(self):
+        ws = shifted_abs_workspace(max(self.NS))
+        mask = _lane_mask(self.NS)
+        w = np.random.default_rng(7).random((len(self.NS), ws.fx.size))
+        return _gram(ws, w, _off_block(mask)), mask
+
+    def test_stack_factored_at_once(self):
+        G, mask = self.gram_stack()
+        L_inv, ok = _factor_lanes(G.copy(), mask)
+        assert ok.tolist() == [True] * 3
+        assert np.array_equal(L_inv, _factor(G))
+
+    def test_rejected_stack_factored_again_with_a_shift(self, monkeypatch):
+        G, mask = self.gram_stack()
+        cholesky, calls = np.linalg.cholesky, []
+
+        def reject_first(A):
+            calls.append(len(A))
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("injected")
+            return cholesky(A)
+
+        shifted = G.copy()
+        monkeypatch.setattr(np.linalg, "cholesky", reject_first)
+        L_inv, ok = _factor_lanes(shifted, mask, 1e-13)
+        monkeypatch.undo()
+        assert calls == [3, 3] and ok.tolist() == [True] * 3
+        diag = np.diagonal(G, axis1=1, axis2=2)
+        raised = diag + 1e-13 * np.max(diag * mask, axis=1, keepdims=True)
+        assert np.array_equal(np.diagonal(shifted, axis1=1, axis2=2), raised)
+        assert np.array_equal(L_inv, _factor(shifted))
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-13])
+    def test_rejected_lane_gets_the_identity(self, shift):
+        # a negative pivot in the middle lane: no shift of 1e-13 mends it, so
+        # the lanes are factored one by one and that one gets the identity
+        G, mask = self.gram_stack()
+        G[1, 0, 0] = -1.0
+        L_inv, ok = _factor_lanes(G, mask, shift)
+        assert ok.tolist() == [True, False, True]
+        assert L_inv.shape == G.shape
+        assert np.array_equal(L_inv[1], _identity(G.shape[-1]))
+        for k in (0, 2):  # those of the stack as factored, shifted or not
+            assert np.array_equal(L_inv[k], _factor(G[k, None])[0])
 
 
 def assert_lanes_match_svd_solve(ns, w):
@@ -820,6 +874,60 @@ class TestLockstep:
         # the shared L2 fit, then one stack of the active lanes per iteration
         last = max(r.iterations for r in seq)
         assert grams == [1] + [sum(r.iterations >= it for r in seq) for it in range(1, last + 1)]
+
+    def test_injected_singular_and_non_finite_lanes_leave_at_one_iteration(self, monkeypatch):
+        # at the second IRLS iteration Cholesky rejects the lane of 3 columns
+        # (its stack is factored lane by lane, that lane taking the identity)
+        # and the lane of 5 columns gets a NaN iterate: both leave at that
+        # iteration, each with its own flag and its first iterate, and the
+        # others go on
+        f, sp = KINKS["absshift"], WeightedSpace(1.5, 1.0)
+        expected = best_approx_sequence(f, 8, sp)
+        cholesky, factor_lanes = np.linalg.cholesky, approx._factor_lanes
+        solve, iterates, calls = approx._weighted_least_squares, [], []
+
+        def reject_lane_3(G):
+            if len(calls) == 2 and 3 in TestInteriorPoint.kept_sizes(G):
+                raise np.linalg.LinAlgError("injected")
+            return cholesky(G)
+
+        def counted(G, mask):
+            calls.append(mask.sum(axis=1).tolist())
+            return factor_lanes(G, mask)
+
+        def poisoned(ws, w, mask, L_inv, start=None):
+            coef = solve(ws, w, mask, L_inv, start)
+            iterates.append((mask.sum(axis=1), coef.copy()))
+            if len(iterates) == 3:  # the L2 fit, then IRLS iterations 1 and 2
+                assert 3 in mask.sum(axis=1)  # the rejected lane is solved too
+                coef[mask.sum(axis=1) == 5] = np.nan
+            return coef
+
+        monkeypatch.setattr(np.linalg, "cholesky", reject_lane_3)
+        monkeypatch.setattr(approx, "_factor_lanes", counted)
+        monkeypatch.setattr(approx, "_weighted_least_squares", poisoned)
+        seq = best_approx_sequence(f, 8, sp)
+        monkeypatch.undo()
+        assert calls[1] == list(range(1, 9)) and 3 not in calls[2] and 5 not in calls[2]
+        (sizes, l2), (_, first) = iterates[:2]
+        ws = _Workspace(as_sampled(f), sp, 8)
+
+        def value(c):
+            return ws.grid.norm(ws.grid.wgt * (ws.fx - ws.vander[:, : c.size] @ c))
+
+        for r, e in zip(seq, expected):
+            if r.n in (3, 5):
+                flag = "singular_normal_equations" if r.n == 3 else "non_finite_iterate"
+                assert (r.flags, r.iterations) == ((flag,), 2), r.n
+                last = first[sizes == r.n][0, : r.n]
+                assert np.array_equal(r.coefficients, last), r.n
+                assert_allclose(r.value, value(last), rtol=1e-14, err_msg=f"n={r.n}")
+                # and the gap of that iterate: the change of value it made
+                change = abs(value(last) - value(l2[sizes == r.n][0, : r.n]))
+                assert_allclose(r.residual_norm_gap, change, rtol=1e-8, err_msg=f"n={r.n}")
+            else:
+                assert r.flags == () == e.flags, r.n
+                assert_allclose(r.value, e.value, rtol=1e-10, err_msg=f"n={r.n}")
 
     def test_p6_lanes_leave_with_their_own_masks(self, monkeypatch):
         # |x| at p = 6 to n = 32: the even columns give lanes of 1..16 kept

@@ -355,3 +355,18 @@ class TestDeclaredDegree:
         marked = SampledFunction(np.abs, degree=1200)
         points, interp = modulus._translation_points(marked, None, grid.x, None)
         assert points is grid.x and interp is None
+
+    def test_norm_grid_in_the_edge_band_only_interpolated_onto(self):
+        # the 2048-node rule reaches the edge band, but randpoly is translated
+        # at its 11 interior nodes only and merely interpolated onto that rule
+        f, sp = get_test_function("randpoly"), WeightedSpace(2.0, 1.0)
+        for delta in (0.1, 0.4):
+            fine = modulus_omega(f, delta, sp, norm_resolution=2048)
+            coarse = modulus_omega(f, delta, sp, norm_resolution=1024)
+            assert fine.value == pytest.approx(coarse.value, rel=1e-12)
+
+    def test_mislabelled_degree_in_the_edge_band_names_x(self):
+        # |x| marked degree 10 passes the gate on the declaration alone, fails
+        # the sample check and takes the full grid: the translation names x
+        with pytest.raises(ValueError, match="too close to the singular endpoints: x = "):
+            modulus_omega(SampledFunction(np.abs, degree=10), 0.1, SP2, norm_resolution=2048)

@@ -25,7 +25,7 @@ INF = math.inf
 
 
 class TestValidateParams:
-    # the eight boundary probes and their expected verdicts
+    # the boundary probes and their expected verdicts
     @pytest.mark.parametrize(
         "p,alpha,expected",
         [
@@ -37,6 +37,8 @@ class TestValidateParams:
             (2.0, 1.25, False),
             (INF, 1.0, True),
             (INF, 1.5, False),
+            # 3/2 - 1/(2p) rounds to 1.0 here, yet alpha = 1 is admissible for p > 1
+            (math.nextafter(1.0, 2.0), 1.0, True),
         ],
     )
     def test_boundary_probes(self, p, alpha, expected):
@@ -213,6 +215,7 @@ class TestPower:
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(st.floats(0.0, math.log10(1.79e308)).map(lambda e: 10.0**e), st.just(INF)))
     @example(sys.float_info.max)
+    @example(math.nextafter(1.0, 2.0))
     def test_huge_p_stays_finite(self, p):
         # from p = 2^1023 on, 2p overflows to inf, which takes the pow branch
         sp = WeightedSpace(p, 1.0)
