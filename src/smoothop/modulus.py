@@ -118,52 +118,42 @@ def _translation_points(fn, fx, x, M):
 
 
 def _omegas(fn, deltas, grid, t_grid, M) -> tuple[list[ModulusReport], float]:
-    """omega(fn, delta) for each delta, translating each distinct t once, and
-    ||fn|| on the norm grid (0.0 when every delta is 0: fn is then not sampled).
-    `grid` is the norm grid :func:`_check_omega_args` returned for these
-    parameters.
+    """omega(fn, delta) for each positive delta, and ||fn|| on the norm grid
+    `grid` that :func:`_check_omega_args` returned for these parameters.
 
-    The t grids of nested deltas overlap: every other point of
-    linspace(-d, d, k) is, up to rounding, a point of linspace(-2d, 2d, k).
-    ||T_{cos t} f - f|| is kept per t, keyed by the exact float, so the points
-    that coincide exactly are translated once, and a shared value is the one
-    a separate call would compute, bit for bit.  Each delta's new t values
-    are translated in one call.  Ties go to the first t of each delta's own
-    grid.  A report more than 1e-12 ||fn|| (on the norm grid) below that of
-    the next smaller delta is flagged `monotonicity_violation`.  The deltas
-    may come in any order: each report is the same.
-    fn is translated at the points :func:`_translation_points` picks, each
-    row mapped onto the grid by its own matrix-vector product, so a row does
-    not depend on the others in its call.
+    Each delta's t <= 0 half-grid is built first.  The half-grids of nested
+    deltas overlap: every other point of one is, up to rounding, a point of
+    the next.  The distinct floats among them are translated in one call,
+    each once, so a shared t is the one a separate call would compute, bit
+    for bit, and each report reads its maximum off the one table of
+    ||T_{cos t} f - f||.  Its `argmax_t` is the first t of the delta's own
+    grid within 1e-12 ||fn|| of that maximum.  A report more than 1e-12
+    ||fn|| below that of the next smaller delta is flagged
+    `monotonicity_violation`.  The deltas may come in any order: each report
+    is the same.  fn is translated at the points :func:`_translation_points`
+    picks, each row mapped onto the grid by its own matrix-vector product,
+    so a row does not depend on the others in its call.
     """
-    res = grid.x.size
-    fnorm = 0.0  # every delta 0: every omega is 0
-    if any(deltas):
-        fx = fn(grid.x)  # a non-finite sample is named by the norm
-        fnorm = float(grid.norm(grid.wgt * fx))
-        points, interp = _translation_points(fn, fx, grid.x, M)
-    dist: dict[float, float] = {}
-    reports = []
-    for delta in deltas:
-        if delta == 0:
-            reports.append(ModulusReport(0.0, 0.0, 0.0, t_grid, res))
-            continue
-        ts = np.linspace(-delta, delta, t_grid)[: t_grid // 2 + 1].tolist()
-        new = [t for t in ts if t not in dist]
-        for t, row in zip(new, translate_trig(fn, new, points, M=M)):
-            if interp is not None:
-                row = interp @ row
-            # one norm per row: a matrix norm need not round as a vector's does
-            dist[t] = float(grid.norm(grid.wgt * (row - fx)))
-        best = -1.0
-        best_t = 0.0
-        for t in ts:
-            if dist[t] > best:
-                best, best_t = dist[t], t
-        reports.append(ModulusReport(float(delta), best, best_t, t_grid, res))
+    fx = fn(grid.x)  # a non-finite sample is named by the norm
+    fnorm = float(grid.norm(grid.wgt * fx))
+    slack = 1e-12 * fnorm
+    points, interp = _translation_points(fn, fx, grid.x, M)
+    halves = [np.linspace(-delta, 0.0, t_grid // 2 + 1).tolist() for delta in deltas]
+    ts = list(dict.fromkeys(t for half in halves for t in half))
+    dist = {}
+    for t, row in zip(ts, translate_trig(fn, ts, points, M=M)):
+        if interp is not None:
+            row = interp @ row
+        # one norm per row: a matrix norm need not round as a vector's does
+        dist[t] = float(grid.norm(grid.wgt * (row - fx)))
+    table = np.array([[dist[t] for t in half] for half in halves])
+    best = table.max(axis=1)
+    first = (table >= best[:, None] - slack).argmax(axis=1)
+    reports = [ModulusReport(float(delta), float(b), half[i], t_grid, grid.x.size)
+               for delta, b, half, i in zip(deltas, best, halves, first)]
     order = sorted(range(len(deltas)), key=deltas.__getitem__)
     for i, j in zip(order, order[1:]):
-        if reports[j].value < reports[i].value - 1e-12 * fnorm:
+        if reports[j].value < reports[i].value - slack:
             reports[j].flags += ("monotonicity_violation",)
     return reports, fnorm
 
@@ -179,9 +169,13 @@ def modulus_omega(
     """Grid maximum of || T_{cos t} f - f || over t in [-delta, delta].
 
     The grid is np.linspace(-delta, delta, t_grid); since the translate at t
-    equals the one at -t, only its first t_grid // 2 + 1 points (t <= 0) are
-    evaluated.  f is sampled once on the norm's grid.  Ties go to the first
-    (most negative) t, so `argmax_t` <= 0.
+    equals the one at -t, only its t <= 0 half is evaluated, built as
+    np.linspace(-delta, 0, t_grid // 2 + 1) (the same points, and no span
+    2 delta to overflow).  f is sampled once on the norm's grid, and not
+    at all when delta = 0, where omega is 0.  `argmax_t` is the first (most
+    negative) t whose value is within 1e-12 ||f|| (on the norm's grid) of
+    the maximum, so `argmax_t` <= 0 and a constant f, whose every value is
+    roundoff, reports -delta.
 
     Parameters
     ----------
@@ -199,6 +193,8 @@ def modulus_omega(
     """
     fn = as_sampled(f)
     grid = _check_omega_args(fn, space, [delta], t_grid, M, norm_resolution)
+    if delta == 0:
+        return ModulusReport(0.0, 0.0, 0.0, t_grid, grid.x.size)
     return _omegas(fn, [delta], grid, t_grid, M)[0][0]
 
 

@@ -186,7 +186,7 @@ class TestConverseTable:
             converse_table(np.abs, [16, 32, 64, 128], SPINF)
 
     def test_one_translate_per_distinct_t(self, monkeypatch):
-        # 5 x 17 half-grid points, 49 distinct floats among them, in one call per n
+        # 5 x 17 half-grid points, 49 distinct floats among them, in one call
         n_list = [4, 8, 16, 32, 64]
         calls, ts = [], []
 
@@ -198,7 +198,7 @@ class TestConverseTable:
         monkeypatch.setattr(modulus, "translate_trig", counting)
         rows = converse_table(np.abs, n_list, SP2)
         assert len(ts) == len(set(ts)) == 49
-        assert len(calls) == len(n_list)
+        assert len(calls) == 1
         monkeypatch.undo()
         assert [r.omega for r in rows] == [modulus_omega(np.abs, 1.0 / n, SP2).value for n in n_list]
 
@@ -318,6 +318,23 @@ class TestClassFit:
         monkeypatch.setattr(modulus, "translate_trig", no_omega)
         with pytest.raises(ValueError, match="nu = 3 is unusable"):
             class_fit(np.abs, SPINF, 8)
+
+    def test_one_translate_per_distinct_t(self, monkeypatch):
+        # delta = 1/2, ..., 1/64: 6 x 17 half-grid points, 57 distinct floats
+        # among them, in one call
+        calls, ts = [], []
+
+        def counting(f, t, x, M=None):
+            calls.append(t)
+            ts.extend(np.atleast_1d(t).tolist())
+            return translate_trig(f, t, x, M=M)
+
+        monkeypatch.setattr(modulus, "translate_trig", counting)
+        class_fit(np.abs, SP2, 64)
+        assert len(calls) == 1
+        assert len(ts) == len(set(ts)) == 57
+        halves = [np.linspace(-1.0 / 2**k, 1.0 / 2**k, 33)[:17] for k in range(1, 7)]
+        assert set(ts) == set(np.concatenate(halves).tolist())
 
     def test_lambda_hypothesis_validated(self):
         with pytest.raises(ValueError, match="λ"):

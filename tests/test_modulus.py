@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from smoothop import modulus, translation
@@ -24,11 +25,24 @@ class TestModulusOmega:
         assert rep.argmax_t == 0.0
         assert rep.delta == 0.0
 
+    def test_zero_delta_never_samples_f(self):
+        # the 2048-node p = 2 grid reaches the edge band, but at delta = 0 no
+        # translate is taken, so the grid is not refused
+        def f(x):
+            raise AssertionError("f sampled at delta = 0")
+
+        rep = modulus_omega(f, 0, SP2, norm_resolution=2048)
+        assert (rep.value, rep.argmax_t, rep.norm_resolution) == (0.0, 0.0, 2048)
+
     def test_constant_function_vanishes(self):
+        # omega of a constant is roundoff at every t: argmax_t is the first t
+        # within the tie slack, -delta, not a t the roundoff picks
         one = lambda x: np.ones_like(x)
         for delta in (0.1, 0.5, 1.5):
-            assert modulus_omega(one, delta, SP2).value <= 1e-10
-            assert modulus_omega(one, delta, SPINF).value <= 1e-10
+            for space in (SP2, SPINF):
+                rep = modulus_omega(one, delta, space)
+                assert rep.value <= 1e-10
+                assert rep.argmax_t == -delta
 
     def test_positive_and_monotone_for_linear(self):
         a = modulus_omega(lambda x: x, 0.5, SP2)
@@ -97,7 +111,7 @@ class TestModulusCurve:
 
     def test_one_translate_per_distinct_t(self, monkeypatch):
         # the benchmark's curve: 3 x 17 half-grid points, 37 distinct floats,
-        # in one call per delta
+        # in one call
         poly = get_test_function("randpoly")
         deltas = [0.1, 0.2, 0.4]
         calls, ts, sizes = [], [], []
@@ -111,11 +125,33 @@ class TestModulusCurve:
         monkeypatch.setattr(modulus, "translate_trig", counting)
         reps = modulus_curve(poly, deltas, SP2)
         assert len(ts) == len(set(ts)) == 37
-        assert len(calls) == len(deltas)
+        assert len(calls) == 1
         # randpoly declares degree 10: each row is translated at 11 nodes
-        assert sizes == [poly.degree + 1] * len(deltas)
+        assert sizes == [poly.degree + 1]
         monkeypatch.undo()
         assert reps == [modulus_omega(poly, d, SP2) for d in deltas]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.one_of(st.integers(1, 6).map(lambda k: 0.5**k), st.floats(0.01, 1.0)),
+                 min_size=1, max_size=4, unique=True).map(sorted),
+        st.sampled_from([3, 5, 9, 33]),
+        st.sampled_from(["abs", "randpoly"]),
+    )
+    def test_curve_is_separate_calls_from_one_translation(self, deltas, t_grid, name):
+        f, calls, ts = get_test_function(name), [], []
+
+        def counting(fn, t, x, M=None):
+            calls.append(t)
+            ts.extend(np.atleast_1d(t).tolist())
+            return translate_trig(fn, t, x, M=M)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(modulus, "translate_trig", counting)
+            reps = modulus_curve(f, deltas, SP2, t_grid=t_grid)
+        assert len(calls) == 1
+        assert len(ts) == len(set(ts))
+        assert reps == [modulus_omega(f, d, SP2, t_grid=t_grid) for d in deltas]
 
     def test_deltas_in_any_order(self):
         # omega per delta does not depend on the deltas translated before it
@@ -211,6 +247,35 @@ def test_finite_input_whose_translate_overflows_named(space):
     # named by x and y, not as a non-finite sample of f
     with pytest.raises(ValueError, match="overflow the translate at x = "):
         modulus_omega(lambda x: 1.7e308 * x, 0.3, space)
+
+
+@pytest.mark.parametrize("space", [SP2, SPINF], ids=["p2", "sup"])
+def test_huge_finite_delta_is_finite(space):
+    # linspace(-delta, delta) overflowed its span 2 delta from delta ~ 9e307
+    # on and translated at t = nan; the half-grid spans delta only
+    rep = modulus_omega(np.abs, 1.7e308, space)
+    assert math.isfinite(rep.value) and -1.7e308 <= rep.argmax_t <= 0.0
+
+
+class _Translated(Exception):
+    pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1e-300, 8.9e307), st.sampled_from([3, 5, 9, 17, 33, 65]))
+def test_half_grid_is_the_full_grids_first_half(delta, t_grid):
+    # the t <= 0 half is built directly, bit for bit the first t_grid // 2 + 1
+    # points of the full grid wherever that grid's span 2 delta is finite
+    def capture(fn, t, x, M=None):
+        raise _Translated(t)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modulus, "translate_trig", capture)
+        with pytest.raises(_Translated) as got:
+            modulus_omega(np.abs, delta, SP2, t_grid=t_grid)
+    full = np.linspace(-delta, delta, t_grid)[: t_grid // 2 + 1].tolist()
+    assert got.value.args[0] == full
+    assert [math.copysign(1.0, t) for t in got.value.args[0]] == [math.copysign(1.0, t) for t in full]
 
 
 @pytest.mark.parametrize("delta", [math.inf, math.nan])
