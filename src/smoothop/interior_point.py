@@ -59,14 +59,19 @@ def _interior_point(
     only once U - b^T u, not yet a bound, or the complementarity sum
     s (q - u) + t (q + u) is within _NEAR_GAP tolerances: the latter where
     an inexact step has left A^T u far from 0.
-    A lane leaves once U - L <= _GAP_TOL ||f||, reporting U - L as its gap.
-    Each other way out is flagged and reports the gap of the lane's current
-    iterate: `max_iterations` at max_iter steps, and
-    `singular_normal_equations` when :func:`_factor_lanes` cannot factor the
-    lane's Gram even with its diagonal raised, or when its complementarity
-    sum s (q - u) + t (q + u) has fallen below _STALL tolerances while its
-    gap has not: its Gram is then singular to working precision, and more
-    steps would only drive the slacks toward underflow.
+    Each iteration has one exit, at its top: one `leave` mask, whose lanes
+    are recorded with the gap of their current iterate and dropped by one
+    :func:`_keep_rows` call.  A lane leaves once U - L <= _GAP_TOL ||f||,
+    reporting U - L as its gap.  Each other way out is flagged:
+    `max_iterations` at max_iter steps, and `singular_normal_equations`
+    when its complementarity sum s (q - u) + t (q + u) has fallen below
+    _STALL tolerances while its gap has not (its Gram is then singular to
+    working precision, and more steps would only drive the slacks toward
+    underflow), or, whatever its gap, when :func:`_factor_lanes` rejected
+    its Gram, even with the diagonal raised, at the iteration before.  A
+    rejected lane takes a step of length 0 (D = 0 and ap = 0), so c and
+    its four slacks stay as they were.  `iterations` counts the steps a
+    lane took.
     """
     grid = ws.grid
     q, wgt = grid.qw, grid.wgt
@@ -79,16 +84,16 @@ def _interior_point(
     def dot(*xs: np.ndarray) -> np.ndarray:  # row-wise sums of products
         return np.einsum(",".join(["ij"] * len(xs)) + "->i", *xs)[:, None]
 
-    def lower_bound(rows: np.ndarray, S, y, Ay) -> np.ndarray:
+    def lower_bound(rows: np.ndarray) -> np.ndarray:
         """L of the given lanes, computed in the first len(rows) rows of the
-        work arrays S, y and Ay; 0, itself a bound, for a lane whose Gram in
-        the slack metric cannot be factored.  The projection leaves
-        g = A^T u' at rounding level only if that Gram is well conditioned,
-        and b^T u' <= E_n + c^T g for the minimiser c, so sum |c_k| |g_k|
-        for the lane's iterate c is taken off: a projection that went wrong
-        costs the bound instead of breaking it."""
-        lower = np.zeros(len(rows))
-        S, y, Ay = S[: len(rows)], y[: len(rows)], Ay[: len(rows)]
+        work arrays; 0, itself a bound, for a lane whose Gram in the slack
+        metric cannot be factored (its row is computed with the identity
+        factor of :func:`_factor_lanes` and then dropped).  The projection
+        leaves g = A^T u' at rounding level only if that Gram is well
+        conditioned, and b^T u' <= E_n + c^T g for the minimiser c, so
+        sum |c_k| |g_k| for the lane's iterate c is taken off: a projection
+        that went wrong costs the bound instead of breaking it."""
+        S, y, Ay = work[:, : len(rows)]
         np.take(zs, rows, axis=0, out=S)
         np.take(zt, rows, axis=0, out=Ay)
         np.subtract(Ay, S, out=y)
@@ -96,8 +101,6 @@ def _interior_point(
         np.minimum(S, Ay, out=S)
         np.multiply(S, w2, out=Ay)
         L_inv, ok = _factor_lanes(_gram(ws, Ay, off[rows]), mask[rows])
-        if not ok.all():
-            rows, L_inv, S, y, Ay = _keep_rows(ok, rows.copy(), L_inv, S, y, Ay)
         np.multiply(y, wgt, out=Ay)
         np.matmul(_apply(L_inv, Ay @ V, mask[rows]), V.T, out=Ay)
         Ay *= wgt
@@ -108,8 +111,7 @@ def _interior_point(
         y /= np.maximum(np.max(S, axis=1, keepdims=True), 1.0)  # into the box
         np.multiply(y, wgt, out=S)
         slip = dot(np.abs(coef[rows]), np.abs(S @ V) * mask[rows])[:, 0]
-        lower[ok] = y @ b - slip
-        return lower
+        return np.where(ok, y @ b - slip, 0.0)
 
     def newton(h: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The direction dc for the right-hand side h, with
@@ -132,6 +134,7 @@ def _interior_point(
     work = np.empty((3,) + e.shape)
     lane = np.arange(len(lanes))
     mask, off = lanes.copy(), _off_block(lanes)
+    rejected = np.zeros(len(lanes), dtype=bool)  # by Cholesky, at the iteration before
     for it in range(max_iter + 1):
         D, X, Y = work[:, : len(lane)]
         value = grid.norm(e)
@@ -146,20 +149,22 @@ def _interior_point(
         stalled = (sz + tz)[:, 0] <= _STALL * tol
         last = it == max_iter
         near = np.minimum(cheap, (sz + tz)[:, 0]) <= _NEAR_GAP * tol
-        near = np.flatnonzero(near | stalled | last)
+        leave = stalled | rejected | last
+        near = np.flatnonzero(near | leave)
         gap = np.full(len(lane), math.inf)
         if near.size:
-            gap[near] = value[near] - lower_bound(near, D, X, Y)
+            gap[near] = value[near] - lower_bound(near)
         done = gap <= tol
-        leave = done | stalled | last
+        leave |= done
         stop = ("max_iterations",) if last else ("singular_normal_equations",)
         for k in np.flatnonzero(leave):
-            finish(lane[k], coef[k], value[k], gap[k], it, () if done[k] else stop)
+            flags = ("singular_normal_equations",) if rejected[k] else () if done[k] else stop
+            finish(lane[k], coef[k], value[k], gap[k], it - int(rejected[k]), flags)
         if leave.all():
             return
         if leave.any():
-            lane, coef, e, s, t, zs, zt, Atu, sz, tz, value, mask, off = _keep_rows(
-                ~leave, lane, coef, e, s, t, zs, zt, Atu, sz, tz, value, mask, off
+            lane, coef, e, s, t, zs, zt, Atu, sz, tz, mask, off = _keep_rows(
+                ~leave, lane, coef, e, s, t, zs, zt, Atu, sz, tz, mask, off
             )
             D, X, Y = work[:, : len(lane)]
         np.divide(s, zs, out=D)
@@ -168,17 +173,10 @@ def _interior_point(
         np.reciprocal(D, out=D)
         np.multiply(D, w2, out=X)
         L_inv, ok = _factor_lanes(_gram(ws, X, off), mask, _GRAM_SHIFT)
-        if not ok.all():
-            bad = np.flatnonzero(~ok)
-            gaps = value[bad] - lower_bound(bad, *np.empty((3, bad.size, q.size)))
-            for k, g in zip(bad, gaps):
-                finish(lane[k], coef[k], value[k], g, it, ("singular_normal_equations",))
-            if not ok.any():
-                return
-            lane, coef, e, s, t, zs, zt, D, Atu, sz, tz, mask, off, L_inv = _keep_rows(
-                ok, lane, coef, e, s, t, zs, zt, D, Atu, sz, tz, mask, off, L_inv
-            )
-            X, Y = work[1:, : len(lane)]
+        # a lane Cholesky rejects gets D = 0, so du = 0, and a primal step of
+        # length 0 below: its iterate stays as it is, and it leaves at the top
+        rejected = ~ok
+        D[rejected] = 0.0
         # predictor, the affine-scaling step du in X: ds / s = a - 1 and
         # dt / t = -1 - c for a = du / (q - u) and c = du / (q + u), each in Y
         newton(e, X)
@@ -243,6 +241,7 @@ def _interior_point(
         rt -= X
         Y /= zs
         ap = _STEP / np.maximum(np.maximum(-rs.min(axis=1), -rt.min(axis=1)), _STEP)[:, None]
+        ap[rejected] = 0.0
         ad = _STEP / np.maximum(np.maximum(Y.max(axis=1), -X.min(axis=1)), _STEP)[:, None]
         coef = coef + ap * dc
         rs *= ap

@@ -716,6 +716,112 @@ class TestInteriorPoint:
             else:
                 assert r.flags == () and r.residual_norm_gap <= 1e-12 * fnorm, r.n
 
+    @staticmethod
+    def reject_rows(monkeypatch, main, certificate=lambda sizes: False):
+        """Spy on interior_point._factor_lanes that rejects rows as Cholesky
+        would: the identity factor and False in the mask.  A main-stack call
+        (it passes _GRAM_SHIFT) rejects main(i, sizes) at its i-th call, from
+        0; a certificate call (no shift) rejects certificate(sizes), where
+        sizes are the kept column counts of the stack's lanes.  Returns the
+        list of main-stack calls' sizes."""
+        factor_lanes, calls = interior_point._factor_lanes, []
+
+        def spy(G, mask, shift=0.0):
+            L_inv, ok = factor_lanes(G, mask, shift)
+            sizes = mask.sum(axis=1)
+            if shift:
+                hit = main(len(calls), sizes)
+                calls.append(sizes)
+            else:
+                hit = certificate(sizes)
+            hit = np.broadcast_to(hit, ok.shape)
+            L_inv[hit] = np.eye(G.shape[-1])
+            return L_inv, ok & ~hit
+
+        monkeypatch.setattr(interior_point, "_factor_lanes", spy)
+        return calls
+
+    def test_rejected_lane_keeps_its_iterate(self, monkeypatch):
+        # Cholesky rejects the lane of 3 columns at main iteration 2 alone: it
+        # takes no step there and leaves at the next iteration's top with the
+        # iterate of its second step, flagged, with the gap of that iterate;
+        # the other lanes still certify
+        f, sp = KINKS["absshift"], WeightedSpace(1.0, 1.0)
+        fnorm = weighted_norm(f, sp, approx._solver(sp)[1])
+        rule = gauss_legendre(approx._solver(sp)[1])
+        assert best_approx_sequence(f, 6, sp)[2].iterations > 3
+        monkeypatch.setattr(approx, "_IRLS_MAX_ITER", 2)
+        held = best_approx_sequence(f, 6, sp)[2]  # the iterate after two steps
+        monkeypatch.undo()
+        assert held.flags == ("max_iterations",)
+        self.reject_rows(monkeypatch, lambda i, sizes: (i == 2) & (sizes == 3))
+        seq = best_approx_sequence(f, 6, sp)
+        monkeypatch.undo()
+        for r in seq:
+            if r.n == 3:
+                assert (r.flags, r.iterations) == (("singular_normal_equations",), 2)
+                assert np.array_equal(r.coefficients, held.coefficients)
+                # the same primal and dual iterate; the certificate's stack,
+                # and so its rounding, differs
+                assert_allclose(r.residual_norm_gap, held.residual_norm_gap, rtol=1e-9)
+                assert 0 <= r.value - r.residual_norm_gap <= l1_lp(f, 3, 1.0, rule)
+            else:
+                assert r.flags == () and r.residual_norm_gap <= 1e-12 * fnorm, r.n
+
+    def test_lane_rejected_before_the_limit_is_flagged_singular(self, monkeypatch):
+        # the rejected lane leaves at the limit, but it left because of the
+        # rejection: singular_normal_equations, not max_iterations
+        f, sp = KINKS["absshift"], WeightedSpace(1.0, 1.0)
+        monkeypatch.setattr(approx, "_IRLS_MAX_ITER", 4)
+        self.reject_rows(monkeypatch, lambda i, sizes: (i == 3) & (sizes == 3))
+        for r in best_approx_sequence(f, 6, sp):
+            if r.n == 3:
+                assert (r.flags, r.iterations) == (("singular_normal_equations",), 3)
+            else:
+                assert r.flags in {(), ("max_iterations",)}, r.n
+
+    def test_every_lane_rejected_at_once(self, monkeypatch):
+        # each lane is recorded once, flagged, with the gap of its own iterate,
+        # and no main stack is factored after the rejecting iteration
+        f, sp = KINKS["absshift"], WeightedSpace(1.0, 1.0)
+        rule = gauss_legendre(approx._solver(sp)[1])
+        monkeypatch.setattr(approx, "_IRLS_MAX_ITER", 2)
+        held = best_approx_sequence(f, 6, sp)
+        monkeypatch.undo()
+        recorded, result = [], approx.BestApproxResult
+
+        def recording(n, *args, **kwargs):
+            recorded.append(n)
+            return result(n, *args, **kwargs)
+
+        monkeypatch.setattr(approx, "BestApproxResult", recording)
+        calls = self.reject_rows(monkeypatch, lambda i, sizes: i == 2)
+        seq = best_approx_sequence(f, 6, sp)
+        monkeypatch.undo()
+        assert sorted(recorded) == list(range(1, 7))
+        assert len(calls) == 3
+        for r, h in zip(seq, held):
+            # two steps leave E_n unsorted: monotonicity_violation is the
+            # sequence's flag, not the solve's
+            flags = tuple(flag for flag in r.flags if flag != "monotonicity_violation")
+            assert (flags, r.iterations) == (("singular_normal_equations",), 2), r.n
+            assert np.array_equal(r.coefficients, h.coefficients), r.n
+            assert_allclose(r.residual_norm_gap, h.residual_norm_gap, rtol=1e-9, err_msg=r.n)
+            assert 0 <= r.value - r.residual_norm_gap <= l1_lp(f, r.n, 1.0, rule), r.n
+
+    def test_rejected_certificate_row_is_a_bound_of_zero(self, monkeypatch):
+        # the certificate's Cholesky rejects the lane of 3 columns every time:
+        # its bound is 0, so its gap is its value, and the lanes factored in
+        # the same stack still certify
+        f, sp = KINKS["absshift"], WeightedSpace(1.0, 1.0)
+        fnorm = weighted_norm(f, sp, approx._solver(sp)[1])
+        self.reject_rows(monkeypatch, lambda i, sizes: False, lambda sizes: sizes == 3)
+        for r in best_approx_sequence(f, 6, sp):
+            if r.n == 3:
+                assert r.flags and r.residual_norm_gap == r.value
+            else:
+                assert r.flags == () and r.residual_norm_gap <= 1e-12 * fnorm, r.n
+
     @pytest.mark.parametrize("name", ["absshift", "signabs32"])
     def test_certificates_past_convergence_stay_lower_bounds(self, name, monkeypatch):
         # with no certificate made before a lane stalls or reaches the limit,

@@ -468,6 +468,24 @@ class TestCLI:
         assert code == 0
         assert "n,omega,rhs_sum,ratio" in capsys.readouterr().out
 
+    def test_modulus_flag_exits_one(self, capsys):
+        # omega of abs on the 3-point t-grid falls from delta 0.9375 to 1
+        code = main(["modulus", "--function", "abs", "--t-grid", "3", "--deltas", "0.9375,1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "delta=1.0" in err and "monotonicity_violation" in err
+        assert "delta=0.9375" not in err
+
+    def test_converse_table_unbounded_ratio_exits_one(self, capsys, monkeypatch):
+        rows = [harness.ConverseTableRow(n, 1.0, 1.0, ratio) for n, ratio in
+                [(4, 1.0), (8, 1.0), (16, 30.0)]]
+        monkeypatch.setattr(harness, "converse_table", lambda *args, **kwargs: rows)
+        code = main(["converse-table", "--function", "abs", "--n-list", "4,8,16"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "max/median ratio spread: 30.000" in captured.out
+        assert "boundedness proxy violated" in captured.err
+
     def test_dyadic_runs(self, capsys):
         code = main(["dyadic", "--function", "abs", "--p", "2", "--alpha", "1", "--n", "5"])
         assert code == 0

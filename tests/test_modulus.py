@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from smoothop import modulus, translation
@@ -138,6 +138,9 @@ class TestModulusCurve:
         st.sampled_from([3, 5, 9, 33]),
         st.sampled_from(["abs", "randpoly"]),
     )
+    # omega of abs on the 3-point t-grid truly falls from 0.9375 to 1: the
+    # curve flags the second report, which a one-delta call cannot see
+    @example(deltas=[0.9375, 1.0], t_grid=3, name="abs")
     def test_curve_is_separate_calls_from_one_translation(self, deltas, t_grid, name):
         f, calls, ts = get_test_function(name), [], []
 
@@ -151,7 +154,14 @@ class TestModulusCurve:
             reps = modulus_curve(f, deltas, SP2, t_grid=t_grid)
         assert len(calls) == 1
         assert len(ts) == len(set(ts))
-        assert reps == [modulus_omega(f, d, SP2, t_grid=t_grid) for d in deltas]
+        slack = 1e-12 * weighted_norm(f, SP2)
+        for i, rep in enumerate(reps):
+            one = modulus_omega(f, deltas[i], SP2, t_grid=t_grid)
+            fields = ("delta", "value", "argmax_t", "t_grid_size", "norm_resolution")
+            assert [getattr(rep, k) for k in fields] == [getattr(one, k) for k in fields]
+            # the curve's own flag: a value below the next smaller delta's
+            fell = i > 0 and rep.value < reps[i - 1].value - slack
+            assert rep.flags == one.flags + ("monotonicity_violation",) * fell
 
     def test_deltas_in_any_order(self):
         # omega per delta does not depend on the deltas translated before it
