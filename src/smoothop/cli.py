@@ -1,6 +1,7 @@
 """Command-line entry points for the experiment drivers.
 
-Exit codes: 0 all checks pass, 1 a property check failed, 2 usage error.
+Exit codes: 0 all checks pass, 1 a property check failed, 2 usage error
+(including an --out directory that cannot be made or written to).
 Under --format json, stdout holds the JSON document alone; every other line
 goes to stderr.
 """
@@ -81,8 +82,7 @@ def _emit(args, name: str, table, payload) -> None:
         text = _csv(*table)
         ext = "csv"
     sys.stdout.write(text)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
+    if args.out:  # made by main before the command ran
         path = os.path.join(args.out, f"{name}.{ext}")
         with open(path, "w") as fh:
             fh.write(text)
@@ -273,11 +273,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.out:  # an unusable directory is refused before any work
+            os.makedirs(args.out, exist_ok=True)
         if "function" in args:  # the commands on a test function in a weighted space
             args.f = harness.get_test_function(args.function, seed=args.seed)
             args.space = WeightedSpace(args.p, args.alpha)
         return _HANDLERS[args.cmd](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -78,7 +78,8 @@ TEST_FUNCTION_NAMES = tuple(_LIBRARY)
 
 def get_test_function(spec: str, seed: int = 0) -> SampledFunction:
     """Resolve a test function by name, or parse comma-separated Chebyshev
-    coefficients (e.g. "0.5,0,1" for T_0/2 + T_2), each finite."""
+    coefficients (e.g. "0.5,0,1" for T_0/2 + T_2), each finite and with a
+    finite sum of magnitudes, which bounds |f| on [-1, 1]."""
     _check_int(seed, "seed", 0)
     if spec in _LIBRARY:
         return _LIBRARY[spec](seed)
@@ -94,6 +95,9 @@ def get_test_function(spec: str, seed: int = 0) -> SampledFunction:
     if not finite.all():
         i = int(np.argmin(finite))
         raise ValueError(f"Chebyshev coefficient {i} must be finite, got {tokens[i].strip()}")
+    # |f| <= sum |c_k| on [-1, 1]; Python floats overflow to inf without a warning
+    if not np.isfinite(sum(map(abs, coeffs.tolist()))):
+        raise ValueError(f"Chebyshev coefficients {spec!r} overflow: their magnitudes sum to inf")
     return SampledFunction(C.Chebyshev(coeffs), name=f"cheb{coeffs.tolist()}")
 
 

@@ -153,11 +153,9 @@ def _factor_lanes(
 
 
 def _keep_rows(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
-    """The rows `keep` of each array, moved to the front of the array's own
-    buffer one by one and returned as views of it: a lane set that shrinks
-    allocates nothing, and a lane that leaves is to be recorded first."""
+    """The rows `keep` of each array, copied to the front of the array's own
+    buffer and returned as views of it, so a lane that leaves is to be
+    recorded first.  `np.take` buffers the rows when its output overlaps
+    its input."""
     rows = np.flatnonzero(keep)
-    for x in arrays:
-        for i, k in enumerate(rows):  # k >= i: each row moves up or stays
-            x[i] = x[k]
-    return [x[: rows.size] for x in arrays]
+    return [np.take(x, rows, axis=0, out=x[: rows.size]) for x in arrays]

@@ -70,12 +70,12 @@ def _check_domain(v, name: str, what: str = "argument") -> None:
         raise ValueError(f"{what} outside [-1, 1]: {name} = {np.asarray(v)[~inside].flat[0]}")
 
 
-def _check_int(v, name: str, minimum: int | None = None) -> int:
+def _check_int(v, name: str, minimum: int) -> int:
     """v as a Python int; raises ValueError naming `name` unless v is an
-    integer (Python or numpy, not bool) and, if given, at least `minimum`."""
+    integer (Python or numpy, not bool) and at least `minimum`."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {name} = {v!r}")
-    if minimum is not None and v < minimum:
+    if v < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {name} = {v}")
     return int(v)
 

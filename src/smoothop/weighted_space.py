@@ -175,10 +175,9 @@ class _NormGrid:
     read-only, as grids are shared through the cache of WeightedSpace._grid.
     """
 
-    def __init__(self, space: WeightedSpace, x: np.ndarray, qw: np.ndarray | None,
-                 wgt: np.ndarray | None = None):
+    def __init__(self, space: WeightedSpace, x: np.ndarray, qw: np.ndarray | None):
         self.space, self.p, self.x, self.qw = space, space.p, x, qw
-        self.wgt = (1.0 - x * x) ** space.alpha if wgt is None else wgt
+        self.wgt = (1.0 - x * x) ** space.alpha
         self.wgt.flags.writeable = False
 
     @cached_property
@@ -187,13 +186,13 @@ class _NormGrid:
         about 0 bit for bit, each weight doubled except that of the node
         x = 0 of an odd-sized rule.  A sum of an even function over the half
         equals the sum over the whole grid, up to the order of addition.
-        Nodes and `wgt` are views of the full grid's."""
+        Its nodes are a view of the full grid's."""
         m = self.x.size // 2
         qw = 2.0 * self.qw[m:]
         if self.x.size % 2:
             qw[0] = self.qw[m]
         qw.flags.writeable = False
-        return _NormGrid(self.space, self.x[m:], qw, self.wgt[m:])
+        return _NormGrid(self.space, self.x[m:], qw)
 
     def norm(self, e: np.ndarray):
         """The norm of each row of weighted samples e = wgt * (f at x).

@@ -15,7 +15,8 @@ from smoothop.approx import (
     best_approx_sequence,
 )
 from smoothop.normal_equations import (
-    _apply, _factor, _factor_lanes, _gram, _identity, _lane_mask, _off_block, _tril_inverse,
+    _apply, _factor, _factor_lanes, _gram, _identity, _keep_rows, _lane_mask, _off_block,
+    _tril_inverse,
 )
 from smoothop.cli import main
 from smoothop.modulus import modulus_curve
@@ -301,6 +302,37 @@ class TestFactorLanes:
         assert np.array_equal(L_inv[1], _identity(G.shape[-1]))
         for k in (0, 2):  # those of the stack as factored, shifted or not
             assert np.array_equal(L_inv[k], _factor(G[k, None])[0])
+
+
+class TestKeepRows:
+    """`_keep_rows` copies the kept rows to the front of each array's own
+    buffer and returns views of it: IRLS and the interior-point method update
+    the compacted stacks in place."""
+
+    K = 6
+
+    @pytest.mark.parametrize("keep", [
+        [False, True, True, True, True, True],  # the first row leaves
+        [True, True, True, True, True, False],  # the last row leaves
+        [True, False, True, False, True, False],  # every other row leaves
+        [False, False, False, True, False, False],  # all but one row leave
+    ])
+    def test_kept_rows_at_the_front_of_each_buffer(self, keep):
+        keep = np.array(keep)
+        rng = np.random.default_rng(3)
+        arrays = [
+            np.arange(10, 10 + self.K),
+            rng.random((self.K, 7)),
+            rng.random((self.K, 4, 4)) < 0.5,
+        ]
+        expected = [x[keep].copy() for x in arrays]
+        kept = _keep_rows(keep, *arrays)
+        assert len(kept) == len(arrays)
+        for x, out, want in zip(arrays, kept, expected):
+            assert out.dtype == x.dtype
+            assert np.array_equal(out, want)
+            assert out.ctypes.data == x.ctypes.data
+            assert np.shares_memory(out, x)
 
 
 def assert_lanes_match_svd_solve(ns, w):

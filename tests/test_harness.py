@@ -81,6 +81,17 @@ class TestFunctionLibrary:
         assert f"Chebyshev coefficient {index} must be finite, got {text}" in err
         assert "sample" not in err
 
+    def test_overflowing_coefficients_refused(self, capsys):
+        # each coefficient is finite, but the series may reach 2e308 on [-1, 1]
+        with pytest.raises(ValueError, match=re.escape("'1e308,1e308' overflow")):
+            get_test_function("1e308,1e308")
+        code = main(["best-approx", "--function", "1e308,1e308", "--p", "2", "--n-max", "4"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'1e308,1e308' overflow" in captured.err
+        assert get_test_function("1e308,0")(np.array([1.0]))[0] == 1e308
+
 
 class TestVerifyLemma1:
     def test_all_properties_pass(self):
@@ -452,6 +463,18 @@ class TestCLI:
         text = (tmp_path / "best-approx.csv").read_text()
         assert text.splitlines()[0] == "ν,E_ν,solver,iterations,gap"
         assert len(text.strip().splitlines()) == 5
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_unusable_out_is_a_usage_error(self, sub, tmp_path, capsys):
+        # --out at an existing file, or below one: refused before the table prints
+        path = tmp_path / "F"
+        path.touch()
+        code = main(["best-approx", "--function", "abs", "--p", "2", "--n-max", "4",
+                     "--out", str(path / sub)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_modulus_json_format(self, capsys):
         code = main(["modulus", "--function", "x", "--p", "2", "--alpha", "1",
